@@ -181,29 +181,3 @@ def leader_free_coherence(g: Graph, graph_label: str | None = None) -> Coherence
         graph=graph_label or _default_label(g),
     )
 
-
-def best_single_leader(g: Graph, dynamics: str = NOISE_FREE,
-                       kappa=None) -> tuple[int, CoherenceReport]:
-    """Exhaustive best single leader; ties go to the smallest node id."""
-    if not is_connected(g):
-        raise DisconnectedGraphError("leader selection requires a connected graph")
-    n = g.node_count
-    if dynamics == NOISE_FREE:
-        values = 0.5 * resistance_oracle(g).column_sums()
-    elif dynamics == NOISE_CORRUPTED:
-        values = np.empty(n)
-        for v in range(n):
-            kvec = normalize_kappa((v,), kappa)
-            shift = np.zeros(n)
-            shift[v] = kvec[0]
-            values[v] = 0.5 * _grounded_trace(g, set(), extra_diagonal=shift)
-    else:
-        raise BadParameterError(f"unknown dynamics {dynamics!r}")
-    vmin = float(values.min())
-    window = 1e-12 * max(1.0, abs(vmin))
-    best = int(np.flatnonzero(values <= vmin + window)[0])
-    if dynamics == NOISE_FREE:
-        report = coherence_nf(g, (best,))
-    else:
-        report = coherence_nc(g, (best,), kappa=kappa)
-    return best, report

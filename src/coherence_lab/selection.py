@@ -2,23 +2,21 @@
 
 Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
-searching exactly size k solves the "at most k" problem). Two-leader sets
-use the rank-2 resistance fast paths after one table precomputation;
-larger sets get per-candidate grounded factorizations, chunked over the
-configured worker threads with a deterministic, order-preserving
-reduction.
+searching exactly size k solves the "at most k" problem). Every value
+comes from one pairwise resistance table: noise-free pairs use the
+one-GEMM pair sweep, and every other (dynamics, k) grounds each
+candidate's leaders one at a time with rank-one Schur steps on table
+entries, vectorised over lexicographic chunks of candidates.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import ordered_map
 from .coherence import (
     NOISE_CORRUPTED,
     NOISE_FREE,
@@ -30,7 +28,6 @@ from .electrical import (
     normalize_kappa,
     normalize_leaders,
     resistance_oracle,
-    spd_trace_inverse,
 )
 from .errors import (
     BadParameterError,
@@ -38,11 +35,12 @@ from .errors import (
     CoherenceLabError,
     DisconnectedGraphError,
 )
-from .graphs import Graph, is_connected, laplacian
+from .graphs import Graph, is_connected
 
 DEFAULT_BUDGET = 10_000_000
 CO_OPTIMAL_CAP = 1000
-_CHUNK = 512
+#: floats in the (candidates, k - 1, n) block of leader columns per chunk
+_BLOCK_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,104 @@ def _tie_window(vmin: float, n: int) -> float:
     return 1e-12 + 8.0 * n * np.finfo(np.float64).eps * max(1.0, abs(vmin))
 
 
-def _collect_optima(values: np.ndarray, candidates, n: int, cap: int):
-    vmin = float(values.min())
-    window = _tie_window(vmin, n)
-    hits = np.flatnonzero(values <= vmin + window)
-    sets = []
-    for pos in hits[:cap]:
-        sets.append(tuple(int(v) for v in candidates(int(pos))))
-    return vmin, tuple(sets), int(hits.size)
+def _lex_unranker(n: int, k: int):
+    """Map lexicographic ranks to the size-k subsets of range(n), one row each.
+
+    The rank r of c_1 < ... < c_k satisfies
+    C(n, k) - 1 - r = sum_i C(n - 1 - c_i, k + 1 - i) (the combinatorial
+    number system), so each position is one search in a column of
+    binomials. Columns are clipped at C(n, k): every remainder is below
+    it, so clipping changes no search and keeps the table in int64.
+    """
+    total = math.comb(n, k)
+    col = np.arange(n, dtype=np.int64)
+    binom = []
+    for j in range(1, k + 1):
+        binom.append(np.minimum(col, total))
+        col = np.concatenate(([0], np.cumsum(binom[-1])[:-1]))
+    binom.reverse()
+
+    def unrank(ranks):
+        rest = total - 1 - np.asarray(ranks, dtype=np.int64)
+        sets = np.empty((rest.size, k), dtype=np.intp)
+        for i, column in enumerate(binom):
+            d = np.searchsorted(column, rest, side="right") - 1
+            rest -= column[d]
+            sets[:, i] = n - 1 - d
+        return sets
+
+    return unrank
+
+
+def _kappa_reciprocals(kappa, n: int, k: int):
+    """1/kappa for every (candidate, position) of a chunk of sorted sets.
+
+    A scalar or a mapping gives each node its own weight; a sequence is
+    aligned with the sorted candidate, as in :func:`normalize_kappa`.
+    """
+    if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
+        per_node = 1.0 / normalize_kappa(range(n), kappa)
+        return lambda sets: per_node[sets]
+    per_position = 1.0 / normalize_kappa(range(k), kappa)
+    return lambda sets: np.broadcast_to(per_position, sets.shape)
+
+
+def _grounded_totals(R: np.ndarray, colsum: np.ndarray, sets: np.ndarray,
+                     inv_kappa) -> np.ndarray:
+    """Twice the coherence of every row of ``sets``, from the table alone.
+
+    Grounding the anchor s1 turns the table into the inverse entries
+    A[u, a] = (r(u, s1) + r(a, s1) - r(u, a)) / 2 (plus 1/kappa_s1 when s1
+    is tied to the reference node), whose trace is colsum[s1] (plus
+    n/kappa_s1). Each further leader t is then grounded by a rank-one
+    Schur step with pivot A[t, t] (plus 1/kappa_t): the trace drops by
+    |A[:, t]|^2 / pivot and the later leaders' columns lose
+    A[:, t] A[t, :] / pivot. Only those k - 1 columns are ever formed.
+    """
+    n = R.shape[0]
+    rows = np.arange(sets.shape[0])
+    anchor, rest = sets[:, 0], sets[:, 1:]
+    totals = colsum[anchor]
+    if inv_kappa is not None:
+        totals = totals + n * inv_kappa[:, 0]
+    if rest.shape[1] == 0:
+        return totals
+    R_anchor = R[anchor]
+    cols = R_anchor[:, None, :] + R_anchor[rows[:, None], rest][:, :, None]
+    cols -= R[rest]
+    cols *= 0.5
+    if inv_kappa is not None:
+        cols += inv_kappa[:, :1, None]
+    for j in range(rest.shape[1]):
+        col = cols[:, j]
+        pivot = col[rows, rest[:, j]]
+        if inv_kappa is not None:
+            pivot = pivot + inv_kappa[:, j + 1]
+        totals -= np.einsum("cu,cu->c", col, col) / pivot
+        later = rest[:, j + 1:]
+        if later.shape[1]:
+            coupling = np.take_along_axis(col, later, axis=1) / pivot[:, None]
+            cols[:, j + 1:] -= coupling[:, :, None] * col[:, None, :]
+    return totals
+
+
+def _table_values(g: Graph, k: int, dynamics: str, kappa) -> np.ndarray:
+    """Values for every size-k candidate, in lexicographic order."""
+    n = g.node_count
+    unrank = _lex_unranker(n, k)
+    oracle = resistance_oracle(g)
+    colsum = oracle.column_sums()
+    reciprocals = (_kappa_reciprocals(kappa, n, k)
+                   if dynamics == NOISE_CORRUPTED else None)
+    total = math.comb(n, k)
+    chunk = max(1, _BLOCK_FLOATS // max(1, (k - 1) * n))
+    values = np.empty(total)
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        sets = unrank(np.arange(lo, hi))
+        inv_kappa = reciprocals(sets) if reciprocals is not None else None
+        values[lo:hi] = _grounded_totals(oracle.table, colsum, sets, inv_kappa)
+    return 0.5 * values
 
 
 def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
@@ -104,83 +192,45 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
             f"C({n},{k}) = {total} candidate sets exceed the budget of {budget}"
         )
     start = time.perf_counter()
-
-    if dynamics == NOISE_FREE and k == 1:
-        values = 0.5 * resistance_oracle(g).column_sums()
-        vmin, sets, count = _collect_optima(values, lambda p: (p,), n, cap)
+    if dynamics == NOISE_FREE and k == n:
+        # every node leads: the value is exactly 0, where the Schur steps
+        # would leave a rounding residue of either sign
+        values = np.zeros(1)
     elif dynamics == NOISE_FREE and k == 2:
+        # the upper triangle, row by row, is the lexicographic pair order
         totals = resistance_oracle(g).pair_totals()
-        iu = np.triu_indices(n, 1)
-        values = 0.5 * totals[iu]
-        vmin, sets, count = _collect_optima(
-            values, lambda p: (int(iu[0][p]), int(iu[1][p])), n, cap
-        )
-    elif dynamics == NOISE_CORRUPTED and k == 2:
-        oracle = resistance_oracle(g)
-        iu = np.triu_indices(n, 1)
-        values = np.empty(iu[0].size)
-        for pos in range(iu[0].size):
-            x, y = int(iu[0][pos]), int(iu[1][pos])
-            kx, ky = normalize_kappa((x, y), kappa)
-            values[pos] = 0.5 * oracle.noise_corrupted_pair_total(x, y, kx, ky)
-        vmin, sets, count = _collect_optima(
-            values, lambda p: (int(iu[0][p]), int(iu[1][p])), n, cap
-        )
+        values = 0.5 * totals[np.triu_indices(n, 1)]
     else:
-        values = _evaluate_all(g, k, dynamics, kappa)
-        vmin = float(values.min())
-        hits = np.flatnonzero(values <= vmin + _tie_window(vmin, n))
-        count = int(hits.size)
-        want = {int(h) for h in hits[:cap]}
-        sets = []
-        for pos, S in enumerate(itertools.combinations(range(n), k)):
-            if pos in want:
-                sets.append(tuple(int(v) for v in S))
-                if len(sets) == len(want):
-                    break
-        sets = tuple(sets)
+        values = _table_values(g, k, dynamics, kappa)
+    vmin = float(values.min())
+    hits = np.flatnonzero(values <= vmin + _tie_window(vmin, n))
+    sets = tuple(tuple(int(v) for v in S)
+                 for S in _lex_unranker(n, k)(hits[:cap]))
     elapsed = time.perf_counter() - start
     return SelectionResult(
         dynamics=dynamics,
         k=k,
         value=vmin,
         optimal_sets=sets,
-        co_optimal_count=count,
+        co_optimal_count=int(hits.size),
         evaluated_count=int(total),
         elapsed_seconds=elapsed,
     )
 
 
-def _evaluate_all(g: Graph, k: int, dynamics: str, kappa) -> np.ndarray:
-    """Values for every size-k candidate, in lexicographic order."""
-    n = g.node_count
-    L = laplacian(g)
+def best_single_leader(g: Graph, dynamics: str = NOISE_FREE,
+                       kappa=None) -> tuple[int, CoherenceReport]:
+    """Exhaustive best single leader; ties go to the smallest node id.
 
-    def chunk_values(chunk):
-        out = np.empty(len(chunk))
-        for idx, S in enumerate(chunk):
-            if dynamics == NOISE_FREE:
-                keep = [v for v in range(n) if v not in S]
-                out[idx] = 0.5 * spd_trace_inverse(L[np.ix_(keep, keep)])
-            else:
-                kvec = normalize_kappa(S, kappa)
-                M = L.copy()
-                for v, kv in zip(S, kvec):
-                    M[v, v] += kv
-                out[idx] = 0.5 * spd_trace_inverse(M)
-        return out
-
-    chunks = []
-    batch = []
-    for S in itertools.combinations(range(n), k):
-        batch.append(S)
-        if len(batch) == _CHUNK:
-            chunks.append(batch)
-            batch = []
-    if batch:
-        chunks.append(batch)
-    parts = ordered_map(chunk_values, chunks)
-    return np.concatenate(parts) if parts else np.empty(0)
+    The search is ``brute_force_select(g, 1, ...)``, so both name the same
+    leader; the report is recomputed by the grounded-trace route.
+    """
+    best = brute_force_select(g, 1, dynamics, kappa, cap=1).optimal_sets[0][0]
+    if dynamics == NOISE_FREE:
+        report = coherence_nf(g, (best,))
+    else:
+        report = coherence_nc(g, (best,), kappa=kappa)
+    return best, report
 
 
 def evaluate_candidates(g: Graph, candidates, dynamics: str = NOISE_FREE,

@@ -1,14 +1,16 @@
 import itertools
+import math
 
 import pytest
 
 import coherence_lab as cl
 from coherence_lab.errors import (
+    BadKappaError,
     BadParameterError,
     BudgetExceededError,
     DisconnectedGraphError,
 )
-from coherence_lab.selection import CandidateError
+from coherence_lab.selection import CandidateError, _table_values
 
 from conftest import naive_nc_value, naive_nf_value, random_connected_graph
 
@@ -115,17 +117,6 @@ def test_all_singletons_co_optimal_on_cycle():
     assert spread <= 1e-12
 
 
-def test_worker_count_env(monkeypatch):
-    from coherence_lab._parallel import worker_count
-
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "junk")
-    assert worker_count() >= 1
-
-
 def test_determinism_with_thread_env(monkeypatch):
     g = cl.build_cycle(10)
     first = cl.brute_force_select(g, 3)
@@ -191,3 +182,151 @@ def test_two_leader_fast_path_matches_direct_solves(rng):
         S: naive_nf_value(g, S) for S in itertools.combinations(range(12), 2)
     }
     assert result.value == pytest.approx(min(direct.values()), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the resistance-table evaluator against plain-inverse oracles
+
+def _naive_search(g, k, value):
+    """Every size-k value by the oracle, the optimum, and the optimal sets
+    in lexicographic order."""
+    values = {S: value(S) for S in itertools.combinations(range(g.node_count), k)}
+    best = min(values.values())
+    window = 1e-9 * max(1.0, abs(best))
+    sets = tuple(S for S, v in values.items() if v <= best + window)
+    return values, best, sets
+
+
+def _assert_matches_naive(g, k, dynamics, kappa, value):
+    values, best, sets = _naive_search(g, k, value)
+    result = cl.brute_force_select(g, k, dynamics=dynamics, kappa=kappa)
+    assert result.value == pytest.approx(best, rel=1e-9, abs=1e-9)
+    assert result.optimal_sets == sets
+    assert result.co_optimal_count == len(sets)
+    assert result.evaluated_count == len(values)
+    return values
+
+
+def _stiff_graph(rng, n=12, chords=6):
+    """Random connected graph with edge weights spread over 10^-3 .. 10^3."""
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(0, v)), v)] = None
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges[(u, v)] = None
+    return cl.build_graph(
+        [(u, v, float(10.0 ** rng.uniform(-3.0, 3.0))) for u, v in edges],
+        node_count=n,
+    )
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_table_evaluator_nf_matches_naive(rng, k):
+    for n, extra in ((9, 4), (11, 7)):
+        g = random_connected_graph(rng, n, extra_edges=extra)
+        _assert_matches_naive(g, k, cl.NOISE_FREE, None,
+                              lambda S: naive_nf_value(g, S))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_table_evaluator_nc_matches_naive(rng, k):
+    for n, extra, kappa in ((9, 4, 0.6), (11, 7, 2.5)):
+        g = random_connected_graph(rng, n, extra_edges=extra)
+        _assert_matches_naive(g, k, cl.NOISE_CORRUPTED, kappa,
+                              lambda S: naive_nc_value(g, S, kappa))
+
+
+@pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
+def test_table_evaluator_cycle_ties_match_naive(dynamics):
+    g = cl.build_cycle(12)
+    for k in (3, 4):
+        def value(S):
+            if dynamics == cl.NOISE_FREE:
+                return naive_nf_value(g, S)
+            return naive_nc_value(g, S, 1.0)
+
+        _assert_matches_naive(g, k, dynamics, None, value)
+
+
+@pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
+def test_table_evaluator_stiff_weights(rng, dynamics):
+    g = _stiff_graph(rng)
+    for k in (1, 2, 3, 4):
+        def value(S):
+            if dynamics == cl.NOISE_FREE:
+                return naive_nf_value(g, S)
+            return naive_nc_value(g, S, 3.0)
+
+        expect = _assert_matches_naive(g, k, dynamics, 3.0, value)
+        got = _table_values(g, k, dynamics, 3.0)
+        for v, S in zip(got, itertools.combinations(range(g.node_count), k)):
+            assert v == pytest.approx(expect[S], rel=1e-9)
+
+
+def test_table_evaluator_kappa_mapping(rng):
+    g = random_connected_graph(rng, 9, extra_edges=4)
+    kappa = {v: float(rng.uniform(0.3, 5.0)) for v in range(0, 9, 2)}
+    for k in (1, 2, 3):
+        _assert_matches_naive(g, k, cl.NOISE_CORRUPTED, kappa,
+                              lambda S: naive_nc_value(g, S, kappa))
+
+
+def test_table_evaluator_kappa_list_follows_sorted_positions(rng):
+    g = random_connected_graph(rng, 9, extra_edges=4)
+    for weights in ([0.4], [0.5, 4.0], [3.0, 0.2, 1.5]):
+        def value(S):
+            return naive_nc_value(g, S, dict(zip(S, weights)))
+
+        _assert_matches_naive(g, len(weights), cl.NOISE_CORRUPTED, weights, value)
+
+
+def test_table_evaluator_single_node():
+    g = cl.build_graph([], node_count=1)
+    nf = cl.brute_force_select(g, 1)
+    assert nf.value == 0.0
+    assert nf.optimal_sets == ((0,),)
+    nc = cl.brute_force_select(g, 1, dynamics=cl.NOISE_CORRUPTED, kappa=2.0)
+    assert nc.value == pytest.approx(naive_nc_value(g, (0,), 2.0))
+    assert nc.optimal_sets == ((0,),)
+    assert nc.co_optimal_count == 1
+
+
+def test_all_leaders_nf_is_exactly_zero(rng):
+    for n in range(2, 8):
+        g = random_connected_graph(rng, n, extra_edges=n // 2)
+        result = cl.brute_force_select(g, n)
+        assert result.value == 0.0
+        assert math.copysign(1.0, result.value) == 1.0
+        assert result.optimal_sets == (tuple(range(n)),)
+        assert result.co_optimal_count == 1
+        nc = cl.brute_force_select(g, n, dynamics=cl.NOISE_CORRUPTED, kappa=1.5)
+        assert nc.value == pytest.approx(naive_nc_value(g, range(n), 1.5), rel=1e-9)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -1.0, float("nan"), float("inf"),
+                                   {3: -2.0}, {0: float("nan")},
+                                   [1.0, 0.0, 2.0], [1.0, 2.0]])
+def test_table_evaluator_bad_kappa(kappa):
+    g = cl.build_cycle(6)
+    with pytest.raises(BadKappaError):
+        cl.brute_force_select(g, 3, dynamics=cl.NOISE_CORRUPTED, kappa=kappa)
+
+
+@pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
+@pytest.mark.parametrize("kappa", [None, 2.5, "mapping"])
+def test_best_single_leader_agrees_with_search(rng, dynamics, kappa):
+    graphs = [cl.build_cycle(n) for n in (5, 8, 13)]
+    graphs += [random_connected_graph(rng, n, extra_edges=n // 3)
+               for n in (6, 10, 17)]
+    for g in graphs:
+        if kappa == "mapping":
+            weights = {v: float(rng.uniform(0.5, 3.0))
+                       for v in range(0, g.node_count, 3)}
+        else:
+            weights = kappa
+        best, report = cl.best_single_leader(g, dynamics, weights)
+        search = cl.brute_force_select(g, 1, dynamics, weights)
+        assert best == search.optimal_sets[0][0]
+        assert report.value == pytest.approx(search.value, rel=1e-9)
