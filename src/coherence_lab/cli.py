@@ -20,6 +20,7 @@ import json
 import sys
 
 from . import closed_forms, coherence, selection, simulate, treegrow
+from .electrical import leaders_with_kappa
 from .errors import (
     ComputationError,
     GraphSpecError,
@@ -87,16 +88,6 @@ def _shift_out(ids, one_based: bool):
     return [v + 1 for v in ids] if one_based else list(ids)
 
 
-def _kappa_arg(leaders: list[int], kappa):
-    if kappa is None or isinstance(kappa, float):
-        return kappa
-    if len(kappa) != len(leaders):
-        raise ValidationError(
-            f"kappa list has {len(kappa)} entries for {len(leaders)} leaders"
-        )
-    return dict(zip(leaders, kappa))
-
-
 # ---------------------------------------------------------------------------
 # output helpers
 
@@ -136,9 +127,9 @@ def _cmd_coherence(args, out) -> int:
     if args.leaders is None:
         raise ValidationError("--leaders is required unless --dynamics free")
     leaders = _shift_in(_parse_int_list(args.leaders, "leader"), args.one_based)
-    kappa = _kappa_arg(leaders, _parse_kappa(args.kappa))
+    kappa = _parse_kappa(args.kappa)
     if args.method == "closed-form":
-        doc = _closed_form_coherence(args, g, label, leaders, kappa)
+        doc = _closed_form_coherence(args, g, label, leaders)
         _emit(doc, args.format, out)
         return 0
     if args.dynamics == "nf":
@@ -156,7 +147,7 @@ def _cmd_coherence(args, out) -> int:
     return 0
 
 
-def _closed_form_coherence(args, g: Graph, label: str, leaders, kappa) -> dict:
+def _closed_form_coherence(args, g: Graph, label: str, leaders) -> dict:
     family = label.split(":", 1)[0]
     if args.dynamics != "nf":
         raise ValidationError("--method closed-form supports --dynamics nf only")
@@ -329,7 +320,7 @@ def _cmd_simulate(args, out) -> int:
     if args.leaders is None:
         raise ValidationError("simulate requires --leaders")
     leaders = _shift_in(_parse_int_list(args.leaders, "leader"), args.one_based)
-    kappa = _kappa_arg(leaders, _parse_kappa(args.kappa))
+    kappa = _parse_kappa(args.kappa)
     cfg = simulate.SimConfig(dt=args.dt, horizon=args.horizon,
                              burn_in=args.burn_in, trials=args.trials,
                              seed=args.seed)
@@ -340,10 +331,7 @@ def _cmd_simulate(args, out) -> int:
     else:
         res = simulate.simulate_nc(g, leaders, cfg, kappa=kappa)
         dynamics = coherence.NOISE_CORRUPTED
-        from .electrical import normalize_kappa, normalize_leaders
-
-        S = normalize_leaders(g, leaders)
-        kvec = normalize_kappa(S, kappa)
+        S, kvec = leaders_with_kappa(g, leaders, kappa)
         shift = 1 if args.one_based else 0
         kappa_doc = {str(v + shift): float(kv) for v, kv in zip(S, kvec)}
     doc = {

@@ -22,7 +22,7 @@ import numpy as np
 from .electrical import (
     augment_graph,
     forest_inverse_diagonal,
-    normalize_kappa,
+    leaders_with_kappa,
     normalize_leaders,
     resistance_oracle,
     spd_trace_inverse,
@@ -136,9 +136,10 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
     weights on the leader diagonal. The resistance route builds the
     augmented graph (one reference node tied to each leader with weight
     kappa_i) and sums, over all n original nodes, their resistance to it.
+    A kappa list follows ``leaders`` in the order given (see
+    :func:`~coherence_lab.electrical.leaders_with_kappa`).
     """
-    S = normalize_leaders(g, leaders)
-    kvec = normalize_kappa(S, kappa)
+    S, kvec = leaders_with_kappa(g, leaders, kappa)
     if not is_connected(g):
         raise DisconnectedGraphError("coherence requires a connected graph")
     if method == "trace":
@@ -146,7 +147,7 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
         shift[list(S)] = kvec
         value = 0.5 * _grounded_trace(g, set(), extra_diagonal=shift)
     elif method == "resistance":
-        aug = augment_graph(g, S, kappa)
+        aug = augment_graph(g, S, kvec)
         table = resistance_oracle(aug.graph).table
         value = 0.5 * float(table[: aug.base.node_count, aug.s_bar].sum())
     else:

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dtrtri
 
-from . import _kernels
 from .errors import (
     BadKappaError,
     BadParameterError,
@@ -137,7 +136,7 @@ def normalize_kappa(leaders, kappa) -> np.ndarray:
     """Per-leader stubbornness weights, defaulting to 1 where unspecified.
 
     Accepts a scalar, a node-to-weight mapping, or a sequence aligned with
-    the (sorted) leader tuple.
+    ``leaders``.
     """
     if kappa is None:
         vec = np.ones(len(leaders))
@@ -155,6 +154,24 @@ def normalize_kappa(leaders, kappa) -> np.ndarray:
     if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
         raise BadKappaError("every stubbornness weight must be finite and > 0")
     return vec
+
+
+def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sorted unique leaders and their stubbornness weights, aligned.
+
+    A scalar or a node-to-weight mapping is read per node. A sequence
+    follows the leaders in the order the caller gave them, so
+    ``leaders=(5, 0), kappa=[1, 50]`` ties node 0 with weight 50; a
+    sequence with repeated leaders is ambiguous and rejected.
+    """
+    given = [int(v) for v in leaders]
+    S = normalize_leaders(g, given)
+    if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
+        return S, normalize_kappa(S, kappa)
+    if len(S) != len(given):
+        raise BadKappaError("a kappa list needs distinct leaders")
+    vec = normalize_kappa(given, kappa)
+    return S, vec[np.argsort(given)]
 
 
 def grounded_laplacian(g: Graph, leaders) -> tuple[np.ndarray, list[int]]:
@@ -279,8 +296,8 @@ class ResistanceOracle:
         return prof
 
     def pair_totals(self) -> np.ndarray:
-        """sum_u r(u, {x, y}) for every pair, via the selected kernel."""
-        return _kernels.two_leader_totals(self.table)
+        """sum_u r(u, {x, y}) for every pair, via :func:`two_leader_totals`."""
+        return two_leader_totals(self.table)
 
     def noise_corrupted_pair_total(self, x: int, y: int, kappa_x: float,
                                    kappa_y: float) -> float:
@@ -301,6 +318,36 @@ class ResistanceOracle:
         b = R[x, y] + 1.0 / kappa_x
         rbar = a - kappa_y * (R[:, y] - a - b) ** 2 / (4.0 * (1.0 + kappa_y * b))
         return float(rbar.sum())
+
+
+def two_leader_totals(R: np.ndarray) -> np.ndarray:
+    """Total two-leader resistance for every node pair.
+
+    Given the pairwise resistance table ``R``, returns the symmetric matrix
+    ``T`` with ``T[x, y] = sum_u r(u, {x, y})`` where
+
+        r(u, {x, y}) = R[u, x] - (R[u, x] + R[x, y] - R[u, y])^2 / (4 R[x, y]).
+
+    The leader terms themselves contribute zero, so the sum may run over all
+    nodes. Expanding the square turns the u-sum into one Gram matrix plus
+    column sums, which is what is evaluated here.
+    """
+    R = np.asarray(R, dtype=np.float64)
+    n = R.shape[0]
+    col = R.sum(axis=0)
+    Q = R.T @ R
+    q = np.diagonal(Q)
+    num = (
+        q[:, None]
+        + q[None, :]
+        - 2.0 * Q
+        + 2.0 * R * (col[:, None] - col[None, :])
+        + n * R * R
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        T = col[:, None] - num / (4.0 * R)
+    np.fill_diagonal(T, 0.0)
+    return T
 
 
 def resistance_oracle(g: Graph, check_residual: bool = True) -> ResistanceOracle:
@@ -356,9 +403,8 @@ class AugmentedGraph:
 
 def augment_graph(g: Graph, leaders, kappa=None) -> AugmentedGraph:
     """Append the reference node s_bar with an edge of weight kappa_i to
-    every leader i."""
-    S = normalize_leaders(g, leaders)
-    kvec = normalize_kappa(S, kappa)
+    every leader i; ``kappa`` is read as in :func:`leaders_with_kappa`."""
+    S, kvec = leaders_with_kappa(g, leaders, kappa)
     n = g.node_count
     edges = list(g.edges) + [(v, n, float(k)) for v, k in zip(S, kvec)]
     return AugmentedGraph(

@@ -103,7 +103,9 @@ def _kappa_reciprocals(kappa, n: int, k: int):
     """1/kappa for every (candidate, position) of a chunk of sorted sets.
 
     A scalar or a mapping gives each node its own weight; a sequence is
-    aligned with the sorted candidate, as in :func:`normalize_kappa`.
+    aligned with the candidate's leaders in ascending order, the order in
+    which candidates are generated, so it means what it would mean passed
+    to ``coherence_nc`` with that candidate.
     """
     if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
         per_node = 1.0 / normalize_kappa(range(n), kappa)

@@ -9,22 +9,47 @@ covariance solves A P + P A = I, so P = A^{-1} / 2), which is exactly the
 analytic coherence. Trials use independent noise substreams derived from
 the seed, so results are reproducible bit for bit and per-trial outputs
 do not depend on the number of trials.
+
+The iterate is Euler-Maruyama's ``X <- (I - dt A) X + sqrt(dt) xi``, run
+in the eigenbasis of the symmetric A = V diag(lambda) V^T. There
+Y = V^T X obeys n independent scalar recursions
+``y_i <- (1 - dt lambda_i) y_i + sqrt(dt) (V^T xi)_i``, the rotated noise
+is still white, and |X| = |Y|. Over a chunk of pre-drawn noise each
+mode's recursion is one unit lower-bidiagonal triangular solve with one
+right-hand side per trial, so no Python loop runs over steps.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-from . import _kernels
-from .electrical import grounded_laplacian, normalize_kappa, normalize_leaders
-from .errors import BadParameterError, DisconnectedGraphError, UnstableStepError
+from .electrical import grounded_laplacian, leaders_with_kappa, normalize_leaders
+from .errors import (
+    BadParameterError,
+    DisconnectedGraphError,
+    SolverError,
+    UnstableStepError,
+)
 from .graphs import Graph, is_connected, laplacian
 
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000
+
+# cap on one noise-rotation product, in multiply-adds. OpenBLAS runs
+# products up to 65536 * 4 on the calling thread and wakes a second thread
+# above that, which at these sizes costs more than it saves: on a busy
+# 2-CPU host, sixteen 12x12 by 12x7600 rotations took ~130 ms threaded
+# against ~4 ms in blocks
+_ROTATE_MACS = 2**18
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,8 +69,10 @@ class SimConfig:
             raise BadParameterError(f"horizon must be positive, got {self.horizon}")
         if not (0.0 <= self.burn_in < 1.0):
             raise BadParameterError(f"burn_in must be in [0, 1), got {self.burn_in}")
-        if self.trials < 1:
-            raise BadParameterError(f"trials must be >= 1, got {self.trials}")
+        if not (_is_int(self.trials) and self.trials >= 1):
+            raise BadParameterError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise BadParameterError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -63,7 +90,8 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     n = A.shape[0]
     if n == 0:
         return SimResult(0.0, 0.0, 0, 0, cfg.trials)
-    lam_max = float(np.linalg.eigvalsh(A)[-1])
+    lam, V = np.linalg.eigh(A)
+    lam_max = float(lam[-1])
     if lam_max > 0.0 and cfg.dt >= 2.0 / lam_max:
         raise UnstableStepError(
             f"dt={cfg.dt} violates the stability bound 2/lambda_max="
@@ -73,18 +101,40 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     burn = int(cfg.burn_in * steps)
     m = cfg.trials
     gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(m)]
-    A = np.ascontiguousarray(A, dtype=np.float64)
-    X = np.zeros((n, m))
-    acc = np.zeros(m)
+    decay = 1.0 - cfg.dt * lam
+    rotate = math.sqrt(cfg.dt) * V
     chunk = max(1, min(16384, _NOISE_BUDGET // max(1, n * m)))
+    block = max(1, _ROTATE_MACS // (n * n))
+    # Z[i, t, s]: mode i of trial t at step s of the chunk; each Z[i].T is
+    # the Fortran-ordered right-hand side block of that mode's solve, whose
+    # band holds the (ignored) unit diagonal and the sub-diagonal -decay[i]
+    buffer = np.empty(n * m * chunk)
+    band = np.ones((2, chunk), order="F")
+    state = np.zeros((n, m))
+    acc = np.zeros(m)
     done = 0
     kept = 0
     while done < steps:
         span = min(chunk, steps - done)
-        noise = np.stack([g.standard_normal((span, n)) for g in gens], axis=2)
-        noise = np.ascontiguousarray(noise)
+        Z = buffer[: n * m * span].reshape(n, m, span)
+        for t, g in enumerate(gens):
+            draw = g.standard_normal((span, n))
+            for lo in range(0, span, block):
+                Z[:, t, lo:lo + block] = rotate.T @ draw[lo:lo + block].T
+        # carry each mode's last state into step 0 of this chunk
+        Z[:, :, 0] += decay[:, None] * state
+        for i in range(n):
+            band[1, :span] = -decay[i]
+            y, info = dtbtrs(band[:, :span], Z[i].T, uplo="L", diag="U",
+                             overwrite_b=1)
+            if info != 0:
+                raise SolverError(f"mode recursion solve failed (info={info})")
+            Z[i] = y.T
+        state = Z[:, :, -1].copy()
         skip = min(span, max(0, burn - done))
-        kept += _kernels.em_accumulate(A, X, noise, cfg.dt, skip, acc)
+        kept_part = Z[:, :, skip:]
+        acc += np.einsum("its,its->t", kept_part, kept_part)
+        kept += span - skip
         done += span
     per_trial = acc / kept
     value = float(per_trial.mean())
@@ -106,9 +156,10 @@ def simulate_nf(g: Graph, leaders, cfg: SimConfig) -> SimResult:
 
 def simulate_nc(g: Graph, leaders, cfg: SimConfig, kappa=None) -> SimResult:
     """Empirical noise-corrupted coherence: the full state is integrated
-    under the Laplacian shifted by the leader stubbornness weights."""
-    S = normalize_leaders(g, leaders)
-    kvec = normalize_kappa(S, kappa)
+    under the Laplacian shifted by the leader stubbornness weights. A
+    kappa list follows ``leaders`` in the order given, as in
+    :func:`~coherence_lab.coherence.coherence_nc`."""
+    S, kvec = leaders_with_kappa(g, leaders, kappa)
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
     A = laplacian(g)

@@ -53,6 +53,33 @@ def naive_nc_value(g: Graph, S, kappa=1.0) -> float:
     return 0.5 * float(np.trace(np.linalg.inv(M)))
 
 
+def naive_em(A: np.ndarray, cfg):
+    """Euler-Maruyama one step at a time on the simulator's noise streams.
+
+    Trial t draws its whole (steps, n) noise block from the t-th child of
+    ``SeedSequence(cfg.seed)`` and advances X <- X - dt A X + sqrt(dt) xi,
+    adding |X|^2 after every step past the burn-in. Returns
+    (value, stderr, steps, kept_steps).
+    """
+    n = A.shape[0]
+    steps = max(1, int(round(cfg.horizon / cfg.dt)))
+    burn = int(cfg.burn_in * steps)
+    m = cfg.trials
+    seeds = np.random.SeedSequence(cfg.seed).spawn(m)
+    noise = np.stack([np.random.default_rng(s).standard_normal((steps, n))
+                      for s in seeds], axis=2)
+    X = np.zeros((n, m))
+    acc = np.zeros(m)
+    sq = np.sqrt(cfg.dt)
+    for s in range(steps):
+        X = X - cfg.dt * (A @ X) + sq * noise[s]
+        if s >= burn:
+            acc += (X * X).sum(axis=0)
+    per_trial = acc / (steps - burn)
+    stderr = float(per_trial.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
+    return float(per_trial.mean()), stderr, steps, steps - burn
+
+
 def naive_resistance_table(g: Graph) -> np.ndarray:
     """Pairwise resistances from the Laplacian pseudoinverse."""
     P = np.linalg.pinv(dense_laplacian(g))

@@ -9,6 +9,8 @@ import coherence_lab as cl
 from coherence_lab.cli import parse_graph_spec, run_cli
 from coherence_lab.errors import GraphSpecError
 
+from conftest import naive_nc_value
+
 SCHEMA = json.loads(
     __import__("importlib.resources", fromlist=["files"])
     .files("coherence_lab")
@@ -203,11 +205,41 @@ def test_validation_failures_exit_two():
         ["resistance", "--graph", "cycle:4"],
         ["closed-form", "cycle-nc", "--n", "7"],
         ["simulate", "--graph", "path:2", "--leaders", "0", "--dt", "0"],
+        ["simulate", "--graph", "path:3", "--leaders", "0", "--dt", "0.1",
+         "--horizon", "1", "--seed", "-1"],
+        ["simulate", "--graph", "path:3", "--leaders", "0", "--dt", "0.1",
+         "--horizon", "1", "--trials", "0"],
+        ["coherence", "--graph", "cycle:6", "--leaders", "1,1", "--dynamics", "nc",
+         "--kappa", "1,2"],
     ]
     for argv in cases:
         code, out, err = run(argv)
         assert code == 2, (argv, err)
-        assert err.strip()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1, (argv, err)
+
+
+def test_kappa_list_follows_leader_order_in_library_and_cli():
+    g = cl.build_cycle(8)
+    lib = cl.coherence_nc(g, (5, 0), kappa=[1, 50])
+    assert lib.kappa == {0: 50.0, 5: 1.0}
+    assert lib.value == pytest.approx(naive_nc_value(g, (0, 5), {0: 50.0, 5: 1.0}),
+                                      rel=1e-10)
+    assert cl.coherence_nc(g, (5, 0), kappa=[1, 50], method="resistance").value == (
+        pytest.approx(lib.value, rel=1e-10))
+    doc = run_json(["coherence", "--graph", "cycle:8", "--leaders", "5,0",
+                    "--dynamics", "nc", "--kappa", "1,50"])
+    assert doc["value"] == lib.value
+    assert doc["kappa"] == {"0": 50.0, "5": 1.0}
+
+    cfg = cl.SimConfig(dt=0.01, horizon=5.0, trials=3, seed=4)
+    sim = cl.simulate_nc(g, (5, 0), cfg, kappa=[1, 50])
+    assert sim.value == cl.simulate_nc(g, (0, 5), cfg, kappa={0: 50.0, 5: 1.0}).value
+    doc = run_json(["simulate", "--graph", "cycle:8", "--leaders", "5,0",
+                    "--dynamics", "nc", "--kappa", "1,50", "--dt", "0.01",
+                    "--horizon", "5", "--trials", "3", "--seed", "4"])
+    assert doc["value"] == sim.value
+    assert doc["kappa"] == {"0": 50.0, "5": 1.0}
 
 
 def test_unstable_simulation_is_computational_error():

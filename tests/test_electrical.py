@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab.electrical import forest_inverse_diagonal
+from coherence_lab.electrical import forest_inverse_diagonal, two_leader_totals
 from coherence_lab.errors import (
     BadKappaError,
     BadWeightError,
@@ -202,6 +202,18 @@ def test_two_leader_profile_matches_direct_solves(rng):
             assert prof[u] == pytest.approx(expected, abs=1e-9)
 
 
+def test_two_leader_totals_against_profile_sums(rng):
+    g = random_connected_graph(rng, 14, extra_edges=7)
+    oracle = cl.resistance_oracle(g)
+    T = two_leader_totals(oracle.table)
+    assert np.allclose(T, T.T, atol=1e-12)
+    for x in range(14):
+        assert T[x, x] == 0.0
+        for y in range(x + 1, 14):
+            expected = oracle.two_leader_profile(x, y).sum()
+            assert T[x, y] == pytest.approx(expected, rel=1e-10)
+
+
 def test_set_profile_matches_naive(rng):
     for _ in range(6):
         n = int(rng.integers(6, 18))
@@ -249,6 +261,32 @@ def test_augment_grounded_laplacian_identity(rng):
     assert np.allclose(La, expected, atol=1e-12)
     with pytest.raises(BadKappaError):
         cl.augment_graph(g, S, kappa=-1.0)
+
+
+def test_kappa_list_follows_given_leader_order():
+    g = cl.build_cycle(6)
+    aug = cl.augment_graph(g, (4, 1), kappa=[2.0, 0.5])
+    assert aug.attachment == {1: 0.5, 4: 2.0}
+    assert (4, 6, 2.0) in aug.graph.edges and (1, 6, 0.5) in aug.graph.edges
+    assert cl.augment_graph(g, (1, 4), kappa=[0.5, 2.0]).graph.edges == aug.graph.edges
+    assert cl.coherence_nc(g, (4, 1), kappa=[2.0, 0.5]).value == (
+        cl.coherence_nc(g, (1, 4), kappa={1: 0.5, 4: 2.0}).value)
+
+
+def test_kappa_list_with_repeated_leaders_is_rejected():
+    g = cl.build_cycle(6)
+    cfg = cl.SimConfig(dt=0.01, horizon=1.0, trials=2)
+    with pytest.raises(BadKappaError):
+        cl.augment_graph(g, (1, 4, 1), kappa=[1.0, 2.0, 3.0])
+    with pytest.raises(BadKappaError):
+        cl.coherence_nc(g, (1, 1), kappa=[1.0, 2.0])
+    with pytest.raises(BadKappaError):
+        cl.simulate_nc(g, (2, 2), cfg, kappa=[1.0, 1.0])
+    # repeats stay harmless with a scalar or a mapping
+    assert cl.coherence_nc(g, (1, 1), kappa=2.0).value == (
+        cl.coherence_nc(g, (1,), kappa=2.0).value)
+    assert cl.coherence_nc(g, (1, 1), kappa={1: 2.0}).value == (
+        cl.coherence_nc(g, (1,), kappa=2.0).value)
 
 
 def test_edge_addition_update_closes_triangle():

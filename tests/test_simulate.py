@@ -1,7 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import simulate
 from coherence_lab.errors import BadParameterError, UnstableStepError
+
+from conftest import dense_laplacian, naive_em, random_connected_graph
 
 
 def test_two_node_noise_free_matches_analytic():
@@ -84,8 +90,109 @@ def test_config_validation():
         cl.SimConfig(dt=1e-3, horizon=1.0, trials=0)
 
 
+@pytest.mark.parametrize("bad", [dict(trials=2.5), dict(trials=True), dict(trials="8"),
+                                 dict(seed=1.5), dict(seed=-1), dict(seed=None)])
+def test_config_requires_integer_trials_and_seed(bad):
+    with pytest.raises(BadParameterError):
+        cl.SimConfig(dt=1e-3, horizon=1.0, **bad)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = cl.SimConfig(dt=0.1, horizon=1.0, trials=np.int64(2), seed=np.int64(4))
+    res = cl.simulate_nf(cl.build_path(3), (0,), cfg)
+    ref = cl.simulate_nf(cl.build_path(3), (0,),
+                         cl.SimConfig(dt=0.1, horizon=1.0, trials=2, seed=4))
+    assert res.value == ref.value
+
+
 def test_burn_in_accounting():
     cfg = cl.SimConfig(dt=0.1, horizon=10.0, burn_in=0.25, trials=2, seed=1)
     res = cl.simulate_nf(cl.build_path(3), (0,), cfg)
     assert res.steps == 100
     assert res.kept_steps == 75
+
+
+# ---------------------------------------------------------------------------
+# the modal route against the plain step loop on the same noise streams
+
+def _grounded(g, S):
+    keep = [v for v in range(g.node_count) if v not in set(S)]
+    return dense_laplacian(g)[np.ix_(keep, keep)]
+
+
+def _shifted(g, weights):
+    A = dense_laplacian(g)
+    for v, kv in weights.items():
+        A[v, v] += kv
+    return A
+
+
+def _stable_dt(A):
+    return 0.25 / float(np.linalg.eigvalsh(A)[-1])
+
+
+def _assert_matches_loop(res, A, cfg):
+    value, stderr, steps, kept = naive_em(A, cfg)
+    assert (res.steps, res.kept_steps, res.trials) == (steps, kept, cfg.trials)
+    assert res.value == pytest.approx(value, rel=1e-12)
+    assert res.stderr == pytest.approx(stderr, rel=1e-12)
+
+
+def test_modal_matches_step_loop_stiff_two_node():
+    g = cl.build_path(2)
+    A = _shifted(g, {0: 200.0})
+    dt = _stable_dt(A)
+    cfg = cl.SimConfig(dt=dt, horizon=3000 * dt, trials=6, seed=3)
+    _assert_matches_loop(cl.simulate_nc(g, (0,), cfg, kappa=200.0), A, cfg)
+
+
+def test_modal_matches_step_loop_cycle_eight_nf():
+    g = cl.build_cycle(8)
+    cfg = cl.SimConfig(dt=1e-2, horizon=20.0, trials=5, seed=5)
+    _assert_matches_loop(cl.simulate_nf(g, (0, 4), cfg), _grounded(g, (0, 4)), cfg)
+
+
+def test_modal_matches_step_loop_random_nc(rng):
+    # 16 states: the noise rotation runs in blocks of 2**18 // 16**2 = 1024
+    # steps, so the 2500 steps cross two block edges
+    g = random_connected_graph(rng, 16, extra_edges=8)
+    A = _shifted(g, {11: 0.5, 3: 2.0})
+    dt = _stable_dt(A)
+    cfg = cl.SimConfig(dt=dt, horizon=2500 * dt, trials=4, seed=21)
+    _assert_matches_loop(cl.simulate_nc(g, (11, 3), cfg, kappa=[0.5, 2.0]), A, cfg)
+
+
+def test_modal_matches_step_loop_single_state():
+    g = cl.build_path(2)
+    cfg = cl.SimConfig(dt=0.05, horizon=100.0, trials=5, seed=2)
+    _assert_matches_loop(cl.simulate_nf(g, (0,), cfg), _grounded(g, (0,)), cfg)
+
+
+def test_modal_matches_step_loop_across_chunks(monkeypatch):
+    # chunks of 7 steps: the burn-in (25 of 100 steps) ends inside the
+    # fourth chunk and every chunk boundary carries the mode states
+    g = cl.build_path(4)
+    cfg = cl.SimConfig(dt=0.1, horizon=10.0, trials=4, seed=2)
+    monkeypatch.setattr(simulate, "_NOISE_BUDGET", 3 * 4 * 7)
+    res = cl.simulate_nf(g, (0,), cfg)
+    assert (res.steps, res.kept_steps) == (100, 75)
+    _assert_matches_loop(res, _grounded(g, (0,)), cfg)
+
+
+def test_first_trials_do_not_depend_on_trial_count(monkeypatch):
+    # with a small budget each trial count also runs its own chunk size
+    g = cl.build_path(4)
+    monkeypatch.setattr(simulate, "_NOISE_BUDGET", 60)
+
+    def run(m):
+        return cl.simulate_nf(g, (0,), cl.SimConfig(dt=0.1, horizon=8.0,
+                                                    trials=m, seed=8))
+
+    p0 = run(1).value
+    two = run(2)
+    p1 = 2.0 * two.value - p0
+    assert two.stderr == pytest.approx(abs(p0 - p1) / 2.0, rel=1e-12)
+    three = run(3)
+    p2 = 3.0 * three.value - p0 - p1
+    spread = float(np.std([p0, p1, p2], ddof=1)) / math.sqrt(3)
+    assert three.stderr == pytest.approx(spread, rel=1e-12)
