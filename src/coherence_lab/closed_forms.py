@@ -298,7 +298,10 @@ def tree_pair_for_geometry(ptree: PerfectTree, d_xr: int, d_xy: int) -> tuple[in
 
 
 def tree_pair_geometry(ptree: PerfectTree, x: int, y: int):
-    """(d_xr, d_yr, d_xy, lca) of a node pair in a perfect tree."""
+    """(d_xr, d_yr, d_xy, lca) of a node pair in a rooted tree.
+
+    Reads only ``levels`` and ``parents``, so a ``GrowingTree`` works too.
+    """
     lx, ly = ptree.levels[x], ptree.levels[y]
     a, b = x, y
     da, db = lx, ly

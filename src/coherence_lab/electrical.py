@@ -6,15 +6,19 @@ the (i, i) entry of the inverse of the Laplacian with row and column j
 removed. Node-to-set resistance r(i, S) generalizes this by grounding all
 of S at once.
 
-:func:`resistance` evaluates the grounded definition directly and serves
-as the reference; :class:`ResistanceOracle` precomputes the full pairwise
-table with a single symmetric factorization (ground one node, invert,
-recombine) and answers set queries in O(|S|^2) per node via a Schur
-complement on resistances only.
+:func:`resistance_to_set` evaluates the grounded definition directly and
+serves as the reference (:func:`resistance` is its one-node case);
+:class:`ResistanceOracle` precomputes the full pairwise table with a
+single symmetric factorization (ground one node, invert, recombine).
+Every set query on the table goes through :func:`schur_columns`, which
+grounds a batch of leader sets one leader at a time with rank-one Schur
+steps on table entries; tying each leader to a reference node by a
+1/kappa resistor covers the noise-corrupted dynamics with the same steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,15 +194,7 @@ def resistance(g: Graph, i: int, j: int) -> float:
     _check_nodes(g, i, j)
     if i == j:
         raise SameNodeError(f"resistance needs two distinct nodes, got {i} twice")
-    if not is_connected(g):
-        raise DisconnectedGraphError("resistance requires a connected graph")
-    keep = [v for v in range(g.node_count) if v != j]
-    Lj = laplacian(g)[np.ix_(keep, keep)]
-    pos = keep.index(i)
-    e = np.zeros(len(keep))
-    e[pos] = 1.0
-    c = _cho(Lj)
-    return float(cho_solve(c, e, check_finite=False)[pos])
+    return resistance_to_set(g, i, (j,))
 
 
 def resistance_to_set(g: Graph, i: int, leaders) -> float:
@@ -259,65 +255,86 @@ class ResistanceOracle:
             self._column_sums = self.table.sum(axis=0)
         return self._column_sums
 
-    def two_leader_profile(self, x: int, y: int) -> np.ndarray:
-        """r(u, {x, y}) for every node u (zero at the leaders themselves)."""
-        _check_nodes(self.graph, x, y)
-        if x == y:
-            raise SameNodeError("two-leader profile needs distinct leaders")
-        R = self.table
-        rxy = R[x, y]
-        prof = R[:, x] - (R[:, x] + rxy - R[:, y]) ** 2 / (4.0 * rxy)
-        prof[x] = 0.0
-        prof[y] = 0.0
-        return prof
-
     def set_profile(self, leaders) -> np.ndarray:
-        """r(u, S) for every node u, via a Schur complement on resistances.
+        """r(u, S) for every node u (zero at the leaders themselves).
 
-        Grounding the first leader turns the table into grounded-inverse
-        entries A[a, b] = (r(a, s1) + r(b, s1) - r(a, b)) / 2; grounding
-        the remaining leaders is then a rank-(|S| - 1) correction.
+        r(u, s1) less each later leader's Schur-step share of the diagonal,
+        from :func:`schur_columns`.
         """
         S = normalize_leaders(self.graph, leaders)
-        R = self.table
-        s1 = S[0]
-        col1 = R[:, s1].copy()
-        if len(S) == 1:
-            col1[s1] = 0.0
-            return col1
-        rest = np.array(S[1:], dtype=np.intp)
-        anchor = R[rest, s1]
-        W = 0.5 * (col1[:, None] + anchor[None, :] - R[:, rest])
-        C = 0.5 * (anchor[:, None] + anchor[None, :] - R[np.ix_(rest, rest)])
-        c = _cho(C)
-        Y = cho_solve(c, W.T, check_finite=False)
-        prof = col1 - np.einsum("ut,tu->u", W, Y)
+        cols, pivots = schur_columns(self.table, np.array([S], dtype=np.intp))
+        prof = self.table[:, S[0]].copy()
+        for j in range(len(S) - 1):
+            prof -= cols[0, j] * cols[0, j] / pivots[0, j]
         prof[list(S)] = 0.0
         return prof
+
+    def set_totals(self, sets, inv_kappa=None) -> np.ndarray:
+        """sum_u r(u, S) for every row S of ``sets``, to a reference node
+        tied to each leader by 1/kappa when ``inv_kappa`` is given.
+
+        ``sets`` is an (m, k) array of distinct leaders per row;
+        ``inv_kappa`` an optional (m, k) array of 1/kappa per position.
+        The value is twice the coherence of that leader set. The anchor
+        s1 contributes column sum s1 (plus n/kappa_s1), and each later
+        leader's Schur step lowers it by |column|^2 / pivot.
+        """
+        sets = np.asarray(sets, dtype=np.intp)
+        n = self.table.shape[0]
+        totals = self.column_sums()[sets[:, 0]]
+        if inv_kappa is not None:
+            totals = totals + n * inv_kappa[:, 0]
+        cols, pivots = schur_columns(self.table, sets, inv_kappa)
+        for j in range(sets.shape[1] - 1):
+            totals -= np.einsum("cu,cu->c", cols[:, j], cols[:, j]) / pivots[:, j]
+        return totals
 
     def pair_totals(self) -> np.ndarray:
         """sum_u r(u, {x, y}) for every pair, via :func:`two_leader_totals`."""
         return two_leader_totals(self.table)
 
-    def noise_corrupted_pair_total(self, x: int, y: int, kappa_x: float,
-                                   kappa_y: float) -> float:
-        """sum over all nodes of the resistance to the reference node s_bar
-        when x and y are tied to it with weights kappa_x and kappa_y.
 
-        Built by composing a pendant attachment at x (series resistor
-        1/kappa_x) with the closed-form update for adding the edge
-        (y, s_bar) of weight kappa_y.
-        """
-        _check_nodes(self.graph, x, y)
-        if x == y:
-            raise SameNodeError("noise-corrupted pair needs distinct leaders")
-        if kappa_x <= 0.0 or kappa_y <= 0.0:
-            raise BadKappaError("stubbornness weights must be > 0")
-        R = self.table
-        a = R[:, x] + 1.0 / kappa_x
-        b = R[x, y] + 1.0 / kappa_x
-        rbar = a - kappa_y * (R[:, y] - a - b) ** 2 / (4.0 * (1.0 + kappa_y * b))
-        return float(rbar.sum())
+def schur_columns(R: np.ndarray, sets: np.ndarray, inv_kappa=None):
+    """Ground every row of ``sets`` on the table, one leader at a time.
+
+    Grounding the anchor s1 turns the table into the grounded-inverse
+    entries A[u, a] = (r(u, s1) + r(a, s1) - r(u, a)) / 2 (plus 1/kappa_s1
+    when s1 is tied to the reference node), whose diagonal is r(u, s1).
+    Each later leader t is then grounded by a rank-one Schur step with
+    pivot A[t, t] (plus 1/kappa_t): the diagonal drops by A[:, t]^2 / pivot
+    and the columns of the leaders after t lose A[:, t] A[t, :] / pivot.
+    Only those k - 1 columns are ever formed.
+
+    Returns ``(cols, pivots)`` of shapes (m, k - 1, n) and (m, k - 1):
+    ``cols[c, j]`` is the column of leader ``sets[c, j + 1]`` at its own
+    step and ``pivots[c, j]`` its pivot. Raises SolverError on a pivot
+    that is not positive.
+    """
+    rows = np.arange(sets.shape[0])
+    anchor, rest = sets[:, 0], sets[:, 1:]
+    if rest.shape[1] == 0:
+        return np.empty((rows.size, 0, R.shape[0])), np.empty((rows.size, 0))
+    R_anchor = R[anchor]
+    cols = R_anchor[:, None, :] + R_anchor[rows[:, None], rest][:, :, None]
+    cols -= R[rest]
+    cols *= 0.5
+    if inv_kappa is not None:
+        cols += inv_kappa[:, :1, None]
+    pivots = np.empty(rest.shape)
+    for j in range(rest.shape[1]):
+        col = cols[:, j]
+        pivot = col[rows, rest[:, j]]
+        if inv_kappa is not None:
+            pivot = pivot + inv_kappa[:, j + 1]
+        if not np.all(pivot > 0.0):
+            raise SolverError("grounded system is not positive definite: "
+                              "a Schur pivot is not positive")
+        pivots[:, j] = pivot
+        later = rest[:, j + 1:]
+        if later.shape[1]:
+            coupling = np.take_along_axis(col, later, axis=1) / pivot[:, None]
+            cols[:, j + 1:] -= coupling[:, :, None] * col[:, None, :]
+    return cols, pivots
 
 
 def two_leader_totals(R: np.ndarray) -> np.ndarray:
@@ -426,8 +443,8 @@ def edge_addition_update(oracle: ResistanceOracle, i: int, j: int, w: float,
     _check_nodes(oracle.graph, i, j, p, q)
     if i == j:
         raise SameNodeError("cannot add a self-loop")
-    if w <= 0.0:
-        raise BadWeightError(f"added edge weight must be > 0, got {w}")
+    if not (math.isfinite(w) and w > 0.0):
+        raise BadWeightError(f"added edge weight must be finite and > 0, got {w}")
     r = oracle.table
     delta = r[p, i] + r[q, j] - r[p, j] - r[q, i]
     return float(r[p, q] - w * delta * delta / (4.0 * (1.0 + w * r[i, j])))

@@ -4,9 +4,10 @@ Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
 searching exactly size k solves the "at most k" problem). Every value
 comes from one pairwise resistance table: noise-free pairs use the
-one-GEMM pair sweep, and every other (dynamics, k) grounds each
-candidate's leaders one at a time with rank-one Schur steps on table
-entries, vectorised over lexicographic chunks of candidates.
+one-GEMM pair sweep, and every other (dynamics, k) sums
+``ResistanceOracle.set_totals`` over lexicographic chunks of candidates,
+which grounds each candidate's leaders one at a time with the rank-one
+Schur steps of ``electrical.schur_columns``.
 """
 
 from __future__ import annotations
@@ -114,51 +115,11 @@ def _kappa_reciprocals(kappa, n: int, k: int):
     return lambda sets: np.broadcast_to(per_position, sets.shape)
 
 
-def _grounded_totals(R: np.ndarray, colsum: np.ndarray, sets: np.ndarray,
-                     inv_kappa) -> np.ndarray:
-    """Twice the coherence of every row of ``sets``, from the table alone.
-
-    Grounding the anchor s1 turns the table into the inverse entries
-    A[u, a] = (r(u, s1) + r(a, s1) - r(u, a)) / 2 (plus 1/kappa_s1 when s1
-    is tied to the reference node), whose trace is colsum[s1] (plus
-    n/kappa_s1). Each further leader t is then grounded by a rank-one
-    Schur step with pivot A[t, t] (plus 1/kappa_t): the trace drops by
-    |A[:, t]|^2 / pivot and the later leaders' columns lose
-    A[:, t] A[t, :] / pivot. Only those k - 1 columns are ever formed.
-    """
-    n = R.shape[0]
-    rows = np.arange(sets.shape[0])
-    anchor, rest = sets[:, 0], sets[:, 1:]
-    totals = colsum[anchor]
-    if inv_kappa is not None:
-        totals = totals + n * inv_kappa[:, 0]
-    if rest.shape[1] == 0:
-        return totals
-    R_anchor = R[anchor]
-    cols = R_anchor[:, None, :] + R_anchor[rows[:, None], rest][:, :, None]
-    cols -= R[rest]
-    cols *= 0.5
-    if inv_kappa is not None:
-        cols += inv_kappa[:, :1, None]
-    for j in range(rest.shape[1]):
-        col = cols[:, j]
-        pivot = col[rows, rest[:, j]]
-        if inv_kappa is not None:
-            pivot = pivot + inv_kappa[:, j + 1]
-        totals -= np.einsum("cu,cu->c", col, col) / pivot
-        later = rest[:, j + 1:]
-        if later.shape[1]:
-            coupling = np.take_along_axis(col, later, axis=1) / pivot[:, None]
-            cols[:, j + 1:] -= coupling[:, :, None] * col[:, None, :]
-    return totals
-
-
 def _table_values(g: Graph, k: int, dynamics: str, kappa) -> np.ndarray:
     """Values for every size-k candidate, in lexicographic order."""
     n = g.node_count
     unrank = _lex_unranker(n, k)
     oracle = resistance_oracle(g)
-    colsum = oracle.column_sums()
     reciprocals = (_kappa_reciprocals(kappa, n, k)
                    if dynamics == NOISE_CORRUPTED else None)
     total = math.comb(n, k)
@@ -168,7 +129,7 @@ def _table_values(g: Graph, k: int, dynamics: str, kappa) -> np.ndarray:
         hi = min(lo + chunk, total)
         sets = unrank(np.arange(lo, hi))
         inv_kappa = reciprocals(sets) if reciprocals is not None else None
-        values[lo:hi] = _grounded_totals(oracle.table, colsum, sets, inv_kappa)
+        values[lo:hi] = oracle.set_totals(sets, inv_kappa)
     return 0.5 * values
 
 

@@ -8,13 +8,18 @@ any remaining slot. Slot ties always resolve to the lowest-numbered free
 parent, which makes every run deterministic. Once the new level is full
 the completed height advances. The trajectory export evaluates the
 coherence of the designated pair against every comparison pair whose
-members sit within distance 3 of the root, one row per pair per step.
+members sit within distance 3 of the root, one row per pair per step:
+each step builds one resistance table and sums every family pair with
+one batched ``ResistanceOracle.set_totals`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .closed_forms import tree_pair_geometry
 from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
 from .graphs import Graph, build_perfect_tree
@@ -104,21 +109,6 @@ class GrowingTree:
         edges = [(self.parents[v], v, 1.0) for v in range(1, len(self.levels))]
         return Graph(len(self.levels), edges)
 
-    def pair_distance(self, u: int, v: int) -> int:
-        a, b = u, v
-        da, db = self.levels[a], self.levels[b]
-        while da > db:
-            a = self.parents[a]
-            da -= 1
-        while db > da:
-            b = self.parents[b]
-            db -= 1
-        while a != b:
-            a = self.parents[a]
-            b = self.parents[b]
-            da -= 1
-        return self.levels[u] + self.levels[v] - 2 * da
-
     def subtree_leaf_fill(self, v: int) -> int:
         """Nodes already added on the partial level under v."""
         count = 0
@@ -189,32 +179,30 @@ def grow_trajectory(h0: int, steps: int | None = None,
         for i, u in enumerate(family_nodes)
         for v in family_nodes[i + 1:]
     ]
+    # family nodes never move as the tree grows, so their geometry is fixed
+    family_geometry = [tree_pair_geometry(tree, u, v)[:3] for u, v in family]
+    family_sets = np.array(family, dtype=np.intp)
     rows = []
     global_rows = []
 
     def record(step: int):
-        g = tree.to_graph()
-        oracle = resistance_oracle(g)
-        for u, v in family:
-            value = 0.5 * float(oracle.two_leader_profile(u, v).sum())
+        oracle = resistance_oracle(tree.to_graph())
+        for (u, v), (d_xr, d_yr, d_xy), total in zip(
+                family, family_geometry, oracle.set_totals(family_sets)):
             rows.append(TrajectoryRow(
-                step=step, pair_id=f"{u}-{v}",
-                d_xr=tree.levels[u], d_yr=tree.levels[v],
-                d_xy=tree.pair_distance(u, v), value=value,
+                step=step, pair_id=f"{u}-{v}", d_xr=d_xr, d_yr=d_yr,
+                d_xy=d_xy, value=0.5 * float(total),
             ))
         if include_global:
-            totals = oracle.pair_totals()
-            n = g.node_count
-            best = None
-            for x in range(n):
-                for y in range(x + 1, n):
-                    if best is None or totals[x, y] < totals[best[0], best[1]]:
-                        best = (x, y)
-            x, y = best
+            # the upper triangle, row by row, so argmin keeps the first pair
+            upper = np.triu_indices(tree.node_count, 1)
+            pair_totals = oracle.pair_totals()[upper]
+            best = int(np.argmin(pair_totals))
+            x, y = int(upper[0][best]), int(upper[1][best])
+            d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
             global_rows.append(TrajectoryRow(
-                step=step, pair_id=f"{x}-{y}",
-                d_xr=tree.levels[x], d_yr=tree.levels[y],
-                d_xy=tree.pair_distance(x, y), value=0.5 * float(totals[x, y]),
+                step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,
+                d_xy=d_xy, value=0.5 * float(pair_totals[best]),
             ))
 
     record(0)

@@ -113,6 +113,21 @@ def random_tree(rng, n: int, weighted: bool = True) -> Graph:
     return random_connected_graph(rng, n, extra_edges=0, weighted=weighted)
 
 
+def stiff_graph(rng, n=12, chords=6):
+    """Random connected graph with edge weights spread over 10^-3 .. 10^3."""
+    edges = {}
+    for v in range(1, n):
+        edges[(int(rng.integers(0, v)), v)] = None
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
+        if u != v:
+            edges[(u, v)] = None
+    return build_graph(
+        [(u, v, float(10.0 ** rng.uniform(-3.0, 3.0))) for u, v in edges],
+        node_count=n,
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

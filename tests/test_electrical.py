@@ -11,6 +11,7 @@ from coherence_lab.errors import (
     LeaderQueriedError,
     OutOfRangeError,
     SameNodeError,
+    SolverError,
 )
 
 from conftest import (
@@ -20,6 +21,7 @@ from conftest import (
     naive_resistance_to_set,
     random_connected_graph,
     random_tree,
+    stiff_graph,
 )
 
 
@@ -191,12 +193,13 @@ def test_redundant_far_leader_is_exactly_invisible():
 
 
 def test_two_leader_profile_matches_direct_solves(rng):
+    # the two-leader profile is set_profile on a pair
     for _ in range(6):
         n = int(rng.integers(6, 20))
         g = random_connected_graph(rng, n, extra_edges=5)
         oracle = cl.resistance_oracle(g)
         x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
-        prof = oracle.two_leader_profile(x, y)
+        prof = oracle.set_profile((x, y))
         for u in range(n):
             expected = 0.0 if u in (x, y) else naive_resistance_to_set(g, u, (x, y))
             assert prof[u] == pytest.approx(expected, abs=1e-9)
@@ -210,21 +213,34 @@ def test_two_leader_totals_against_profile_sums(rng):
     for x in range(14):
         assert T[x, x] == 0.0
         for y in range(x + 1, 14):
-            expected = oracle.two_leader_profile(x, y).sum()
+            expected = oracle.set_profile((x, y)).sum()
             assert T[x, y] == pytest.approx(expected, rel=1e-10)
 
 
 def test_set_profile_matches_naive(rng):
-    for _ in range(6):
-        n = int(rng.integers(6, 18))
-        g = random_connected_graph(rng, n, extra_edges=4)
-        oracle = cl.resistance_oracle(g)
-        k = int(rng.integers(1, 6))
-        S = tuple(sorted(int(v) for v in rng.choice(n, size=k, replace=False)))
-        prof = oracle.set_profile(S)
-        for u in range(n):
-            expected = 0.0 if u in S else naive_resistance_to_set(g, u, S)
-            assert prof[u] == pytest.approx(expected, abs=1e-9)
+    # k = 2 twice per family; the stiff family spreads weights over 10^+-3
+    for make in (lambda n: random_connected_graph(rng, n, extra_edges=4),
+                 lambda n: stiff_graph(rng, n)):
+        for k in (1, 2, 2, 3, 4, 5):
+            n = int(rng.integers(6, 18))
+            g = make(n)
+            oracle = cl.resistance_oracle(g)
+            S = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
+            prof = oracle.set_profile(S)
+            for u in range(n):
+                expected = 0.0 if u in S else naive_resistance_to_set(g, u, S)
+                assert prof[u] == pytest.approx(expected, abs=1e-9)
+
+
+def test_set_queries_reject_a_non_positive_pivot():
+    # a table that is not a resistance table: every Schur pivot is 0 or NaN
+    g = cl.build_cycle(4)
+    for fill in (0.0, float("nan")):
+        oracle = cl.ResistanceOracle(g, np.full((4, 4), fill))
+        with pytest.raises(SolverError):
+            oracle.set_profile((0, 2))
+        with pytest.raises(SolverError):
+            oracle.set_totals(np.array([[0, 1, 3]]))
 
 
 def test_augment_cycle_eight():
@@ -306,8 +322,9 @@ def test_edge_addition_update_errors():
     oracle = cl.resistance_oracle(cl.build_path(3))
     with pytest.raises(SameNodeError):
         cl.edge_addition_update(oracle, 1, 1, 1.0, 0, 2)
-    with pytest.raises(BadWeightError):
-        cl.edge_addition_update(oracle, 0, 2, 0.0, 0, 2)
+    for w in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(BadWeightError):
+            cl.edge_addition_update(oracle, 0, 2, w, 0, 2)
 
 
 def test_edge_addition_update_matches_recompute(rng):
@@ -343,21 +360,6 @@ def test_edge_addition_never_increases_resistance(rng):
         p, q = (int(v) for v in rng.choice(10, size=2, replace=False))
         w = float(rng.uniform(0.1, 3.0))
         assert cl.edge_addition_update(oracle, i, j, w, p, q) <= oracle.table[p, q] + 1e-12
-
-
-def test_noise_corrupted_pair_total_matches_trace(rng):
-    for _ in range(6):
-        n = int(rng.integers(5, 15))
-        g = random_connected_graph(rng, n, extra_edges=3)
-        oracle = cl.resistance_oracle(g)
-        x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
-        kx, ky = float(rng.uniform(0.3, 2.5)), float(rng.uniform(0.3, 2.5))
-        M = dense_laplacian(g)
-        M[x, x] += kx
-        M[y, y] += ky
-        expected = float(np.trace(np.linalg.inv(M)))
-        assert oracle.noise_corrupted_pair_total(x, y, kx, ky) == pytest.approx(
-            expected, rel=1e-9)
 
 
 def test_path_two_point_resistance_values():

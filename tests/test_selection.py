@@ -12,7 +12,7 @@ from coherence_lab.errors import (
 )
 from coherence_lab.selection import CandidateError, _table_values
 
-from conftest import naive_nc_value, naive_nf_value, random_connected_graph
+from conftest import naive_nc_value, naive_nf_value, random_connected_graph, stiff_graph
 
 
 def test_cycle_six_two_leaders_antipodal():
@@ -207,21 +207,6 @@ def _assert_matches_naive(g, k, dynamics, kappa, value):
     return values
 
 
-def _stiff_graph(rng, n=12, chords=6):
-    """Random connected graph with edge weights spread over 10^-3 .. 10^3."""
-    edges = {}
-    for v in range(1, n):
-        edges[(int(rng.integers(0, v)), v)] = None
-    while len(edges) < n - 1 + chords:
-        u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
-        if u != v:
-            edges[(u, v)] = None
-    return cl.build_graph(
-        [(u, v, float(10.0 ** rng.uniform(-3.0, 3.0))) for u, v in edges],
-        node_count=n,
-    )
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_table_evaluator_nf_matches_naive(rng, k):
     for n, extra in ((9, 4), (11, 7)):
@@ -252,7 +237,7 @@ def test_table_evaluator_cycle_ties_match_naive(dynamics):
 
 @pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
 def test_table_evaluator_stiff_weights(rng, dynamics):
-    g = _stiff_graph(rng)
+    g = stiff_graph(rng)
     for k in (1, 2, 3, 4):
         def value(S):
             if dynamics == cl.NOISE_FREE:

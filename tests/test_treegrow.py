@@ -21,7 +21,7 @@ def test_init_sizes_and_leaders():
     assert t5.levels[x] == 2 and t5.levels[y] == 2
     # distinct root subtrees, so the pair spans the root at distance 4
     assert _ancestor_at_level(t5, x, 1) != _ancestor_at_level(t5, y, 1)
-    assert t5.pair_distance(x, y) == 4
+    assert cl.tree_pair_geometry(t5, x, y) == (2, 2, 4, 0)
     assert (x, y) == (3, 5)
 
 
@@ -131,12 +131,25 @@ def test_trajectory_values_match_naive_oracle():
         u, v = (int(t) for t in row.pair_id.split("-"))
         assert row.value == pytest.approx(
             naive_nf_value(graphs[row.step], (u, v)), rel=1e-9)
+        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, u, v)[:3]
 
 
 def test_trajectory_global_rows():
-    result = cl.grow_trajectory(4, steps=3, include_global=True)
+    # the pair a row-major scan of the upper triangle with a strict < picks
+    result = cl.grow_trajectory(4, steps=8, include_global=True)
     minima = result.minima_by_step()
-    by_step = {r.step: r for r in result.global_rows}
-    assert set(by_step) == set(range(4))
-    for step, row in by_step.items():
-        assert row.value <= minima[step] + 1e-12
+    tree = cl.init_growing_tree(4)
+    assert [r.step for r in result.global_rows] == list(range(9))
+    for row in result.global_rows:
+        if row.step:
+            tree.grow_step()
+        totals = cl.resistance_oracle(tree.to_graph()).pair_totals()
+        best = None
+        for x in range(tree.node_count):
+            for y in range(x + 1, tree.node_count):
+                if best is None or totals[x, y] < totals[best]:
+                    best = (x, y)
+        assert row.pair_id == f"{best[0]}-{best[1]}"
+        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, *best)[:3]
+        assert row.value == 0.5 * float(totals[best])
+        assert row.value <= minima[row.step] + 1e-12
