@@ -390,23 +390,17 @@ def tree_optimal_two(branching: int, height: int) -> TreeOptimum:
 # cycles, two noise-corrupted leaders (unit stubbornness)
 
 
-def cycle_nc_two_coherence(n: int, i: int, method: str = "trace") -> float:
+def cycle_nc_two_coherence(n: int, i: int) -> float:
     """Noise-corrupted coherence of an n-cycle with leaders at positions
     1 and i (1-based labels), unit stubbornness.
 
-    The default grounds the shifted Laplacian and is authoritative.
-    ``method="printed"`` evaluates the published series form instead; it
-    is retained for comparison because it disagrees with the grounded
-    computation (the test suite reports the discrepancy).
+    Grounds the shifted Laplacian. The published series form, which
+    disagrees with it, is :func:`cycle_nc_two_printed_series`.
     """
     if n < 3:
         raise BadParameterError(f"cycle needs n >= 3, got {n}")
     if not (1 <= i <= n):
         raise BadParameterError(f"need 1 <= i <= n, got i={i}")
-    if method == "printed":
-        return cycle_nc_two_printed_series(n, i)
-    if method != "trace":
-        raise BadParameterError(f"unknown method {method!r}")
     leaders = {0, i - 1}
     return coherence_nc(build_cycle(n), sorted(leaders), kappa=1.0).value
 

@@ -4,7 +4,8 @@
   half the sum of follower-to-leader-set resistances;
 * noise-corrupted: half the trace of the inverse of the Laplacian plus the
   diagonal stubbornness weights, equal to half the sum over all nodes of
-  resistances to the reference node of the augmented graph;
+  resistances to a reference node tied to each leader by a 1/kappa
+  resistor;
 * leader-free: half the sum of reciprocal nonzero Laplacian eigenvalues
   (the variance of deviations from the network average).
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .electrical import (
-    augment_graph,
     forest_inverse_diagonal,
     leaders_with_kappa,
     normalize_leaders,
@@ -133,9 +133,10 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
     """Noise-corrupted coherence of the leader set.
 
     The trace route inverts the Laplacian shifted by the stubbornness
-    weights on the leader diagonal. The resistance route builds the
-    augmented graph (one reference node tied to each leader with weight
-    kappa_i) and sums, over all n original nodes, their resistance to it.
+    weights on the leader diagonal. The resistance route sums, over all n
+    nodes, their resistance to a reference node tied to each leader by a
+    1/kappa_i resistor, grounded on the base graph's pairwise table by
+    :meth:`~coherence_lab.electrical.ResistanceOracle.set_totals`.
     A kappa list follows ``leaders`` in the order given (see
     :func:`~coherence_lab.electrical.leaders_with_kappa`).
     """
@@ -147,9 +148,8 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
         shift[list(S)] = kvec
         value = 0.5 * _grounded_trace(g, set(), extra_diagonal=shift)
     elif method == "resistance":
-        aug = augment_graph(g, S, kvec)
-        table = resistance_oracle(aug.graph).table
-        value = 0.5 * float(table[: aug.base.node_count, aug.s_bar].sum())
+        totals = resistance_oracle(g).set_totals(np.array([S]), 1.0 / kvec[None, :])
+        value = 0.5 * float(totals[0])
     else:
         raise BadParameterError(f"unknown method {method!r}")
     return CoherenceReport(

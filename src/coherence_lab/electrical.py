@@ -19,7 +19,7 @@ steps on table entries; tying each leader to a reference node by a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -121,18 +121,26 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # grounding helpers
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, False for bools and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _check_nodes(g: Graph, *nodes):
     for v in nodes:
-        if not (0 <= int(v) < g.node_count):
+        if not _is_int(v):
+            raise BadParameterError(f"node id must be an integer, got {v!r}")
+        if not (0 <= v < g.node_count):
             raise BadParameterError(f"node {v} outside [0,{g.node_count})")
 
 
 def normalize_leaders(g: Graph, leaders) -> tuple[int, ...]:
     """Sorted unique leader tuple; rejects empty sets and bad ids."""
-    S = tuple(sorted({int(v) for v in leaders}))
+    given = list(leaders)
+    _check_nodes(g, *given)
+    S = tuple(sorted({int(v) for v in given}))
     if not S:
         raise EmptyLeaderSetError("leader set is empty")
-    _check_nodes(g, *S)
     return S
 
 
@@ -168,7 +176,7 @@ def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.nd
     ``leaders=(5, 0), kappa=[1, 50]`` ties node 0 with weight 50; a
     sequence with repeated leaders is ambiguous and rejected.
     """
-    given = [int(v) for v in leaders]
+    given = list(leaders)
     S = normalize_leaders(g, given)
     if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
         return S, normalize_kappa(S, kappa)
@@ -367,12 +375,13 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
     return T
 
 
-def resistance_oracle(g: Graph, check_residual: bool = True) -> ResistanceOracle:
+def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
     One symmetric factorization of the Laplacian grounded at node 0, one
     multi-RHS solve, then r(i, j) = G[i, i] + G[j, j] - 2 G[i, j] with G
-    padded by a zero row/column at the grounded node.
+    padded by a zero row/column at the grounded node. The solve's residual
+    is checked on a few columns against ``SOLVE_TOLERANCE``.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -383,15 +392,14 @@ def resistance_oracle(g: Graph, check_residual: bool = True) -> ResistanceOracle
     L0 = L[1:, 1:]
     c = _cho(L0)
     G0 = cho_solve(c, np.eye(n - 1), check_finite=False)
-    if check_residual:
-        cols = np.linspace(0, n - 2, num=min(4, n - 1), dtype=np.intp)
-        E = np.eye(n - 1)[:, cols]
-        res = np.abs(L0 @ G0[:, cols] - E).max()
-        scale = np.abs(L0).sum(axis=1).max() * np.abs(G0[:, cols]).max() + 1.0
-        if res / scale > SOLVE_TOLERANCE:
-            raise SolverError(
-                f"solve residual {res / scale:.3e} exceeds {SOLVE_TOLERANCE:.0e}"
-            )
+    cols = np.linspace(0, n - 2, num=min(4, n - 1), dtype=np.intp)
+    E = np.eye(n - 1)[:, cols]
+    res = np.abs(L0 @ G0[:, cols] - E).max()
+    scale = np.abs(L0).sum(axis=1).max() * np.abs(G0[:, cols]).max() + 1.0
+    if res / scale > SOLVE_TOLERANCE:
+        raise SolverError(
+            f"solve residual {res / scale:.3e} exceeds {SOLVE_TOLERANCE:.0e}"
+        )
     G = np.zeros((n, n))
     G[1:, 1:] = G0
     d = np.diagonal(G)
@@ -401,36 +409,7 @@ def resistance_oracle(g: Graph, check_residual: bool = True) -> ResistanceOracle
 
 
 # ---------------------------------------------------------------------------
-# augmentation and incremental updates
-
-@dataclass(frozen=True)
-class AugmentedGraph:
-    """Base graph plus one reference node tied to every leader.
-
-    The grounded Laplacian of ``graph`` at ``s_bar`` equals the base
-    Laplacian plus the diagonal stubbornness weights, which is what links
-    resistances to s_bar with noise-corrupted coherence.
-    """
-
-    graph: Graph
-    base: Graph
-    s_bar: int
-    attachment: dict[int, float]
-
-
-def augment_graph(g: Graph, leaders, kappa=None) -> AugmentedGraph:
-    """Append the reference node s_bar with an edge of weight kappa_i to
-    every leader i; ``kappa`` is read as in :func:`leaders_with_kappa`."""
-    S, kvec = leaders_with_kappa(g, leaders, kappa)
-    n = g.node_count
-    edges = list(g.edges) + [(v, n, float(k)) for v, k in zip(S, kvec)]
-    return AugmentedGraph(
-        graph=Graph(n + 1, edges),
-        base=g,
-        s_bar=n,
-        attachment={int(v): float(k) for v, k in zip(S, kvec)},
-    )
-
+# incremental updates
 
 def edge_addition_update(oracle: ResistanceOracle, i: int, j: int, w: float,
                          p: int, q: int) -> float:

@@ -25,17 +25,8 @@ from .coherence import (
     coherence_nc,
     coherence_nf,
 )
-from .electrical import (
-    normalize_kappa,
-    normalize_leaders,
-    resistance_oracle,
-)
-from .errors import (
-    BadParameterError,
-    BudgetExceededError,
-    CoherenceLabError,
-    DisconnectedGraphError,
-)
+from .electrical import _is_int, normalize_kappa, resistance_oracle
+from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
 from .graphs import Graph, is_connected
 
 DEFAULT_BUDGET = 10_000_000
@@ -55,14 +46,6 @@ class SelectionResult:
     co_optimal_count: int
     evaluated_count: int
     elapsed_seconds: float
-
-
-@dataclass(frozen=True)
-class CandidateError:
-    """Per-candidate failure entry from a batch evaluation."""
-
-    candidate: tuple
-    message: str
 
 
 def _tie_window(vmin: float, n: int) -> float:
@@ -147,6 +130,8 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
         raise BadParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if dynamics not in (NOISE_FREE, NOISE_CORRUPTED):
         raise BadParameterError(f"unknown dynamics {dynamics!r}")
+    if not (_is_int(cap) and cap >= 1):
+        raise BadParameterError(f"cap must be an integer >= 1, got {cap!r}")
     if not is_connected(g):
         raise DisconnectedGraphError("selection requires a connected graph")
     total = math.comb(n, k)
@@ -194,37 +179,3 @@ def best_single_leader(g: Graph, dynamics: str = NOISE_FREE,
     else:
         report = coherence_nc(g, (best,), kappa=kappa)
     return best, report
-
-
-def evaluate_candidates(g: Graph, candidates, dynamics: str = NOISE_FREE,
-                        kappa=None, method: str = "trace"):
-    """Evaluate explicit leader sets, sharing preprocessing where possible.
-
-    Returns one entry per candidate, in input order: a CoherenceReport on
-    success or a CandidateError carrying the validation message. A bad
-    candidate never aborts the batch.
-    """
-    candidates = [tuple(c) for c in candidates]
-    shared_oracle = None
-    if method == "resistance" and dynamics == NOISE_FREE and candidates:
-        shared_oracle = resistance_oracle(g)
-    entries = []
-    for cand in candidates:
-        try:
-            if dynamics == NOISE_FREE:
-                if shared_oracle is not None:
-                    S = normalize_leaders(g, cand)
-                    value = 0.5 * float(shared_oracle.set_profile(S).sum())
-                    entries.append(CoherenceReport(
-                        value=value, dynamics=NOISE_FREE, method="resistance",
-                        graph=f"n{g.node_count}:m{g.edge_count}", leaders=S,
-                    ))
-                else:
-                    entries.append(coherence_nf(g, cand, method=method))
-            elif dynamics == NOISE_CORRUPTED:
-                entries.append(coherence_nc(g, cand, kappa=kappa, method=method))
-            else:
-                raise BadParameterError(f"unknown dynamics {dynamics!r}")
-        except CoherenceLabError as exc:
-            entries.append(CandidateError(candidate=cand, message=str(exc)))
-    return entries

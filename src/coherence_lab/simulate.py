@@ -22,13 +22,17 @@ right-hand side per trial, so no Python loop runs over steps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .electrical import grounded_laplacian, leaders_with_kappa, normalize_leaders
+from .electrical import (
+    _is_int,
+    grounded_laplacian,
+    leaders_with_kappa,
+    normalize_leaders,
+)
 from .errors import (
     BadParameterError,
     DisconnectedGraphError,
@@ -46,10 +50,6 @@ _NOISE_BUDGET = 2_000_000
 # 2-CPU host, sixteen 12x12 by 12x7600 rotations took ~130 ms threaded
 # against ~4 ms in blocks
 _ROTATE_MACS = 2**18
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

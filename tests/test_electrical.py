@@ -5,6 +5,7 @@ import coherence_lab as cl
 from coherence_lab.electrical import forest_inverse_diagonal, two_leader_totals
 from coherence_lab.errors import (
     BadKappaError,
+    BadParameterError,
     BadWeightError,
     DisconnectedGraphError,
     EmptyLeaderSetError,
@@ -80,6 +81,29 @@ def test_resistance_to_set_errors():
         cl.resistance_to_set(g, 0, (0, 2))
     with pytest.raises(EmptyLeaderSetError):
         cl.resistance_to_set(g, 1, ())
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: cl.coherence_nf(g, [1.7]),
+    lambda g: cl.coherence_nf(g, [True]),
+    lambda g: cl.coherence_nf(g, [2, np.float64(3.0)], method="resistance"),
+    lambda g: cl.coherence_nc(g, [0, 2.5], kappa=[1.0, 2.0]),
+    lambda g: cl.coherence_nc(g, ["1"], method="resistance"),
+    lambda g: cl.resistance(g, 0.5, 3),
+    lambda g: cl.resistance_to_set(g, 1, (3.0,)),
+    lambda g: cl.resistance_oracle(g).resistance(0.9, 3),
+    lambda g: cl.edge_addition_update(cl.resistance_oracle(g), 0, 2, 1.0, False, 3),
+], ids=["nf-float", "nf-bool", "nf-numpy-float", "nc-kappa-list-float", "nc-str",
+        "pair-float", "to-set-float", "oracle-float", "edge-update-bool"])
+def test_non_integer_node_ids_are_rejected(call):
+    with pytest.raises(BadParameterError, match="integer"):
+        call(cl.build_cycle(6))
+
+
+def test_numpy_integer_node_ids_are_accepted():
+    g = cl.build_cycle(6)
+    assert cl.coherence_nf(g, np.array([1, 4])).value == cl.coherence_nf(g, (1, 4)).value
+    assert cl.resistance(g, np.int32(0), np.int64(3)) == cl.resistance(g, 0, 3)
 
 
 def test_resistance_to_set_singleton_equals_pairwise(rng):
@@ -243,59 +267,19 @@ def test_set_queries_reject_a_non_positive_pivot():
             oracle.set_totals(np.array([[0, 1, 3]]))
 
 
-def test_augment_cycle_eight():
-    aug = cl.augment_graph(cl.build_cycle(8), (0, 3))
-    assert aug.graph.node_count == 9
-    assert aug.graph.edge_count == 10
-    assert aug.s_bar == 8
-    assert aug.attachment == {0: 1.0, 3: 1.0}
-
-
-def test_augment_all_leaders():
-    g = cl.build_cycle(5)
-    aug = cl.augment_graph(g, range(5))
-    assert aug.graph.node_count == 6
-    assert aug.graph.edge_count == g.edge_count + 5
-
-
-def test_augment_kappa_weight():
-    aug = cl.augment_graph(cl.build_path(2), (0,), kappa=2.0)
-    assert (0, 2, 2.0) in aug.graph.edges
-
-
-def test_augment_grounded_laplacian_identity(rng):
-    # removing the reference row/column leaves the base Laplacian plus the
-    # diagonal stubbornness weights
-    g = random_connected_graph(rng, 9, extra_edges=4)
-    S = (1, 4, 7)
-    kappa = {1: 0.5, 4: 2.0, 7: 1.25}
-    aug = cl.augment_graph(g, S, kappa=kappa)
-    La = dense_laplacian(aug.graph)[:9, :9]
-    expected = dense_laplacian(g)
-    for v, kv in kappa.items():
-        expected[v, v] += kv
-    assert np.allclose(La, expected, atol=1e-12)
-    with pytest.raises(BadKappaError):
-        cl.augment_graph(g, S, kappa=-1.0)
-
-
 def test_kappa_list_follows_given_leader_order():
     g = cl.build_cycle(6)
-    aug = cl.augment_graph(g, (4, 1), kappa=[2.0, 0.5])
-    assert aug.attachment == {1: 0.5, 4: 2.0}
-    assert (4, 6, 2.0) in aug.graph.edges and (1, 6, 0.5) in aug.graph.edges
-    assert cl.augment_graph(g, (1, 4), kappa=[0.5, 2.0]).graph.edges == aug.graph.edges
-    assert cl.coherence_nc(g, (4, 1), kappa=[2.0, 0.5]).value == (
-        cl.coherence_nc(g, (1, 4), kappa={1: 0.5, 4: 2.0}).value)
+    for method in ("trace", "resistance"):
+        assert cl.coherence_nc(g, (4, 1), kappa=[2.0, 0.5], method=method).value == (
+            cl.coherence_nc(g, (1, 4), kappa={1: 0.5, 4: 2.0}, method=method).value)
 
 
 def test_kappa_list_with_repeated_leaders_is_rejected():
     g = cl.build_cycle(6)
     cfg = cl.SimConfig(dt=0.01, horizon=1.0, trials=2)
-    with pytest.raises(BadKappaError):
-        cl.augment_graph(g, (1, 4, 1), kappa=[1.0, 2.0, 3.0])
-    with pytest.raises(BadKappaError):
-        cl.coherence_nc(g, (1, 1), kappa=[1.0, 2.0])
+    for method in ("trace", "resistance"):
+        with pytest.raises(BadKappaError):
+            cl.coherence_nc(g, (1, 1), kappa=[1.0, 2.0], method=method)
     with pytest.raises(BadKappaError):
         cl.simulate_nc(g, (2, 2), cfg, kappa=[1.0, 1.0])
     # repeats stay harmless with a scalar or a mapping

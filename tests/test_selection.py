@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import coherence_lab as cl
@@ -10,7 +11,7 @@ from coherence_lab.errors import (
     BudgetExceededError,
     DisconnectedGraphError,
 )
-from coherence_lab.selection import CandidateError, _table_values
+from coherence_lab.selection import _table_values
 
 from conftest import naive_nc_value, naive_nf_value, random_connected_graph, stiff_graph
 
@@ -69,6 +70,10 @@ def test_parameter_validation():
         cl.brute_force_select(g, 0)
     with pytest.raises(BadParameterError):
         cl.brute_force_select(g, 9)
+    for cap in (0, -1, 1.5, True, None):
+        with pytest.raises(BadParameterError):
+            cl.brute_force_select(g, 1, cap=cap)
+    assert cl.brute_force_select(g, 1, cap=np.int64(2)).optimal_sets == ((0,), (1,))
     with pytest.raises(DisconnectedGraphError):
         cl.brute_force_select(cl.build_graph([(0, 1, 1.0)], node_count=3), 1)
 
@@ -138,41 +143,6 @@ def test_growing_optimal_set_never_increases_value(rng):
         if extra in S:
             continue
         assert cl.coherence_nf(g, S | {extra}).value <= base + 1e-12
-
-
-def test_evaluate_candidates_duplicates_and_order(rng):
-    g = random_connected_graph(rng, 8, extra_edges=3)
-    cands = [(0, 3), (1, 2), (0, 3)]
-    entries = cl.evaluate_candidates(g, cands)
-    assert [e.leaders for e in entries] == [(0, 3), (1, 2), (0, 3)]
-    assert entries[0].value == entries[2].value
-
-
-def test_evaluate_candidates_star_singletons():
-    star = cl.build_graph([(0, i, 1.0) for i in range(1, 5)])
-    entries = cl.evaluate_candidates(star, [(i,) for i in range(5)])
-    values = [e.value for e in entries]
-    assert min(range(5), key=lambda i: values[i]) == 0
-    assert all(values[0] < values[i] for i in range(1, 5))
-
-
-def test_evaluate_candidates_matches_individual_calls(rng):
-    g = random_connected_graph(rng, 9, extra_edges=4)
-    cands = [(0,), (1, 5), (2, 3, 7)]
-    for method in ("trace", "resistance"):
-        entries = cl.evaluate_candidates(g, cands, method=method)
-        for cand, entry in zip(cands, entries):
-            direct = cl.coherence_nf(g, cand, method=method)
-            assert entry.value == direct.value
-
-
-def test_evaluate_candidates_error_entries_do_not_abort():
-    g = cl.build_cycle(5)
-    entries = cl.evaluate_candidates(g, [(0,), (), (99,), (1, 2)])
-    assert isinstance(entries[0], cl.CoherenceReport)
-    assert isinstance(entries[1], CandidateError)
-    assert isinstance(entries[2], CandidateError)
-    assert isinstance(entries[3], cl.CoherenceReport)
 
 
 def test_two_leader_fast_path_matches_direct_solves(rng):
