@@ -118,6 +118,16 @@ def _emit(doc, fmt: str, stream) -> None:
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
+def _report_doc(report: coherence.CoherenceReport, one_based: bool) -> dict:
+    """The report's document, with leader ids and kappa keys shifted out."""
+    doc = report.to_dict()
+    if one_based and report.leaders is not None:
+        doc["leaders"] = _shift_out(report.leaders, True)
+        if report.kappa:
+            doc["kappa"] = {str(v + 1): k for v, k in report.kappa.items()}
+    return doc
+
+
 def _cmd_coherence(args, out) -> int:
     g, label, _ = parse_graph_spec(args.graph)
     if args.dynamics == "free":
@@ -129,25 +139,19 @@ def _cmd_coherence(args, out) -> int:
     leaders = _shift_in(_parse_int_list(args.leaders, "leader"), args.one_based)
     kappa = _parse_kappa(args.kappa)
     if args.method == "closed-form":
-        doc = _closed_form_coherence(args, g, label, leaders)
-        _emit(doc, args.format, out)
-        return 0
-    if args.dynamics == "nf":
+        report = _closed_form_coherence(args, g, label, leaders)
+    elif args.dynamics == "nf":
         report = coherence.coherence_nf(g, leaders, method=args.method,
                                         graph_label=label)
     else:
         report = coherence.coherence_nc(g, leaders, kappa=kappa,
                                         method=args.method, graph_label=label)
-    doc = report.to_dict()
-    if args.one_based and doc.get("leaders") is not None:
-        doc["leaders"] = _shift_out(report.leaders, True)
-        if doc.get("kappa"):
-            doc["kappa"] = {str(int(k) + 1): v for k, v in doc["kappa"].items()}
-    _emit(doc, args.format, out)
+    _emit(_report_doc(report, args.one_based), args.format, out)
     return 0
 
 
-def _closed_form_coherence(args, g: Graph, label: str, leaders) -> dict:
+def _closed_form_coherence(args, g: Graph, label: str,
+                           leaders) -> coherence.CoherenceReport:
     family = label.split(":", 1)[0]
     if args.dynamics != "nf":
         raise ValidationError("--method closed-form supports --dynamics nf only")
@@ -161,15 +165,11 @@ def _closed_form_coherence(args, g: Graph, label: str, leaders) -> dict:
         raise ValidationError(
             "--method closed-form needs a cycle:n or path:n graph spec"
         )
-    return {
-        "value": value,
-        "dynamics": "noise_free",
-        "method": "closed_form",
-        "graph": label,
-        "leaders": _shift_out(sorted(set(leaders)), args.one_based),
-        "kappa": None,
-        "gaps": list(gaps),
-    }
+    return coherence.CoherenceReport(
+        value=value, dynamics=coherence.NOISE_FREE, method="closed_form",
+        graph=label, leaders=tuple(sorted(set(leaders))),
+        extra={"gaps": list(gaps)},
+    )
 
 
 def _cmd_resistance(args, out) -> int:
@@ -324,30 +324,20 @@ def _cmd_simulate(args, out) -> int:
     cfg = simulate.SimConfig(dt=args.dt, horizon=args.horizon,
                              burn_in=args.burn_in, trials=args.trials,
                              seed=args.seed)
-    kappa_doc = None
     if args.dynamics == "nf":
         res = simulate.simulate_nf(g, leaders, cfg)
-        dynamics = coherence.NOISE_FREE
+        dynamics, kappa_map = coherence.NOISE_FREE, None
     else:
         res = simulate.simulate_nc(g, leaders, cfg, kappa=kappa)
-        dynamics = coherence.NOISE_CORRUPTED
         S, kvec = leaders_with_kappa(g, leaders, kappa)
-        shift = 1 if args.one_based else 0
-        kappa_doc = {str(v + shift): float(kv) for v, kv in zip(S, kvec)}
-    doc = {
-        "value": res.value,
-        "dynamics": dynamics,
-        "method": "simulation",
-        "graph": label,
-        "leaders": _shift_out(sorted(set(leaders)), args.one_based),
-        "kappa": kappa_doc,
-        "stderr": res.stderr,
-        "steps": res.steps,
-        "kept_steps": res.kept_steps,
-        "trials": res.trials,
-        "seed": args.seed,
-    }
-    _emit(doc, args.format, out)
+        dynamics, kappa_map = coherence.NOISE_CORRUPTED, dict(zip(S, kvec.tolist()))
+    report = coherence.CoherenceReport(
+        value=res.value, dynamics=dynamics, method="simulation", graph=label,
+        leaders=tuple(sorted(set(leaders))), kappa=kappa_map, stderr=res.stderr,
+        extra={"steps": res.steps, "kept_steps": res.kept_steps,
+               "trials": res.trials, "seed": args.seed},
+    )
+    _emit(_report_doc(report, args.one_based), args.format, out)
     return 0
 
 

@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .coherence import coherence_nc
+from .electrical import _is_int
 from .errors import (
     BadGapVectorError,
     BadGeometryError,
@@ -38,7 +39,10 @@ from .graphs import PerfectTree, build_cycle
 def _check_gaps(gaps, minimum: int, kind: str) -> tuple[int, ...]:
     out = []
     for c in gaps:
-        ci = int(c)
+        try:
+            ci = int(c)
+        except (OverflowError, ValueError) as exc:
+            raise BadGapVectorError(f"{kind} gap {c!r} is not finite") from exc
         if ci != c:
             raise BadGapVectorError(f"{kind} gap {c!r} is not an integer")
         if ci < minimum:
@@ -88,8 +92,17 @@ def cycle_leaders_from_gaps(gaps) -> tuple[int, ...]:
     return tuple(pos)
 
 
+def _leader_ids(leaders) -> list[int]:
+    """Sorted unique leader ids; every id must be an integer."""
+    given = list(leaders)
+    for v in given:
+        if not _is_int(v):
+            raise BadParameterError(f"leader id must be an integer, got {v!r}")
+    return sorted({int(v) for v in given})
+
+
 def gaps_from_cycle_leaders(n: int, leaders) -> tuple[int, ...]:
-    S = sorted(set(int(v) for v in leaders))
+    S = _leader_ids(leaders)
     if not S or S[0] < 0 or S[-1] >= n:
         raise BadParameterError(f"leaders {leaders!r} invalid for an {n}-cycle")
     gaps = [S[i + 1] - S[i] for i in range(len(S) - 1)]
@@ -107,21 +120,25 @@ def canonical_gap_rotation(gaps) -> tuple[int, ...]:
 # paths, noise-free
 
 
+def _check_path_gaps(gaps) -> tuple[int, ...]:
+    c = tuple(gaps)
+    if len(c) < 2:
+        raise BadGapVectorError("path gap vector needs at least 2 entries")
+    ends = _check_gaps((c[0], c[-1]), 0, "path end")
+    interior = _check_gaps(c[1:-1], 1, "path interior")
+    if sum(ends) + sum(interior) + 1 < 2:
+        raise BadGapVectorError("gap vector describes a path with fewer than 2 nodes")
+    return (ends[0],) + interior + (ends[1],)
+
+
 def path_nf_coherence(gaps) -> float:
     """Noise-free coherence of a unit path from its gap vector.
 
     The two end runs contribute (c^2 + c) / 4 in total across both ends
     and every interior gap contributes (c^2 - 1) / 12.
     """
-    c = tuple(gaps)
-    if len(c) < 2:
-        raise BadGapVectorError("path gap vector needs at least 2 entries")
-    ends = _check_gaps((c[0], c[-1]), 0, "path end")
-    interior = _check_gaps(c[1:-1], 1, "path interior")
-    n = sum(ends) + sum(interior) + 1
-    if n < 2:
-        raise BadGapVectorError("gap vector describes a path with fewer than 2 nodes")
-    e0, e1 = ends
+    c = _check_path_gaps(gaps)
+    e0, e1, interior = c[0], c[-1], c[1:-1]
     return 0.25 * (e0 * e0 + e1 * e1 + e0 + e1) + sum(
         ci * ci - 1 for ci in interior
     ) / 12.0
@@ -129,7 +146,7 @@ def path_nf_coherence(gaps) -> float:
 
 def path_leaders_from_gaps(gaps) -> tuple[int, ...]:
     """Realize a path gap vector as 0-based leader positions."""
-    c = tuple(int(x) for x in gaps)
+    c = _check_path_gaps(gaps)
     pos = [c[0]]
     for ci in c[1:-1]:
         pos.append(pos[-1] + ci)
@@ -137,7 +154,7 @@ def path_leaders_from_gaps(gaps) -> tuple[int, ...]:
 
 
 def gaps_from_path_leaders(n: int, leaders) -> tuple[int, ...]:
-    S = sorted(set(int(v) for v in leaders))
+    S = _leader_ids(leaders)
     if not S or S[0] < 0 or S[-1] >= n:
         raise BadParameterError(f"leaders {leaders!r} invalid for an {n}-path")
     gaps = [S[0]]

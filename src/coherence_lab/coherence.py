@@ -1,17 +1,19 @@
 """The three coherence functionals.
 
-* noise-free: half the trace of the inverse grounded Laplacian, equal to
-  half the sum of follower-to-leader-set resistances;
-* noise-corrupted: half the trace of the inverse of the Laplacian plus the
-  diagonal stubbornness weights, equal to half the sum over all nodes of
-  resistances to a reference node tied to each leader by a 1/kappa
-  resistor;
+* noise-free: half the trace of the inverse of the Laplacian grounded at
+  a reference node the leaders are pinned to, equal to half the sum of
+  follower-to-leader-set resistances;
+* noise-corrupted: the same with each leader tied to the reference node
+  by its stubbornness weight kappa (a 1/kappa resistor), equal to half the
+  sum over all nodes of their resistances to that node;
 * leader-free: half the sum of reciprocal nonzero Laplacian eigenvalues
   (the variance of deviations from the network average).
 
 Every functional is exposed through two independent computational routes
 ("trace" and "resistance") that the test suite holds to 1e-9 agreement.
-On trees the trace route switches to an exact O(n) forest elimination.
+Both trace routes read one set of grounded entries from
+``graphs._grounded_entries``; on trees they go to an exact O(n) forest
+elimination, otherwise to a dense Cholesky.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .electrical import (
     spd_trace_inverse,
 )
 from .errors import BadParameterError, DisconnectedGraphError
-from .graphs import Graph, is_connected, is_tree, laplacian
+from .graphs import Graph, _dense, _grounded_entries, is_connected, is_tree, laplacian
 
 NOISE_FREE = "noise_free"
 NOISE_CORRUPTED = "noise_corrupted"
@@ -73,32 +75,18 @@ def _default_label(g: Graph) -> str:
     return f"n{g.node_count}:m{g.edge_count}"
 
 
-def _grounded_trace(g: Graph, leader_set: set[int], extra_diagonal=None) -> float:
-    """Trace of the inverse of the grounded (and optionally shifted) Laplacian.
-
-    ``extra_diagonal`` adds per-node weights before grounding, which is how
-    the noise-corrupted operator (ground nothing, shift leaders) and the
-    noise-free one (ground leaders, shift nothing) share this code path.
+def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
+    """Trace of the inverse of the Laplacian grounded at a reference node,
+    with the leaders pinned to it (noise-free) or, given ``kvec``, tied to
+    it by their stubbornness weights (noise-corrupted). Trees take the
+    O(n) forest elimination on the same entries, other graphs Cholesky.
     """
-    followers = [v for v in range(g.node_count) if v not in leader_set]
-    if not followers:
+    nodes, diag, off = _grounded_entries(g, leaders, kvec)
+    if not nodes:
         return 0.0
-    diag = g.degree_weights()
-    if extra_diagonal is not None:
-        diag = diag + extra_diagonal
     if is_tree(g):
-        idx = {v: k for k, v in enumerate(followers)}
-        edges = [
-            (idx[u], idx[v], -w)
-            for u, v, w in g.edges
-            if u in idx and v in idx
-        ]
-        return float(
-            forest_inverse_diagonal(len(followers), diag[followers], edges).sum()
-        )
-    L = laplacian(g)
-    np.fill_diagonal(L, diag)
-    return spd_trace_inverse(L[np.ix_(followers, followers)])
+        return float(forest_inverse_diagonal(len(nodes), diag, off).sum())
+    return spd_trace_inverse(_dense(diag, off))
 
 
 def coherence_nf(g: Graph, leaders, method: str = "trace",
@@ -114,7 +102,7 @@ def coherence_nf(g: Graph, leaders, method: str = "trace",
     if not is_connected(g):
         raise DisconnectedGraphError("coherence requires a connected graph")
     if method == "trace":
-        value = 0.5 * _grounded_trace(g, set(S))
+        value = 0.5 * _grounded_trace(g, S)
     elif method == "resistance":
         value = 0.5 * float(resistance_oracle(g).set_profile(S).sum())
     else:
@@ -144,9 +132,7 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
     if not is_connected(g):
         raise DisconnectedGraphError("coherence requires a connected graph")
     if method == "trace":
-        shift = np.zeros(g.node_count)
-        shift[list(S)] = kvec
-        value = 0.5 * _grounded_trace(g, set(), extra_diagonal=shift)
+        value = 0.5 * _grounded_trace(g, S, kvec)
     elif method == "resistance":
         totals = resistance_oracle(g).set_totals(np.array([S]), 1.0 / kvec[None, :])
         value = 0.5 * float(totals[0])

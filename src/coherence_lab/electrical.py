@@ -4,7 +4,8 @@ The network view: every edge of weight w is a resistor of 1/w. Pairwise
 resistance r(i, j) is defined through the grounded Laplacian: it equals
 the (i, i) entry of the inverse of the Laplacian with row and column j
 removed. Node-to-set resistance r(i, S) generalizes this by grounding all
-of S at once.
+of S at once. Every grounded matrix here is :func:`grounded_laplacian`,
+assembled directly from the edge list by ``graphs._grounded_entries``.
 
 :func:`resistance_to_set` evaluates the grounded definition directly and
 serves as the reference (:func:`resistance` is its one-node case);
@@ -36,7 +37,7 @@ from .errors import (
     SameNodeError,
     SolverError,
 )
-from .graphs import Graph, is_connected, laplacian
+from .graphs import Graph, _dense, _grounded_entries, is_connected
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
@@ -188,10 +189,8 @@ def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.nd
 
 def grounded_laplacian(g: Graph, leaders) -> tuple[np.ndarray, list[int]]:
     """Laplacian with leader rows/columns removed, plus the follower ids."""
-    S = set(normalize_leaders(g, leaders))
-    followers = [v for v in range(g.node_count) if v not in S]
-    L = laplacian(g)
-    return L[np.ix_(followers, followers)], followers
+    followers, diag, off = _grounded_entries(g, normalize_leaders(g, leaders))
+    return _dense(diag, off), followers
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +387,12 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     n = g.node_count
     if n == 1:
         return ResistanceOracle(g, np.zeros((1, 1)))
-    L = laplacian(g)
-    L0 = L[1:, 1:]
+    L0, _ = grounded_laplacian(g, (0,))
     c = _cho(L0)
     G0 = cho_solve(c, np.eye(n - 1), check_finite=False)
     cols = np.linspace(0, n - 2, num=min(4, n - 1), dtype=np.intp)
-    E = np.eye(n - 1)[:, cols]
+    E = np.zeros((n - 1, cols.size))
+    E[cols, np.arange(cols.size)] = 1.0
     res = np.abs(L0 @ G0[:, cols] - E).max()
     scale = np.abs(L0).sum(axis=1).max() * np.abs(G0[:, cols]).max() + 1.0
     if res / scale > SOLVE_TOLERANCE:

@@ -122,15 +122,40 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     return Graph(n, edge_list)
 
 
+def _grounded_entries(g: Graph, leaders=(), kvec=None):
+    """Entries of the Laplacian grounded at a reference node.
+
+    Without ``kvec`` the leaders are pinned to the reference and their
+    rows and columns dropped (noise-free); with it ``leaders[i]`` is tied
+    to the reference by the conductance ``kvec[i]`` on its diagonal
+    (noise-corrupted). Returns ``(nodes, diag, off)``: the node of each
+    row, the diagonal, and one ``(row, row, -w)`` entry per edge between
+    kept nodes.
+    """
+    diag = g.degree_weights()
+    if kvec is None:
+        dropped = set(leaders)
+        nodes = [v for v in range(g.node_count) if v not in dropped]
+    else:
+        diag[list(leaders)] += kvec
+        nodes = list(range(g.node_count))
+    row = {v: r for r, v in enumerate(nodes)}
+    off = [(row[u], row[v], -w) for u, v, w in g.edges if u in row and v in row]
+    return nodes, diag[nodes], off
+
+
+def _dense(diag, off) -> np.ndarray:
+    """The symmetric matrix with this diagonal and these off-diagonal entries."""
+    A = np.diag(diag)
+    for r, c, a in off:
+        A[r, c] = a
+        A[c, r] = a
+    return A
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Dense weighted Laplacian: degree matrix minus adjacency matrix."""
-    L = np.zeros((g.node_count, g.node_count))
-    for u, v, w in g.edges:
-        L[u, u] += w
-        L[v, v] += w
-        L[u, v] -= w
-        L[v, u] -= w
-    return L
+    return _dense(*_grounded_entries(g)[1:])
 
 
 def is_connected(g: Graph) -> bool:

@@ -126,7 +126,7 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
     the count field reports how many there were in total.
     """
     n = g.node_count
-    if not (1 <= k <= n):
+    if not (_is_int(k) and 1 <= k <= n):
         raise BadParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     if dynamics not in (NOISE_FREE, NOISE_CORRUPTED):
         raise BadParameterError(f"unknown dynamics {dynamics!r}")

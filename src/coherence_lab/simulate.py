@@ -39,7 +39,7 @@ from .errors import (
     SolverError,
     UnstableStepError,
 )
-from .graphs import Graph, is_connected, laplacian
+from .graphs import Graph, _dense, _grounded_entries, is_connected
 
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000
@@ -162,7 +162,4 @@ def simulate_nc(g: Graph, leaders, cfg: SimConfig, kappa=None) -> SimResult:
     S, kvec = leaders_with_kappa(g, leaders, kappa)
     if not is_connected(g):
         raise DisconnectedGraphError("simulation requires a connected graph")
-    A = laplacian(g)
-    for v, kv in zip(S, kvec):
-        A[v, v] += kv
-    return _run(A, cfg)
+    return _run(_dense(*_grounded_entries(g, S, kvec)[1:]), cfg)

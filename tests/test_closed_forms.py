@@ -140,6 +140,22 @@ def test_path_gap_round_trips():
     assert cl.path_leaders_from_gaps(gaps) == (1, 3)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: cl.path_leaders_from_gaps([-3, 2, 1]), BadGapVectorError),
+    (lambda: cl.path_leaders_from_gaps([0, 0, 0]), BadGapVectorError),
+    (lambda: cl.path_leaders_from_gaps([1.5, 2, 1]), BadGapVectorError),
+    (lambda: cl.path_leaders_from_gaps([0, 0]), BadGapVectorError),
+    (lambda: cl.gaps_from_path_leaders(5, [1.7, 3]), BadParameterError),
+    (lambda: cl.gaps_from_cycle_leaders(6, [True, 3]), BadParameterError),
+    (lambda: cl.cycle_nf_coherence([float("inf"), 3]), BadGapVectorError),
+    (lambda: cl.path_nf_coherence([float("nan"), 3]), BadGapVectorError),
+], ids=["negative-end", "zero-interior", "fractional-gap", "one-node",
+        "fractional-leader", "bool-leader", "infinite-gap", "nan-gap"])
+def test_gap_and_leader_helpers_reject_bad_input(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_path_optimal_three_one():
     gaps, value = cl.path_nf_optimal(3, 1)
     assert gaps == (1, 1)

@@ -13,7 +13,10 @@ from coherence_lab.errors import (
     UnreachableNodeError,
 )
 
-from conftest import random_connected_graph
+from coherence_lab.electrical import grounded_laplacian
+from coherence_lab.graphs import _dense, _grounded_entries
+
+from conftest import dense_laplacian, random_connected_graph, stiff_graph
 
 
 def test_build_graph_path():
@@ -75,6 +78,28 @@ def test_laplacian_rows_sum_to_zero_exactly(rng):
                                    weighted=False)
         L = cl.laplacian(g)
         assert np.all(L @ np.ones(g.node_count) == 0.0)
+
+
+def test_grounded_builder_matches_independent_assembly(rng):
+    for _ in range(20):
+        g = stiff_graph(rng, n=int(rng.integers(5, 16)), chords=4)
+        n = g.node_count
+        L = dense_laplacian(g)
+        assert np.array_equal(cl.laplacian(g), L)
+        k = int(rng.integers(1, n + 1))
+        S = sorted(rng.choice(n, size=k, replace=False).tolist())
+        keep = [v for v in range(n) if v not in S]
+        Lff, followers = grounded_laplacian(g, S)
+        assert followers == keep
+        assert np.array_equal(Lff, L[np.ix_(keep, keep)])
+        L0, _ = grounded_laplacian(g, (0,))
+        assert np.array_equal(L0, L[1:, 1:])
+        kvec = 10.0 ** rng.uniform(-3.0, 3.0, size=len(S))
+        nodes, diag, off = _grounded_entries(g, S, kvec)
+        shifted = L.copy()
+        shifted[S, S] += kvec
+        assert nodes == list(range(n))
+        assert np.array_equal(_dense(diag, off), shifted)
 
 
 def test_is_connected_cases():

@@ -1,4 +1,4 @@
-"""Property tests for the noise-corrupted coherence routes.
+"""Property tests for the coherence routes and the resistance table.
 
 Small random connected weighted graphs (n <= 12, weights over 10^-2 ..
 10^2) and stubbornness weights over the same range are drawn with a fixed,
@@ -6,8 +6,9 @@ derandomized profile, so every run checks the same examples and no example
 database is written.
 """
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab as cl
@@ -80,4 +81,51 @@ def test_raising_a_leader_kappa_never_raises_nc(case, data):
     stiffer[v] *= 10.0 ** data.draw(st.floats(min_value=0.0, max_value=2.0))
     for before, after in zip(_both_routes(g, leaders, kmap),
                              _both_routes(g, leaders, stiffer)):
+        assert after <= before * (1.0 + 1e-9)
+
+
+@PROFILE
+@given(graphs_with_leaders())
+def test_foster_theorem(case):
+    # sum over edges of w_e r_e is n - 1 (Klein & Randic 1993)
+    g = case[0]
+    R = cl.resistance_oracle(g).table
+    total = sum(w * R[u, v] for u, v, w in g.edges)
+    assert total == pytest.approx(g.node_count - 1, rel=1e-9, abs=1e-12)
+
+
+@PROFILE
+@given(graphs_with_leaders())
+def test_resistance_table_triangle_inequality(case):
+    R = cl.resistance_oracle(case[0]).table
+    via = R[:, :, None] + R[None, :, :]  # via[p, s, q] = r(p, s) + r(s, q)
+    assert np.all(R[:, None, :] <= via + 1e-9 * R.max())
+
+
+@PROFILE
+@given(graphs_with_leaders(), st.data())
+def test_adding_an_edge_never_raises_a_resistance(case, data):
+    # Rayleigh monotonicity
+    g = case[0]
+    n = g.node_count
+    assume(n >= 2)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    w = 10.0 ** data.draw(_exponents)
+    oracle = cl.resistance_oracle(g)
+    for p in range(n):
+        for q in range(p + 1, n):
+            assert cl.edge_addition_update(oracle, i, j, w, p, q) <= oracle.table[p, q]
+
+
+@PROFILE
+@given(graphs_with_leaders(), st.data())
+def test_adding_a_leader_never_raises_nf(case, data):
+    g, leaders, _ = case
+    rest = [v for v in range(g.node_count) if v not in leaders]
+    assume(rest)
+    more = leaders + (data.draw(st.sampled_from(rest)),)
+    for method in ("trace", "resistance"):
+        before = cl.coherence_nf(g, leaders, method=method).value
+        after = cl.coherence_nf(g, more, method=method).value
         assert after <= before * (1.0 + 1e-9)

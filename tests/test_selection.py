@@ -66,10 +66,10 @@ def test_budget_guard():
 
 def test_parameter_validation():
     g = cl.build_cycle(5)
-    with pytest.raises(BadParameterError):
-        cl.brute_force_select(g, 0)
-    with pytest.raises(BadParameterError):
-        cl.brute_force_select(g, 9)
+    for k in (0, 9, 2.0, 2.5, True, None):
+        with pytest.raises(BadParameterError):
+            cl.brute_force_select(g, k)
+    assert cl.brute_force_select(g, np.int64(1)).optimal_sets == ((0,), (1,), (2,), (3,), (4,))
     for cap in (0, -1, 1.5, True, None):
         with pytest.raises(BadParameterError):
             cl.brute_force_select(g, 1, cap=cap)
