@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import closed_forms, coherence, selection, simulate, treegrow
 from .electrical import leaders_with_kappa
@@ -287,19 +288,11 @@ def _cmd_closed_form(args, out) -> int:
 def _cmd_grow_tree(args, out) -> int:
     result = treegrow.grow_trajectory(args.h0, steps=args.steps,
                                       include_global=args.global_optima)
-    rows = [
-        {"step": r.step, "pair_id": r.pair_id, "d_xr": r.d_xr, "d_yr": r.d_yr,
-         "d_xy": r.d_xy, "value": r.value}
-        for r in result.rows
-    ]
+    rows = [asdict(r) for r in result.rows]
     if args.format == "json":
         doc = {"designated": list(result.designated), "rows": rows}
         if args.global_optima:
-            doc["global_rows"] = [
-                {"step": r.step, "pair_id": r.pair_id, "d_xr": r.d_xr,
-                 "d_yr": r.d_yr, "d_xy": r.d_xy, "value": r.value}
-                for r in result.global_rows
-            ]
+            doc["global_rows"] = [asdict(r) for r in result.global_rows]
         _emit(doc, "json", out)
     else:
         print(f"# designated={result.designated[0]}-{result.designated[1]}",
@@ -307,11 +300,7 @@ def _cmd_grow_tree(args, out) -> int:
         _emit(rows, "csv", out)
         if args.global_optima:
             print("# global two-leader optimum per step", file=out)
-            _emit([
-                {"step": r.step, "pair_id": r.pair_id, "d_xr": r.d_xr,
-                 "d_yr": r.d_yr, "d_xy": r.d_xy, "value": r.value}
-                for r in result.global_rows
-            ], "csv", out)
+            _emit([asdict(r) for r in result.global_rows], "csv", out)
     return 0
 
 

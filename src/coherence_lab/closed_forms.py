@@ -22,6 +22,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coherence import coherence_nc
 from .electrical import _is_int
 from .errors import (
@@ -39,6 +41,8 @@ from .graphs import PerfectTree, build_cycle
 def _check_gaps(gaps, minimum: int, kind: str) -> tuple[int, ...]:
     out = []
     for c in gaps:
+        if isinstance(c, (bool, np.bool_)):
+            raise BadGapVectorError(f"{kind} gap {c!r} is a bool, not an integer")
         try:
             ci = int(c)
         except (OverflowError, ValueError) as exc:
@@ -188,10 +192,7 @@ def path_nf_optimal(n: int, k: int) -> tuple[tuple[int, ...], float]:
     heapq.heapify(heap)
     remaining = (n - 1) - (k - 1)
     while remaining > 0:
-        cost, idx = heapq.heappop(heap)
-        if cost != marginal(idx):
-            heapq.heappush(heap, (marginal(idx), idx))
-            continue
+        _, idx = heapq.heappop(heap)
         slots[idx] += 1
         remaining -= 1
         heapq.heappush(heap, (marginal(idx), idx))

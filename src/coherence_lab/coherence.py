@@ -11,9 +11,12 @@
 
 Every functional is exposed through two independent computational routes
 ("trace" and "resistance") that the test suite holds to 1e-9 agreement.
-Both trace routes read one set of grounded entries from
-``graphs._grounded_entries``; on trees they go to an exact O(n) forest
-elimination, otherwise to a dense Cholesky.
+Noise-free is the pinned (kappa -> infinity) case of noise-corrupted, so
+the two share one body that takes the leaders with their weights, or
+with none when they are pinned. Its trace route reads the grounded
+entries from ``graphs._grounded_entries`` and hands them, on trees, to
+an exact O(n) forest elimination, otherwise to a dense Cholesky; its
+resistance route is one ``ResistanceOracle.set_totals`` query.
 """
 
 from __future__ import annotations
@@ -82,11 +85,33 @@ def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     O(n) forest elimination on the same entries, other graphs Cholesky.
     """
     nodes, diag, off = _grounded_entries(g, leaders, kvec)
-    if not nodes:
-        return 0.0
     if is_tree(g):
         return float(forest_inverse_diagonal(len(nodes), diag, off).sum())
     return spd_trace_inverse(_dense(diag, off))
+
+
+def _coherence(g: Graph, S, kvec, method: str,
+               graph_label: str | None) -> CoherenceReport:
+    """Coherence of the normalised leaders ``S``, pinned when ``kvec`` is
+    None, else tied to the reference node by their weights ``kvec``."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("coherence requires a connected graph")
+    tied = kvec is not None
+    if method == "trace":
+        value = 0.5 * _grounded_trace(g, S, kvec)
+    elif method == "resistance":
+        inv_kappa = 1.0 / kvec[None, :] if tied else None
+        value = 0.5 * float(resistance_oracle(g).set_totals([S], inv_kappa)[0])
+    else:
+        raise BadParameterError(f"unknown method {method!r}")
+    return CoherenceReport(
+        value=value,
+        dynamics=NOISE_CORRUPTED if tied else NOISE_FREE,
+        method=method,
+        graph=graph_label or _default_label(g),
+        leaders=S,
+        kappa={int(v): float(k) for v, k in zip(S, kvec)} if tied else None,
+    )
 
 
 def coherence_nf(g: Graph, leaders, method: str = "trace",
@@ -94,26 +119,13 @@ def coherence_nf(g: Graph, leaders, method: str = "trace",
     """Noise-free coherence of the leader set.
 
     ``method="trace"`` grounds the leaders and sums the inverse diagonal;
-    ``method="resistance"`` sums follower-to-set resistances from the
-    pairwise table. Leaders pinned to the reference contribute nothing, so
-    the value is 0 when every node leads.
+    ``method="resistance"`` sums every node's resistance to the leader set
+    from the pairwise table, via
+    :meth:`~coherence_lab.electrical.ResistanceOracle.set_totals`. Leaders
+    pinned to the reference contribute nothing, so the value is 0 when
+    every node leads.
     """
-    S = normalize_leaders(g, leaders)
-    if not is_connected(g):
-        raise DisconnectedGraphError("coherence requires a connected graph")
-    if method == "trace":
-        value = 0.5 * _grounded_trace(g, S)
-    elif method == "resistance":
-        value = 0.5 * float(resistance_oracle(g).set_profile(S).sum())
-    else:
-        raise BadParameterError(f"unknown method {method!r}")
-    return CoherenceReport(
-        value=value,
-        dynamics=NOISE_FREE,
-        method=method,
-        graph=graph_label or _default_label(g),
-        leaders=S,
-    )
+    return _coherence(g, normalize_leaders(g, leaders), None, method, graph_label)
 
 
 def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
@@ -129,23 +141,7 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
     :func:`~coherence_lab.electrical.leaders_with_kappa`).
     """
     S, kvec = leaders_with_kappa(g, leaders, kappa)
-    if not is_connected(g):
-        raise DisconnectedGraphError("coherence requires a connected graph")
-    if method == "trace":
-        value = 0.5 * _grounded_trace(g, S, kvec)
-    elif method == "resistance":
-        totals = resistance_oracle(g).set_totals(np.array([S]), 1.0 / kvec[None, :])
-        value = 0.5 * float(totals[0])
-    else:
-        raise BadParameterError(f"unknown method {method!r}")
-    return CoherenceReport(
-        value=value,
-        dynamics=NOISE_CORRUPTED,
-        method=method,
-        graph=graph_label or _default_label(g),
-        leaders=S,
-        kappa={int(v): float(k) for v, k in zip(S, kvec)},
-    )
+    return _coherence(g, S, kvec, method, graph_label)
 
 
 def leader_free_coherence(g: Graph, graph_label: str | None = None) -> CoherenceReport:

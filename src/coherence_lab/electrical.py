@@ -11,10 +11,12 @@ assembled directly from the edge list by ``graphs._grounded_entries``.
 serves as the reference (:func:`resistance` is its one-node case);
 :class:`ResistanceOracle` precomputes the full pairwise table with a
 single symmetric factorization (ground one node, invert, recombine).
-Every set query on the table goes through :func:`schur_columns`, which
-grounds a batch of leader sets one leader at a time with rank-one Schur
-steps on table entries; tying each leader to a reference node by a
-1/kappa resistor covers the noise-corrupted dynamics with the same steps.
+Every set query on the table is :meth:`ResistanceOracle.set_totals`,
+which grounds a batch of leader sets one leader at a time with the
+rank-one Schur steps of :func:`schur_columns`. A leader tied to a
+reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
+leader (noise-free) as kappa grows without bound, so both dynamics take
+the same steps, the pinned ones without the 1/kappa terms.
 """
 
 from __future__ import annotations
@@ -262,20 +264,6 @@ class ResistanceOracle:
             self._column_sums = self.table.sum(axis=0)
         return self._column_sums
 
-    def set_profile(self, leaders) -> np.ndarray:
-        """r(u, S) for every node u (zero at the leaders themselves).
-
-        r(u, s1) less each later leader's Schur-step share of the diagonal,
-        from :func:`schur_columns`.
-        """
-        S = normalize_leaders(self.graph, leaders)
-        cols, pivots = schur_columns(self.table, np.array([S], dtype=np.intp))
-        prof = self.table[:, S[0]].copy()
-        for j in range(len(S) - 1):
-            prof -= cols[0, j] * cols[0, j] / pivots[0, j]
-        prof[list(S)] = 0.0
-        return prof
-
     def set_totals(self, sets, inv_kappa=None) -> np.ndarray:
         """sum_u r(u, S) for every row S of ``sets``, to a reference node
         tied to each leader by 1/kappa when ``inv_kappa`` is given.
@@ -284,10 +272,14 @@ class ResistanceOracle:
         ``inv_kappa`` an optional (m, k) array of 1/kappa per position.
         The value is twice the coherence of that leader set. The anchor
         s1 contributes column sum s1 (plus n/kappa_s1), and each later
-        leader's Schur step lowers it by |column|^2 / pivot.
+        leader's Schur step lowers it by |column|^2 / pivot. With every
+        node pinned the total is exactly 0, where the Schur steps would
+        leave a rounding residue of either sign.
         """
         sets = np.asarray(sets, dtype=np.intp)
         n = self.table.shape[0]
+        if inv_kappa is None and sets.shape[1] == n:
+            return np.zeros(sets.shape[0])
         totals = self.column_sums()[sets[:, 0]]
         if inv_kappa is not None:
             totals = totals + n * inv_kappa[:, 0]

@@ -3,11 +3,12 @@
 Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
 searching exactly size k solves the "at most k" problem). Every value
-comes from one pairwise resistance table: noise-free pairs use the
-one-GEMM pair sweep, and every other (dynamics, k) sums
-``ResistanceOracle.set_totals`` over lexicographic chunks of candidates,
-which grounds each candidate's leaders one at a time with the rank-one
-Schur steps of ``electrical.schur_columns``.
+comes from one pairwise resistance table: noise-free pairs on more than
+two nodes use the one-GEMM pair sweep, and every other (dynamics, k)
+sums ``ResistanceOracle.set_totals`` over lexicographic chunks of
+candidates, which grounds each candidate's leaders one at a time with
+the rank-one Schur steps of ``electrical.schur_columns`` (pinned for
+noise-free, tied by 1/kappa for noise-corrupted).
 """
 
 from __future__ import annotations
@@ -140,11 +141,7 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
             f"C({n},{k}) = {total} candidate sets exceed the budget of {budget}"
         )
     start = time.perf_counter()
-    if dynamics == NOISE_FREE and k == n:
-        # every node leads: the value is exactly 0, where the Schur steps
-        # would leave a rounding residue of either sign
-        values = np.zeros(1)
-    elif dynamics == NOISE_FREE and k == 2:
+    if dynamics == NOISE_FREE and k == 2 < n:
         # the upper triangle, row by row, is the lexicographic pair order
         totals = resistance_oracle(g).pair_totals()
         values = 0.5 * totals[np.triu_indices(n, 1)]

@@ -2,7 +2,12 @@
 
 Confirms the analytic steady-state variances empirically: followers (and,
 for noise-corrupted dynamics, leaders too) integrate
-``dx = -A x dt + dW`` with unit-intensity white noise. The reported value
+``dx = -A x dt + dW`` with unit-intensity white noise. Both dynamics take
+one body: A is the Laplacian grounded at the leaders, from the same
+``graphs._grounded_entries`` as the trace route, with the pinned
+leaders' rows dropped (noise-free; every node pinned leaves nothing to
+integrate and the value 0) or each leader's weight on its diagonal
+(noise-corrupted). The reported value
 is the time-averaged sum of squared states; in steady state that sum
 equals half the trace of the inverse system matrix (the stationary
 covariance solves A P + P A = I, so P = A^{-1} / 2), which is exactly the
@@ -27,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .electrical import (
-    _is_int,
-    grounded_laplacian,
-    leaders_with_kappa,
-    normalize_leaders,
-)
+from .electrical import _is_int, leaders_with_kappa, normalize_leaders
 from .errors import (
     BadParameterError,
     DisconnectedGraphError,
@@ -142,16 +142,19 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     return SimResult(value, stderr, steps, kept, m)
 
 
+def _simulate(g: Graph, S, kvec, cfg: SimConfig) -> SimResult:
+    """Integrate under the Laplacian grounded at the normalised leaders
+    ``S``: pinned (rows dropped) when ``kvec`` is None, else tied to the
+    reference by their weights ``kvec`` on the diagonal."""
+    if not is_connected(g):
+        raise DisconnectedGraphError("simulation requires a connected graph")
+    return _run(_dense(*_grounded_entries(g, S, kvec)[1:]), cfg)
+
+
 def simulate_nf(g: Graph, leaders, cfg: SimConfig) -> SimResult:
     """Empirical noise-free coherence: only followers are integrated, the
     leaders stay pinned to the reference."""
-    S = normalize_leaders(g, leaders)
-    if not is_connected(g):
-        raise DisconnectedGraphError("simulation requires a connected graph")
-    if len(S) == g.node_count:
-        return SimResult(0.0, 0.0, 0, 0, cfg.trials)
-    Lff, _ = grounded_laplacian(g, S)
-    return _run(Lff, cfg)
+    return _simulate(g, normalize_leaders(g, leaders), None, cfg)
 
 
 def simulate_nc(g: Graph, leaders, cfg: SimConfig, kappa=None) -> SimResult:
@@ -159,7 +162,4 @@ def simulate_nc(g: Graph, leaders, cfg: SimConfig, kappa=None) -> SimResult:
     under the Laplacian shifted by the leader stubbornness weights. A
     kappa list follows ``leaders`` in the order given, as in
     :func:`~coherence_lab.coherence.coherence_nc`."""
-    S, kvec = leaders_with_kappa(g, leaders, kappa)
-    if not is_connected(g):
-        raise DisconnectedGraphError("simulation requires a connected graph")
-    return _run(_dense(*_grounded_entries(g, S, kvec)[1:]), cfg)
+    return _simulate(g, *leaders_with_kappa(g, leaders, kappa), cfg)

@@ -156,9 +156,6 @@ class TrajectoryResult:
         return out
 
 
-CSV_HEADER = ("step", "pair_id", "d_xr", "d_yr", "d_xy", "value")
-
-
 def grow_trajectory(h0: int, steps: int | None = None,
                     include_global: bool = False) -> TrajectoryResult:
     """Grow from a perfect tree and record per-step pair coherences.

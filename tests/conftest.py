@@ -114,10 +114,15 @@ def random_tree(rng, n: int, weighted: bool = True) -> Graph:
 
 
 def stiff_graph(rng, n=12, chords=6):
-    """Random connected graph with edge weights spread over 10^-3 .. 10^3."""
+    """Random connected graph with edge weights spread over 10^-3 .. 10^3.
+
+    ``chords`` is clipped to the pairs the spanning tree leaves free, so a
+    small n gives the complete graph instead of looping forever.
+    """
     edges = {}
     for v in range(1, n):
         edges[(int(rng.integers(0, v)), v)] = None
+    chords = min(chords, n * (n - 1) // 2 - (n - 1))
     while len(edges) < n - 1 + chords:
         u, v = sorted(int(x) for x in rng.integers(0, n, size=2))
         if u != v:

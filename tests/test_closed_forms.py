@@ -149,8 +149,12 @@ def test_path_gap_round_trips():
     (lambda: cl.gaps_from_cycle_leaders(6, [True, 3]), BadParameterError),
     (lambda: cl.cycle_nf_coherence([float("inf"), 3]), BadGapVectorError),
     (lambda: cl.path_nf_coherence([float("nan"), 3]), BadGapVectorError),
+    (lambda: cl.cycle_nf_coherence([True, 2]), BadGapVectorError),
+    (lambda: cl.path_leaders_from_gaps([0, True, 0]), BadGapVectorError),
+    (lambda: cl.path_nf_coherence([False, 1, True]), BadGapVectorError),
 ], ids=["negative-end", "zero-interior", "fractional-gap", "one-node",
-        "fractional-leader", "bool-leader", "infinite-gap", "nan-gap"])
+        "fractional-leader", "bool-leader", "infinite-gap", "nan-gap",
+        "bool-cycle-gap", "bool-path-interior", "bool-path-ends"])
 def test_gap_and_leader_helpers_reject_bad_input(call, error):
     with pytest.raises(error):
         call()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -216,19 +218,6 @@ def test_redundant_far_leader_is_exactly_invisible():
         assert cl.resistance_to_set(g, i, (a, b, c)) == cl.resistance_to_set(g, i, (a, b))
 
 
-def test_two_leader_profile_matches_direct_solves(rng):
-    # the two-leader profile is set_profile on a pair
-    for _ in range(6):
-        n = int(rng.integers(6, 20))
-        g = random_connected_graph(rng, n, extra_edges=5)
-        oracle = cl.resistance_oracle(g)
-        x, y = (int(v) for v in rng.choice(n, size=2, replace=False))
-        prof = oracle.set_profile((x, y))
-        for u in range(n):
-            expected = 0.0 if u in (x, y) else naive_resistance_to_set(g, u, (x, y))
-            assert prof[u] == pytest.approx(expected, abs=1e-9)
-
-
 def test_two_leader_totals_against_profile_sums(rng):
     g = random_connected_graph(rng, 14, extra_edges=7)
     oracle = cl.resistance_oracle(g)
@@ -237,11 +226,11 @@ def test_two_leader_totals_against_profile_sums(rng):
     for x in range(14):
         assert T[x, x] == 0.0
         for y in range(x + 1, 14):
-            expected = oracle.set_profile((x, y)).sum()
+            expected = oracle.set_totals([[x, y]])[0]
             assert T[x, y] == pytest.approx(expected, rel=1e-10)
 
 
-def test_set_profile_matches_naive(rng):
+def test_set_totals_matches_naive(rng):
     # k = 2 twice per family; the stiff family spreads weights over 10^+-3
     for make in (lambda n: random_connected_graph(rng, n, extra_edges=4),
                  lambda n: stiff_graph(rng, n)):
@@ -250,10 +239,13 @@ def test_set_profile_matches_naive(rng):
             g = make(n)
             oracle = cl.resistance_oracle(g)
             S = tuple(int(v) for v in rng.choice(n, size=k, replace=False))
-            prof = oracle.set_profile(S)
-            for u in range(n):
-                expected = 0.0 if u in S else naive_resistance_to_set(g, u, S)
-                assert prof[u] == pytest.approx(expected, abs=1e-9)
+            expected = sum(naive_resistance_to_set(g, u, S)
+                           for u in range(n) if u not in S)
+            assert oracle.set_totals([S])[0] == pytest.approx(expected, rel=1e-9)
+        # every node pinned: exactly +0.0, in any leader order
+        everyone = rng.permutation(n)
+        total = oracle.set_totals([everyone])[0]
+        assert total == 0.0 and math.copysign(1.0, total) == 1.0
 
 
 def test_set_queries_reject_a_non_positive_pivot():
@@ -261,8 +253,6 @@ def test_set_queries_reject_a_non_positive_pivot():
     g = cl.build_cycle(4)
     for fill in (0.0, float("nan")):
         oracle = cl.ResistanceOracle(g, np.full((4, 4), fill))
-        with pytest.raises(SolverError):
-            oracle.set_profile((0, 2))
         with pytest.raises(SolverError):
             oracle.set_totals(np.array([[0, 1, 3]]))
 

@@ -102,6 +102,14 @@ def test_grounded_builder_matches_independent_assembly(rng):
         assert np.array_equal(_dense(diag, off), shifted)
 
 
+def test_stiff_graph_clips_chords_to_free_pairs(rng):
+    # more chords than free pairs used to loop forever
+    triangle = stiff_graph(rng, n=3, chords=4)
+    assert sorted((u, v) for u, v, _ in triangle.edges) == [(0, 1), (0, 2), (1, 2)]
+    pair = stiff_graph(rng, n=2)
+    assert [(u, v) for u, v, _ in pair.edges] == [(0, 1)]
+
+
 def test_is_connected_cases():
     assert cl.is_connected(cl.build_path(3))
     assert not cl.is_connected(cl.build_graph([], node_count=2))

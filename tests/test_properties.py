@@ -58,18 +58,56 @@ def test_nc_routes_agree_with_plain_inverse(case, data):
         assert value == pytest.approx(expected_map, rel=1e-9)
 
 
+def _relabel(g, perm):
+    return cl.build_graph([(perm[u], perm[v], w) for u, v, w in g.edges],
+                          node_count=g.node_count)
+
+
 @PROFILE
 @given(graphs_with_leaders(), st.data())
 def test_relabelling_nodes_leaves_nc_unchanged(case, data):
     g, leaders, kmap = case
     perm = data.draw(st.permutations(range(g.node_count)))
-    h = cl.build_graph([(perm[u], perm[v], w) for u, v, w in g.edges],
-                       node_count=g.node_count)
+    h = _relabel(g, perm)
     moved = tuple(perm[v] for v in leaders)
     moved_kappa = {perm[v]: k for v, k in kmap.items()}
     for before, after in zip(_both_routes(g, leaders, kmap),
                              _both_routes(h, moved, moved_kappa)):
         assert after == pytest.approx(before, rel=1e-9)
+
+
+@PROFILE
+@given(graphs_with_leaders(), st.data())
+def test_relabelling_nodes_leaves_nf_and_the_table_unchanged(case, data):
+    g, leaders, _ = case
+    perm = data.draw(st.permutations(range(g.node_count)))
+    h = _relabel(g, perm)
+    moved = tuple(perm[v] for v in leaders)
+    for method in ("trace", "resistance"):
+        before = cl.coherence_nf(g, leaders, method=method).value
+        after = cl.coherence_nf(h, moved, method=method).value
+        assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
+    R = cl.resistance_oracle(g).table
+    moved_R = cl.resistance_oracle(h).table[np.ix_(perm, perm)]
+    assert np.allclose(moved_R, R, rtol=1e-9, atol=1e-12 * R.max())
+
+
+@PROFILE
+@given(graphs_with_leaders(), st.floats(min_value=0.0, max_value=4.0))
+def test_nc_exceeds_nf_by_at_most_n_over_twice_the_least_kappa(case, stiffen):
+    # tying the leaders to the reference by 1/kappa resistors instead of
+    # pinning them never lowers a resistance (Rayleigh) and, routing each
+    # unit flow on through those resistors, raises every node's resistance
+    # by at most 1 / min kappa (Thomson); tight at n = 1. Scaling every
+    # kappa by up to 10^4 squeezes NC onto NF, its limit as kappa grows
+    g, leaders, kmap = case
+    kappa = {v: k * 10.0 ** stiffen for v, k in kmap.items()}
+    gap = g.node_count / (2.0 * min(kappa.values()))
+    for method in ("trace", "resistance"):
+        nf = cl.coherence_nf(g, leaders, method=method).value
+        nc = cl.coherence_nc(g, leaders, kappa=kappa, method=method).value
+        assert nf <= nc * (1.0 + 1e-9)
+        assert nc <= (nf + gap) * (1.0 + 1e-9)
 
 
 @PROFILE

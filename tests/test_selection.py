@@ -122,12 +122,10 @@ def test_all_singletons_co_optimal_on_cycle():
     assert spread <= 1e-12
 
 
-def test_determinism_with_thread_env(monkeypatch):
+def test_repeated_search_is_deterministic():
     g = cl.build_cycle(10)
     first = cl.brute_force_select(g, 3)
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "4")
     second = cl.brute_force_select(g, 3)
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "1")
     third = cl.brute_force_select(g, 3)
     assert first.optimal_sets == second.optimal_sets == third.optimal_sets
     assert first.value == second.value == third.value
