@@ -9,8 +9,13 @@ assembled directly from the edge list by ``graphs._grounded_entries``.
 
 :func:`resistance_to_set` evaluates the grounded definition directly and
 serves as the reference (:func:`resistance` is its one-node case);
-:class:`ResistanceOracle` precomputes the full pairwise table with a
-single symmetric factorization (ground one node, invert, recombine).
+:func:`resistance_oracle` precomputes the full pairwise table: it grounds
+node 0, factors and inverts that matrix in place with LAPACK (about n^3
+flops), and writes the recombined table row block by row block, so it
+holds about two n x n arrays at its peak. The noise-free pair sweep
+:func:`two_leader_totals` needs one Gram matrix (n^3 flops) and likewise
+two n x n arrays. Both refuse, with ``BudgetExceededError``, any n whose
+two arrays would pass a fixed byte budget (4 GiB, about n = 16k).
 Every set query on the table is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of leader sets one leader at a time with the
 rank-one Schur steps of :func:`schur_columns`. A leader tied to a
@@ -26,12 +31,13 @@ import numbers
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 from .errors import (
     BadKappaError,
     BadParameterError,
     BadWeightError,
+    BudgetExceededError,
     DisconnectedGraphError,
     EmptyLeaderSetError,
     LeaderQueriedError,
@@ -43,6 +49,10 @@ from .graphs import Graph, _dense, _grounded_entries, is_connected
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
+#: bytes of n x n float arrays that one table build or pair sweep may hold
+_TABLE_BUDGET = 4 << 30
+#: floats per row block when a table or the pair totals are formed
+_BLOCK_FLOATS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +259,10 @@ class ResistanceOracle:
 
     def __init__(self, graph: Graph, table: np.ndarray):
         self.graph = graph
-        self.table = np.ascontiguousarray(table, dtype=np.float64)
+        # a read-only view: the cached column sums cannot go stale, and the
+        # caller's own array stays writable
+        self.table = np.ascontiguousarray(table, dtype=np.float64).view()
+        self.table.flags.writeable = False
         self._column_sums = None
 
     def resistance(self, i: int, j: int) -> float:
@@ -346,22 +359,41 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
 
     The leader terms themselves contribute zero, so the sum may run over all
     nodes. Expanding the square turns the u-sum into one Gram matrix plus
-    column sums, which is what is evaluated here.
+    column sums. The Gram matrix ``R.T @ R`` is one symmetric rank-n update
+    (BLAS syrk, n^3 flops); the rest of the formula is applied in place on
+    that buffer, over the upper triangle in row blocks, and mirrored. Peak
+    memory is the table plus ``T`` plus one row block.
     """
     R = np.asarray(R, dtype=np.float64)
     n = R.shape[0]
+    _check_table_budget(n, "the pair sweep")
     col = R.sum(axis=0)
-    Q = R.T @ R
-    q = np.diagonal(Q)
-    num = (
-        q[:, None]
-        + q[None, :]
-        - 2.0 * Q
-        + 2.0 * R * (col[:, None] - col[None, :])
-        + n * R * R
-    )
+    T = R.T @ R
+    q = np.diagonal(T).copy()
+    rows = _block_rows(n)
+    scratch = np.empty((rows, n))
+    below = np.tri(rows, k=-1, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        T = col[:, None] - num / (4.0 * R)
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
+            cx = col[a:b, None]
+            # num = q_x + q_y - 2 Q + 2 R (c_x - c_y) + n R^2, then
+            # T = c_x - num / (4 R); scaling by 2 or 4 is exact, so each
+            # entry rounds as the expression written out would
+            t *= 2.0
+            np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
+            np.subtract(cx, col[a:], out=s)
+            s *= r
+            s *= 2.0
+            t += s
+            np.multiply(r, float(n), out=s)
+            s *= r
+            t += s
+            t /= r
+            t *= 0.25
+            np.subtract(cx, t, out=t)
+            _mirror_rows(T, a, b, below)
     np.fill_diagonal(T, 0.0)
     return T
 
@@ -369,34 +401,112 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
 def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
-    One symmetric factorization of the Laplacian grounded at node 0, one
-    multi-RHS solve, then r(i, j) = G[i, i] + G[j, j] - 2 G[i, j] with G
-    padded by a zero row/column at the grounded node. The solve's residual
-    is checked on a few columns against ``SOLVE_TOLERANCE``.
+    The Laplacian grounded at node 0, L0, is factored and inverted in place
+    by LAPACK (``dpotrf`` then ``dpotri``, about n^3 flops) into G0, the
+    inverse's upper triangle. Row block by row block, the triangle is
+    mirrored and r(i, j) = G[i, i] + G[j, j] - 2 G[i, j] written straight
+    into the table, with G0 padded by a zero row/column at node 0. Peak
+    memory is the table plus G0 plus one row block. The inverse's residual
+    L0 G0 - I is checked on a few columns against ``SOLVE_TOLERANCE``, with
+    L0 applied from the edge list since the factor overwrote it.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
     n = g.node_count
+    _check_table_budget(n, "the resistance table")
     if n == 1:
         return ResistanceOracle(g, np.zeros((1, 1)))
-    L0, _ = grounded_laplacian(g, (0,))
-    c = _cho(L0)
-    G0 = cho_solve(c, np.eye(n - 1), check_finite=False)
-    cols = np.linspace(0, n - 2, num=min(4, n - 1), dtype=np.intp)
-    E = np.zeros((n - 1, cols.size))
-    E[cols, np.arange(cols.size)] = 1.0
-    res = np.abs(L0 @ G0[:, cols] - E).max()
-    scale = np.abs(L0).sum(axis=1).max() * np.abs(G0[:, cols]).max() + 1.0
-    if res / scale > SOLVE_TOLERANCE:
+    _, diag, off = _grounded_entries(g, (0,))
+    G0 = _dense(diag, off)
+    # G0 is symmetric, so its transpose is the Fortran-order view LAPACK
+    # overwrites; the lower triangle there is the upper triangle here
+    c, info = dpotrf(G0.T, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise SolverError(f"grounded system is not positive definite "
+                          f"(leading minor {info})")
+    if info == 0:
+        _, info = dpotri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"LAPACK factor-and-invert failed (info={info})")
+    m = n - 1
+    d = np.diagonal(G0)
+    table = np.empty((n, n))
+    table[0, 0] = 0.0
+    table[0, 1:] = d
+    table[1:, 0] = d
+    rows = _block_rows(m)
+    below = np.tri(rows, k=-1, dtype=bool)
+    for a in range(0, m, rows):
+        b = min(a + rows, m)
+        _mirror_rows(G0, a, b, below)
+        # (d_i + d_j) - 2 G_ij is exactly 0 on the diagonal
+        t = table[a + 1:b + 1, 1:]
+        np.add(d[a:b, None], d, out=t)
+        t -= 2.0 * G0[a:b]
+    _check_residual(G0, diag, off)
+    return ResistanceOracle(g, table)
+
+
+def _block_rows(n: int) -> int:
+    """Rows per block of an n x n sweep, about ``_BLOCK_FLOATS`` floats."""
+    return max(1, min(n, _BLOCK_FLOATS // n))
+
+
+def _mirror_rows(A: np.ndarray, a: int, b: int, below: np.ndarray) -> None:
+    """Copy rows a:b of A's upper triangle onto its lower triangle.
+
+    Run over the row blocks in order, this completes rows a:b: the columns
+    before a came from earlier blocks, the diagonal block is mirrored here,
+    and the rest is the upper triangle itself. ``below`` is a strictly
+    lower-triangular mask at least b - a on a side.
+    """
+    A[b:, a:b] = A[a:b, b:].T
+    block = A[a:b, a:b]
+    np.copyto(block, block.T, where=below[:b - a, :b - a])
+
+
+def _check_residual(G0: np.ndarray, diag: np.ndarray, off) -> None:
+    """Raise SolverError unless L0 G0 is the identity on four columns.
+
+    L0 has diagonal ``diag`` and one ``(row, row, value)`` entry per edge in
+    ``off``; it is applied to each column from those entries, O(m) per
+    column. The residual is scaled by the infinity norm of L0 times the
+    largest entry of the checked columns.
+    """
+    m = G0.shape[0]
+    k = min(4, m)
+    cols = np.arange(k) * (m - 1) // max(1, k - 1)
+    X = G0[cols]  # the checked columns, stored as rows: G0 is symmetric
+    i, j, a = zip(*off) if off else ((), (), ())
+    ends = np.array(i + j, dtype=np.intp)
+    weights = np.array(a + a)
+    terms = X[:, np.array(j + i, dtype=np.intp)] * weights
+    LX = X * diag
+    for c in range(k):
+        LX[c] += np.bincount(ends, terms[c], minlength=m)
+    LX[np.arange(k), cols] -= 1.0
+    res = np.abs(LX).max()
+    row_sums = np.abs(diag) + np.bincount(ends, np.abs(weights), minlength=m)
+    scale = row_sums.max() * np.abs(X).max() + 1.0
+    # written so that a NaN residual fails too
+    if not res / scale <= SOLVE_TOLERANCE:
         raise SolverError(
             f"solve residual {res / scale:.3e} exceeds {SOLVE_TOLERANCE:.0e}"
         )
-    G = np.zeros((n, n))
-    G[1:, 1:] = G0
-    d = np.diagonal(G)
-    table = d[:, None] + d[None, :] - 2.0 * G
-    np.fill_diagonal(table, 0.0)
-    return ResistanceOracle(g, table)
+
+
+def _check_table_budget(n: int, what: str) -> None:
+    """Raise BudgetExceededError if two n x n float arrays pass the budget.
+
+    Building the table holds the table and the grounded inverse; the pair
+    sweep holds the table and the pair totals.
+    """
+    need = 2 * 8 * n * n
+    if need > _TABLE_BUDGET:
+        raise BudgetExceededError(
+            f"{what} on {n} nodes needs {need / 2**20:.0f} MiB, over the "
+            f"budget of {_TABLE_BUDGET / 2**20:.0f} MiB"
+        )
 
 
 # ---------------------------------------------------------------------------

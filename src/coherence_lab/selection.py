@@ -4,7 +4,7 @@ Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
 searching exactly size k solves the "at most k" problem). Every value
 comes from one pairwise resistance table: noise-free pairs on more than
-two nodes use the one-GEMM pair sweep, and every other (dynamics, k)
+two nodes use the Gram-matrix pair sweep, and every other (dynamics, k)
 sums ``ResistanceOracle.set_totals`` over lexicographic chunks of
 candidates, which grounds each candidate's leaders one at a time with
 the rank-one Schur steps of ``electrical.schur_columns`` (pinned for
@@ -26,7 +26,7 @@ from .coherence import (
     coherence_nc,
     coherence_nf,
 )
-from .electrical import _is_int, normalize_kappa, resistance_oracle
+from .electrical import SOLVE_TOLERANCE, _is_int, normalize_kappa, resistance_oracle
 from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
 from .graphs import Graph, is_connected
 
@@ -49,10 +49,11 @@ class SelectionResult:
     elapsed_seconds: float
 
 
-def _tie_window(vmin: float, n: int) -> float:
-    # flat 1e-12 plus a summation-error allowance so that symmetric optima
-    # on a few hundred nodes are never split by accumulation order
-    return 1e-12 + 8.0 * n * np.finfo(np.float64).eps * max(1.0, abs(vmin))
+def _tie_window(vmin: float) -> float:
+    # the contracted solve accuracy: rounding in the table spreads equal
+    # optima (every node of a unit cycle) by up to ~2e-11 relative at
+    # n = 3000, so a window tied to the summation length alone splits them
+    return 1e-12 + SOLVE_TOLERANCE * max(1.0, abs(vmin))
 
 
 def _lex_unranker(n: int, k: int):
@@ -143,12 +144,13 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
     start = time.perf_counter()
     if dynamics == NOISE_FREE and k == 2 < n:
         # the upper triangle, row by row, is the lexicographic pair order
-        totals = resistance_oracle(g).pair_totals()
-        values = 0.5 * totals[np.triu_indices(n, 1)]
+        nodes = np.arange(n)
+        values = resistance_oracle(g).pair_totals()[nodes[:, None] < nodes]
+        values *= 0.5
     else:
         values = _table_values(g, k, dynamics, kappa)
     vmin = float(values.min())
-    hits = np.flatnonzero(values <= vmin + _tie_window(vmin, n))
+    hits = np.flatnonzero(values <= vmin + _tie_window(vmin))
     sets = tuple(tuple(int(v) for v in S)
                  for S in _lex_unranker(n, k)(hits[:cap]))
     elapsed = time.perf_counter() - start

@@ -6,6 +6,7 @@ import jsonschema
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import electrical
 from coherence_lab.cli import parse_graph_spec, run_cli
 from coherence_lab.errors import GraphSpecError
 
@@ -122,6 +123,15 @@ def test_select_budget_exceeded_exit_code():
                           "--budget", "100"])
     assert code == 1
     assert "budget" in err.lower()
+
+
+def test_select_over_the_table_budget_exit_code(monkeypatch):
+    monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1 << 10)
+    code, out, err = run(["select", "--graph", "cycle:20", "--k", "1"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "budget" in err
 
 
 def test_resistance_command():

@@ -1,14 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import electrical
 from coherence_lab.electrical import forest_inverse_diagonal, two_leader_totals
 from coherence_lab.errors import (
     BadKappaError,
     BadParameterError,
     BadWeightError,
+    BudgetExceededError,
     DisconnectedGraphError,
     EmptyLeaderSetError,
     LeaderQueriedError,
@@ -219,15 +222,118 @@ def test_redundant_far_leader_is_exactly_invisible():
 
 
 def test_two_leader_totals_against_profile_sums(rng):
-    g = random_connected_graph(rng, 14, extra_edges=7)
-    oracle = cl.resistance_oracle(g)
-    T = two_leader_totals(oracle.table)
-    assert np.allclose(T, T.T, atol=1e-12)
-    for x in range(14):
-        assert T[x, x] == 0.0
-        for y in range(x + 1, 14):
-            expected = oracle.set_totals([[x, y]])[0]
-            assert T[x, y] == pytest.approx(expected, rel=1e-10)
+    # the stiff family spreads weights over 10^+-3
+    for g in (random_connected_graph(rng, 14, extra_edges=7), stiff_graph(rng, 14, 7)):
+        oracle = cl.resistance_oracle(g)
+        T = two_leader_totals(oracle.table)
+        assert np.array_equal(T, T.T)
+        for x in range(14):
+            assert T[x, x] == 0.0
+            for y in range(x + 1, 14):
+                expected = oracle.set_totals([[x, y]])[0]
+                assert T[x, y] == pytest.approx(expected, rel=1e-10)
+
+
+def test_pair_sweep_row_blocks_change_no_bit(rng, monkeypatch):
+    g = stiff_graph(rng, 23, 12)
+    R = cl.resistance_oracle(g).table
+    whole = two_leader_totals(R)
+    # 4-row blocks of 23 columns: the last block is ragged (3 rows)
+    monkeypatch.setattr(electrical, "_BLOCK_FLOATS", 4 * 23)
+    assert np.array_equal(two_leader_totals(R), whole)
+
+
+def _assert_matches_pseudoinverse(g):
+    R = cl.resistance_oracle(g).table
+    expected = naive_resistance_table(g)
+    assert np.array_equal(R, R.T)
+    assert np.all(np.diagonal(R) == 0.0)
+    np.testing.assert_allclose(R, expected, rtol=1e-9, atol=1e-12 * expected.max())
+
+
+@pytest.mark.parametrize("family", ["stiff", "tree", "cycle", "tiny"])
+def test_oracle_matches_pseudoinverse_table(rng, family):
+    if family == "stiff":
+        graphs = [stiff_graph(rng, n, chords=n) for n in (4, 12, 30)]
+    elif family == "tree":
+        graphs = [random_tree(rng, n) for n in (4, 17, 40)]
+    elif family == "cycle":
+        graphs = [cl.build_cycle(n) for n in (3, 8, 25)]
+    else:
+        graphs = [cl.build_graph([], node_count=1), cl.build_path(2),
+                  cl.build_path(3), cl.build_cycle(3)]
+    for g in graphs:
+        _assert_matches_pseudoinverse(g)
+
+
+def test_oracle_row_blocks_change_no_bit(rng, monkeypatch):
+    g = stiff_graph(rng, 23, 12)
+    whole = cl.resistance_oracle(g).table
+    # 4-row blocks of the 22 grounded rows: the last block is ragged (2 rows)
+    monkeypatch.setattr(electrical, "_BLOCK_FLOATS", 4 * 22)
+    assert np.array_equal(cl.resistance_oracle(g).table, whole)
+    _assert_matches_pseudoinverse(g)
+
+
+def test_oracle_residual_check_runs(rng, monkeypatch):
+    g = random_connected_graph(rng, 15, extra_edges=6)
+    cl.resistance_oracle(g)
+    monkeypatch.setattr(electrical, "SOLVE_TOLERANCE", 0.0)
+    with pytest.raises(SolverError, match="residual"):
+        cl.resistance_oracle(g)
+
+
+def test_oracle_factor_failure_is_a_solver_error():
+    # 1 + 1e200 rounds to 1e200, so the grounded matrix is singular in
+    # floating point and the factorization stops at its second pivot
+    g = cl.build_graph([(0, 1, 1.0), (1, 2, 1e200)])
+    with pytest.raises(SolverError, match="positive definite"):
+        cl.resistance_oracle(g)
+
+
+def test_oracle_table_is_read_only():
+    g = cl.build_cycle(5)
+    with pytest.raises(ValueError):
+        cl.resistance_oracle(g).table[0, 1] = 1.0
+    mine = np.ones((5, 5))
+    oracle = cl.ResistanceOracle(g, mine)
+    with pytest.raises(ValueError):
+        oracle.table[0, 1] = 2.0
+    mine[0, 1] = 2.0  # the caller's own array stays writable
+
+
+def test_table_budget_guard(monkeypatch):
+    g = cl.build_cycle(10)
+    R = cl.resistance_oracle(g).table
+    # two n x n float arrays at n = 10 are 1600 bytes
+    monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1599)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        cl.resistance_oracle(g)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        two_leader_totals(R)
+    with pytest.raises(BudgetExceededError):
+        cl.brute_force_select(g, 2)
+    with pytest.raises(BudgetExceededError):
+        cl.coherence_nf(g, (0,), method="resistance")
+    cl.resistance_oracle(cl.build_cycle(9))
+
+
+def test_table_build_and_pair_sweep_peak_memory():
+    # the build holds the table and the grounded inverse, the k = 2 search
+    # the table and the pair totals; each only one row block besides
+    g = cl.build_cycle(400)
+    table_bytes = 8 * 400 * 400
+    tracemalloc.start()
+    try:
+        cl.resistance_oracle(g)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cl.brute_force_select(g, 2)
+        select_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= 2.5 * table_bytes
+    assert select_peak <= 3.0 * table_bytes
 
 
 def test_set_totals_matches_naive(rng):

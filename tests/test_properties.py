@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import coherence_lab as cl
 
-from conftest import naive_nc_value
+from conftest import naive_nc_value, naive_resistance_table
 
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -154,6 +154,37 @@ def test_adding_an_edge_never_raises_a_resistance(case, data):
     for p in range(n):
         for q in range(p + 1, n):
             assert cl.edge_addition_update(oracle, i, j, w, p, q) <= oracle.table[p, q]
+
+
+@PROFILE
+@given(graphs_with_leaders())
+def test_resistance_table_matches_the_pseudoinverse(case):
+    g = case[0]
+    R = cl.resistance_oracle(g).table
+    expected = naive_resistance_table(g)
+    assert np.array_equal(R, R.T)
+    np.testing.assert_allclose(R, expected, rtol=1e-9, atol=1e-12 * expected.max())
+
+
+@PROFILE
+@given(graphs_with_leaders(), st.data())
+def test_edge_addition_update_equals_a_rebuilt_table(case, data):
+    # an existing edge takes the added weight in parallel
+    g = case[0]
+    n = g.node_count
+    assume(n >= 2)
+    i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                              unique=True))
+    w = 10.0 ** data.draw(_exponents)
+    weights = {(u, v): x for u, v, x in g.edges}
+    key = (min(i, j), max(i, j))
+    weights[key] = weights.get(key, 0.0) + w
+    rebuilt = cl.resistance_oracle(cl.build_graph(
+        [(u, v, x) for (u, v), x in weights.items()], node_count=n)).table
+    oracle = cl.resistance_oracle(g)
+    updated = np.array([[cl.edge_addition_update(oracle, i, j, w, p, q)
+                         for q in range(n)] for p in range(n)])
+    np.testing.assert_allclose(updated, rebuilt, rtol=1e-9, atol=1e-12 * rebuilt.max())
 
 
 @PROFILE

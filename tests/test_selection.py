@@ -122,6 +122,31 @@ def test_all_singletons_co_optimal_on_cycle():
     assert spread <= 1e-12
 
 
+def _relabelled_cycle(n, seed):
+    perm = np.random.default_rng(seed).permutation(n)
+    edges = [(int(perm[i]), int(perm[(i + 1) % n]), 1.0) for i in range(n)]
+    return cl.build_graph(edges, node_count=n), perm
+
+
+def test_every_node_of_a_large_relabelled_cycle_is_co_optimal():
+    # the table's rounding spreads these equal values, and moves them off
+    # the closed form, by ~2e-12 relative
+    g, _ = _relabelled_cycle(700, 11)
+    result = cl.brute_force_select(g, 1)
+    assert result.co_optimal_count == 700
+    assert result.value == pytest.approx(cl.cycle_nf_optimal(700, 1)[1], rel=1e-10)
+
+
+def test_antipodal_pairs_of_a_large_relabelled_cycle_are_co_optimal():
+    g, perm = _relabelled_cycle(600, 12)
+    result = cl.brute_force_select(g, 2)
+    assert result.co_optimal_count == 300
+    antipodal = sorted(tuple(sorted((int(perm[i]), int(perm[i + 300]))))
+                       for i in range(300))
+    assert list(result.optimal_sets) == antipodal
+    assert result.value == pytest.approx(cl.cycle_nf_optimal(600, 2)[1], rel=1e-10)
+
+
 def test_repeated_search_is_deterministic():
     g = cl.build_cycle(10)
     first = cl.brute_force_select(g, 3)
