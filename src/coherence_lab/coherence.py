@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dsyevd
 
 from .electrical import (
     forest_inverse_diagonal,
@@ -32,7 +33,7 @@ from .electrical import (
     resistance_oracle,
     spd_trace_inverse,
 )
-from .errors import BadParameterError, DisconnectedGraphError
+from .errors import BadParameterError, DisconnectedGraphError, SolverError
 from .graphs import Graph, _dense, _grounded_entries, is_connected, is_tree, laplacian
 
 NOISE_FREE = "noise_free"
@@ -148,14 +149,16 @@ def leader_free_coherence(g: Graph, graph_label: str | None = None) -> Coherence
     """Steady-state variance of deviations from the average, no leaders.
 
     Half the trace of the Laplacian pseudoinverse, evaluated as the sum of
-    reciprocals of the n - 1 nonzero eigenvalues.
+    reciprocals of the n - 1 nonzero eigenvalues (LAPACK ``dsyevd``).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("leader-free coherence requires connectivity")
     if g.node_count == 1:
         value = 0.0
     else:
-        eig = np.linalg.eigvalsh(laplacian(g))
+        eig, _, info = dsyevd(laplacian(g), compute_v=0, lower=1)
+        if info != 0:
+            raise SolverError(f"LAPACK eigendecomposition failed (info={info})")
         value = 0.5 * float(np.sum(1.0 / eig[1:]))
     return CoherenceReport(
         value=value,

@@ -13,15 +13,22 @@ serves as the reference (:func:`resistance` is its one-node case);
 node 0, factors and inverts that matrix in place with LAPACK (about n^3
 flops), and writes the recombined table row block by row block, so it
 holds about two n x n arrays at its peak. The noise-free pair sweep
-:func:`two_leader_totals` needs one Gram matrix (n^3 flops) and likewise
-two n x n arrays. Both refuse, with ``BudgetExceededError``, any n whose
-two arrays would pass a fixed byte budget (4 GiB, about n = 16k).
+:func:`two_leader_totals` needs one Gram matrix (BLAS ``dsyrk``, n^3
+flops) and likewise two n x n arrays. Both refuse, with
+``BudgetExceededError``, any n whose two arrays would pass a fixed byte
+budget (4 GiB, about n = 16k). Every dense Cholesky factor is followed by
+a LAPACK condition estimate, and a grounded matrix whose forward-error
+scale eps/rcond passes ``_CONDITION_LIMIT`` raises ``SolverError``.
 Every set query on the table is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of leader sets one leader at a time with the
 rank-one Schur steps of :func:`schur_columns`. A leader tied to a
 reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
 leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
+
+Every dense kernel runs on scipy's BLAS/LAPACK (``scipy.linalg``). numpy
+links its own OpenBLAS with its own thread pool, and a call there between
+scipy's calls would leave that pool's threads spinning against scipy's.
 """
 
 from __future__ import annotations
@@ -31,7 +38,8 @@ import numbers
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
+from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dtrtri
 
 from .errors import (
     BadKappaError,
@@ -49,6 +57,12 @@ from .graphs import Graph, _dense, _grounded_entries, is_connected
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
+#: largest forward-error scale eps/rcond accepted from a Cholesky factor.
+#: The test suite stays below 1.3e-9 and the benchmark ops below 1.6e-10.
+#: The path with weights (1, w) gives about 8.9e-16 w, so it raises from
+#: w ~ 1.1e9 on; from w = 1e15 on its grounded matrix is rounded at
+#: assembly past any accuracy (eps/rcond >= 0.89)
+_CONDITION_LIMIT = 1e-6
 #: bytes of n x n float arrays that one table build or pair sweep may hold
 _TABLE_BUDGET = 4 << 30
 #: floats per row block when a table or the pair totals are formed
@@ -60,9 +74,33 @@ _BLOCK_FLOATS = 1 << 15
 
 def _cho(A):
     try:
-        return cho_factor(A, lower=False, check_finite=False)
+        c, lower = cho_factor(A, lower=False, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"grounded system is not positive definite: {exc}") from exc
+    _check_condition(c, np.abs(A).sum(axis=0).max(), lower)
+    return c, lower
+
+
+def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> None:
+    """Raise SolverError unless eps/rcond is within ``_CONDITION_LIMIT``.
+
+    ``c`` is the Cholesky factor (in its ``lower`` or upper triangle) of a
+    matrix whose 1-norm is ``anorm``; LAPACK ``dpocon`` estimates the
+    reciprocal condition number rcond from it in O(n^2). eps/rcond scales
+    the relative forward error of every solve with that factor (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10).
+    """
+    rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
+    if info != 0:
+        raise SolverError(f"LAPACK condition estimate failed (info={info})")
+    eps = np.finfo(np.float64).eps
+    # written so that a NaN estimate fails too
+    if not rcond * _CONDITION_LIMIT >= eps:
+        scale = eps / rcond if rcond > 0.0 else math.inf
+        raise SolverError(
+            f"grounded system is too ill-conditioned: eps/rcond {scale:.1e} "
+            f"exceeds {_CONDITION_LIMIT:.0e}"
+        )
 
 
 def spd_trace_inverse(A: np.ndarray) -> float:
@@ -359,16 +397,18 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
 
     The leader terms themselves contribute zero, so the sum may run over all
     nodes. Expanding the square turns the u-sum into one Gram matrix plus
-    column sums. The Gram matrix ``R.T @ R`` is one symmetric rank-n update
-    (BLAS syrk, n^3 flops); the rest of the formula is applied in place on
-    that buffer, over the upper triangle in row blocks, and mirrored. Peak
-    memory is the table plus ``T`` plus one row block.
+    column sums. The Gram matrix R R (R is symmetric) is one symmetric
+    rank-n update, BLAS ``dsyrk`` (n^3 flops): handed the Fortran-order
+    view ``R.T``, it copies nothing and its lower triangle, transposed, is
+    the upper triangle of ``T``. The rest of the formula is applied in
+    place on that buffer, over the upper triangle in row blocks, and
+    mirrored. Peak memory is the table plus ``T`` plus one row block.
     """
     R = np.asarray(R, dtype=np.float64)
     n = R.shape[0]
     _check_table_budget(n, "the pair sweep")
     col = R.sum(axis=0)
-    T = R.T @ R
+    T = dsyrk(1.0, R.T, trans=1, lower=1).T
     q = np.diagonal(T).copy()
     rows = _block_rows(n)
     scratch = np.empty((rows, n))
@@ -406,9 +446,11 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     inverse's upper triangle. Row block by row block, the triangle is
     mirrored and r(i, j) = G[i, i] + G[j, j] - 2 G[i, j] written straight
     into the table, with G0 padded by a zero row/column at node 0. Peak
-    memory is the table plus G0 plus one row block. The inverse's residual
-    L0 G0 - I is checked on a few columns against ``SOLVE_TOLERANCE``, with
-    L0 applied from the edge list since the factor overwrote it.
+    memory is the table plus G0 plus one row block. Between the factor and
+    the inverse, ``dpocon`` estimates L0's condition (``_check_condition``).
+    The inverse's residual L0 G0 - I is checked on a few columns against
+    ``SOLVE_TOLERANCE``, with L0 applied from the edge list since the
+    factor overwrote it.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -418,6 +460,10 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
         return ResistanceOracle(g, np.zeros((1, 1)))
     _, diag, off = _grounded_entries(g, (0,))
     G0 = _dense(diag, off)
+    edges = _edge_ends(off)
+    ends, _, weights = edges
+    # L0 is symmetric, so its 1-norm is its largest absolute row sum
+    anorm = (np.abs(diag) + np.bincount(ends, np.abs(weights), minlength=n - 1)).max()
     # G0 is symmetric, so its transpose is the Fortran-order view LAPACK
     # overwrites; the lower triangle there is the upper triangle here
     c, info = dpotrf(G0.T, lower=1, clean=0, overwrite_a=1)
@@ -425,6 +471,7 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
     if info == 0:
+        _check_condition(c, anorm, lower=True)
         _, info = dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK factor-and-invert failed (info={info})")
@@ -443,7 +490,7 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
         t = table[a + 1:b + 1, 1:]
         np.add(d[a:b, None], d, out=t)
         t -= 2.0 * G0[a:b]
-    _check_residual(G0, diag, off)
+    _check_residual(G0, diag, edges, anorm)
     return ResistanceOracle(g, table)
 
 
@@ -465,29 +512,35 @@ def _mirror_rows(A: np.ndarray, a: int, b: int, below: np.ndarray) -> None:
     np.copyto(block, block.T, where=below[:b - a, :b - a])
 
 
-def _check_residual(G0: np.ndarray, diag: np.ndarray, off) -> None:
+def _edge_ends(off):
+    """Both orientations of the ``(row, row, value)`` entries in ``off``,
+    as ``(rows, columns, values)`` arrays."""
+    i, j, a = zip(*off) if off else ((), (), ())
+    return (np.array(i + j, dtype=np.intp), np.array(j + i, dtype=np.intp),
+            np.array(a + a, dtype=np.float64))
+
+
+def _check_residual(G0: np.ndarray, diag: np.ndarray, edges, anorm: float) -> None:
     """Raise SolverError unless L0 G0 is the identity on four columns.
 
-    L0 has diagonal ``diag`` and one ``(row, row, value)`` entry per edge in
-    ``off``; it is applied to each column from those entries, O(m) per
-    column. The residual is scaled by the infinity norm of L0 times the
-    largest entry of the checked columns.
+    L0 has diagonal ``diag``, the off-diagonal entries ``edges`` (from
+    :func:`_edge_ends`) and the 1-norm (equal to its infinity norm)
+    ``anorm``; it is applied to each column from those entries, O(m) per
+    column. The residual is scaled by ``anorm`` times the largest entry of
+    the checked columns.
     """
     m = G0.shape[0]
     k = min(4, m)
     cols = np.arange(k) * (m - 1) // max(1, k - 1)
     X = G0[cols]  # the checked columns, stored as rows: G0 is symmetric
-    i, j, a = zip(*off) if off else ((), (), ())
-    ends = np.array(i + j, dtype=np.intp)
-    weights = np.array(a + a)
-    terms = X[:, np.array(j + i, dtype=np.intp)] * weights
+    ends, others, weights = edges
+    terms = X[:, others] * weights
     LX = X * diag
     for c in range(k):
         LX[c] += np.bincount(ends, terms[c], minlength=m)
     LX[np.arange(k), cols] -= 1.0
     res = np.abs(LX).max()
-    row_sums = np.abs(diag) + np.bincount(ends, np.abs(weights), minlength=m)
-    scale = row_sums.max() * np.abs(X).max() + 1.0
+    scale = anorm * np.abs(X).max() + 1.0
     # written so that a NaN residual fails too
     if not res / scale <= SOLVE_TOLERANCE:
         raise SolverError(

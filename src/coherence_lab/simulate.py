@@ -21,7 +21,11 @@ Y = V^T X obeys n independent scalar recursions
 ``y_i <- (1 - dt lambda_i) y_i + sqrt(dt) (V^T xi)_i``, the rotated noise
 is still white, and |X| = |Y|. Over a chunk of pre-drawn noise each
 mode's recursion is one unit lower-bidiagonal triangular solve with one
-right-hand side per trial, so no Python loop runs over steps.
+right-hand side per trial, so no Python loop runs over steps. The
+eigendecomposition (LAPACK ``dsyevd``, as in ``numpy.linalg.eigh``), the
+noise rotation (BLAS ``dgemm``) and the mode solves (``dtbtrs``) all run
+on scipy's LAPACK/BLAS, so numpy's own BLAS thread pool is never woken to
+spin against scipy's.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dsyevd, dtbtrs
 
 from .electrical import _is_int, leaders_with_kappa, normalize_leaders
 from .errors import (
@@ -44,11 +49,12 @@ from .graphs import Graph, _dense, _grounded_entries, is_connected
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000
 
-# cap on one noise-rotation product, in multiply-adds. OpenBLAS runs
-# products up to 65536 * 4 on the calling thread and wakes a second thread
-# above that, which at these sizes costs more than it saves: on a busy
-# 2-CPU host, sixteen 12x12 by 12x7600 rotations took ~130 ms threaded
-# against ~4 ms in blocks
+# cap on one noise-rotation product (scipy's dgemm), in multiply-adds.
+# scipy's OpenBLAS runs products up to 65536 * 4 on the calling thread and
+# wakes a second thread of its pool above that, which at these sizes costs
+# more than it saves: on a busy 2-CPU host, a pass over 15 simulations of
+# 2 to 64 states took 678 ms wall and 721 ms CPU in blocks against 719 ms
+# and 1304 ms with one product per trial (medians of 10 alternating passes)
 _ROTATE_MACS = 2**18
 
 
@@ -90,7 +96,9 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     n = A.shape[0]
     if n == 0:
         return SimResult(0.0, 0.0, 0, 0, cfg.trials)
-    lam, V = np.linalg.eigh(A)
+    lam, V, info = dsyevd(A, lower=1)
+    if info != 0:
+        raise SolverError(f"LAPACK eigendecomposition failed (info={info})")
     lam_max = float(lam[-1])
     if lam_max > 0.0 and cfg.dt >= 2.0 / lam_max:
         raise UnstableStepError(
@@ -102,6 +110,7 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     m = cfg.trials
     gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(m)]
     decay = 1.0 - cfg.dt * lam
+    # Fortran order, like V: dgemm reads it and each draw[lo:hi].T in place
     rotate = math.sqrt(cfg.dt) * V
     chunk = max(1, min(16384, _NOISE_BUDGET // max(1, n * m)))
     block = max(1, _ROTATE_MACS // (n * n))
@@ -120,7 +129,8 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
         for t, g in enumerate(gens):
             draw = g.standard_normal((span, n))
             for lo in range(0, span, block):
-                Z[:, t, lo:lo + block] = rotate.T @ draw[lo:lo + block].T
+                Z[:, t, lo:lo + block] = dgemm(1.0, rotate, draw[lo:lo + block].T,
+                                               trans_a=1)
         # carry each mode's last state into step 0 of this chunk
         Z[:, :, 0] += decay[:, None] * state
         for i in range(n):

@@ -89,6 +89,20 @@ def naive_resistance_table(g: Graph) -> np.ndarray:
     return R
 
 
+def naive_two_leader_totals(R: np.ndarray) -> np.ndarray:
+    """sum_u r(u, {x, y}) for every pair, from the two-leader formula
+    r(u, {x, y}) = R[u, x] - (R[u, x] + R[x, y] - R[u, y])^2 / (4 R[x, y]),
+    one leader x at a time; zero on the diagonal."""
+    n = R.shape[0]
+    T = np.zeros((n, n))
+    for x in range(n):
+        others = np.arange(n) != x
+        rxy = R[x, others]
+        num = R[:, x, None] + rxy[None, :] - R[:, others]
+        T[x, others] = (R[:, x, None] - num * num / (4.0 * rxy[None, :])).sum(axis=0)
+    return T
+
+
 def random_connected_graph(rng, n: int, extra_edges: int = 0,
                            weighted: bool = True) -> Graph:
     """Random spanning tree plus extra chords, positive random weights."""

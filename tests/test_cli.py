@@ -134,6 +134,17 @@ def test_select_over_the_table_budget_exit_code(monkeypatch):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("w", ["1e12", "1e17", "1e100", "1e300"])
+def test_ill_conditioned_resistance_exit_code(tmp_path, w):
+    path = tmp_path / "stiff.txt"
+    path.write_text(f"0 1 1.0\n1 2 {w}\n")
+    code, out, err = run(["resistance", "--graph", f"file:{path}", "--pair", "0,1"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "ill-conditioned" in err
+
+
 def test_resistance_command():
     doc = run_json(["resistance", "--graph", "cycle:3", "--pair", "0,1"])
     assert doc["resistance"] == pytest.approx(2.0 / 3.0)

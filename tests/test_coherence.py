@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import coherence_lab as cl
@@ -9,10 +10,12 @@ from coherence_lab.errors import (
 )
 
 from conftest import (
+    dense_laplacian,
     naive_nc_value,
     naive_nf_value,
     random_connected_graph,
     random_tree,
+    stiff_graph,
 )
 
 
@@ -134,6 +137,14 @@ def test_pinning_limit_large_kappa(rng):
 def test_leader_free_examples():
     assert cl.leader_free_coherence(cl.build_path(2)).value == pytest.approx(0.25)
     assert cl.leader_free_coherence(cl.build_cycle(3)).value == pytest.approx(1 / 3)
+
+
+def test_leader_free_matches_pseudoinverse(rng):
+    graphs = [cl.build_graph([], node_count=1), cl.build_path(2), cl.build_path(3),
+              cl.build_cycle(3), random_tree(rng, 25), stiff_graph(rng, 20, 10)]
+    for g in graphs:
+        expected = 0.5 * float(np.trace(np.linalg.pinv(dense_laplacian(g))))
+        assert cl.leader_free_coherence(g).value == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
 def test_leader_free_quadratic_scaling_on_cycles():

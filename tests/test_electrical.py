@@ -25,6 +25,7 @@ from conftest import (
     naive_resistance,
     naive_resistance_table,
     naive_resistance_to_set,
+    naive_two_leader_totals,
     random_connected_graph,
     random_tree,
     stiff_graph,
@@ -243,6 +244,17 @@ def test_pair_sweep_row_blocks_change_no_bit(rng, monkeypatch):
     assert np.array_equal(two_leader_totals(R), whole)
 
 
+@pytest.mark.parametrize("n", [3, 14, 200])
+def test_pair_sweep_is_symmetric_and_matches_the_formula(rng, n):
+    # stiff weights over 10^+-3; at n = 200 the sweep runs in two row blocks
+    R = cl.resistance_oracle(stiff_graph(rng, n, chords=n)).table
+    T = two_leader_totals(R)
+    assert electrical._block_rows(200) < 200
+    assert np.array_equal(T, T.T)
+    assert np.all(np.diagonal(T) == 0.0)
+    np.testing.assert_allclose(T, naive_two_leader_totals(R), rtol=1e-9)
+
+
 def _assert_matches_pseudoinverse(g):
     R = cl.resistance_oracle(g).table
     expected = naive_resistance_table(g)
@@ -289,6 +301,42 @@ def test_oracle_factor_failure_is_a_solver_error():
     g = cl.build_graph([(0, 1, 1.0), (1, 2, 1e200)])
     with pytest.raises(SolverError, match="positive definite"):
         cl.resistance_oracle(g)
+
+
+def _stiff_path(w):
+    return cl.build_graph([(0, 1, 1.0), (1, 2, w)])
+
+
+@pytest.mark.parametrize("w", [1e12, 1e17, 1e100, 1e300])
+def test_ill_conditioned_systems_raise(w):
+    # the exact r(0, 1) is 1; before the condition guard the table gave
+    # 0.03125 at w = 1e17, 5.1e-85 at 1e100 and 6.7e-285 at 1e300
+    g = _stiff_path(w)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.resistance_oracle(g)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.resistance(g, 0, 1)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.resistance_to_set(g, 0, (2,))
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(g, (0,), method="resistance")
+    # a cycle takes the dense trace route, not forest elimination
+    ring = cl.build_graph([(0, 1, 1.0), (1, 2, w), (2, 3, 1.0), (3, 0, 1.0)])
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(ring, (0,), method="trace")
+
+
+def test_condition_guard_runs_and_spares_moderate_spreads(rng, monkeypatch):
+    # weights (1, 1e8) give eps/rcond ~ 9e-8, inside the limit
+    assert cl.resistance_oracle(_stiff_path(1e8)).table[0, 1] == pytest.approx(1.0)
+    g = stiff_graph(rng, 20, chords=10)
+    cl.resistance_oracle(g)
+    cl.coherence_nf(g, (0,), method="trace")
+    monkeypatch.setattr(electrical, "_CONDITION_LIMIT", 1e-30)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.resistance_oracle(g)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(g, (0,), method="trace")
 
 
 def test_oracle_table_is_read_only():

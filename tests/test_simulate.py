@@ -67,6 +67,21 @@ def test_seed_determinism_bit_for_bit():
     assert c.value != a.value
 
 
+@pytest.mark.parametrize("dynamics", ["nf", "nc"])
+def test_same_seed_repeats_bit_for_bit_on_both_dynamics(rng, dynamics):
+    # n = 12 rotates the noise in blocks of 1820 steps, so 4000 steps take
+    # three noise-rotation products per trial
+    g = random_connected_graph(rng, 12, extra_edges=6)
+    assert simulate._ROTATE_MACS // 12**2 < 4000
+    cfg = cl.SimConfig(dt=1e-2, horizon=40.0, trials=3, seed=7)
+    if dynamics == "nf":
+        runs = [cl.simulate_nf(g, (0, 5), cfg) for _ in range(2)]
+    else:
+        runs = [cl.simulate_nc(g, (0, 5), cfg, kappa=[2.0, 0.5]) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0].steps == 4000
+
+
 def test_unstable_step_rejected():
     # grounded system eigenvalue 1 means dt must stay below 2
     with pytest.raises(UnstableStepError):
