@@ -34,7 +34,7 @@ from .electrical import (
     spd_trace_inverse,
 )
 from .errors import BadParameterError, DisconnectedGraphError, SolverError
-from .graphs import Graph, _dense, _grounded_entries, is_connected, is_tree, laplacian
+from .graphs import Graph, _grounded_entries, is_connected, is_tree, laplacian
 
 NOISE_FREE = "noise_free"
 NOISE_CORRUPTED = "noise_corrupted"
@@ -87,8 +87,9 @@ def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     """
     nodes, diag, off = _grounded_entries(g, leaders, kvec)
     if is_tree(g):
-        return float(forest_inverse_diagonal(len(nodes), diag, off).sum())
-    return spd_trace_inverse(_dense(diag, off))
+        triples = zip(*(x.tolist() for x in off))
+        return float(forest_inverse_diagonal(len(nodes), diag, triples).sum())
+    return spd_trace_inverse(diag, off)
 
 
 def _coherence(g: Graph, S, kvec, method: str,

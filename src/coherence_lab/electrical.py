@@ -5,20 +5,22 @@ resistance r(i, j) is defined through the grounded Laplacian: it equals
 the (i, i) entry of the inverse of the Laplacian with row and column j
 removed. Node-to-set resistance r(i, S) generalizes this by grounding all
 of S at once. Every grounded matrix here is :func:`grounded_laplacian`,
-assembled directly from the edge list by ``graphs._grounded_entries``.
+assembled from the graph's edge arrays by ``graphs._grounded_entries``.
 
 :func:`resistance_to_set` evaluates the grounded definition directly and
 serves as the reference (:func:`resistance` is its one-node case);
 :func:`resistance_oracle` precomputes the full pairwise table: it grounds
 node 0, factors and inverts that matrix in place with LAPACK (about n^3
-flops), and writes the recombined table row block by row block, so it
-holds about two n x n arrays at its peak. The noise-free pair sweep
+flops), and writes the table's upper triangle row block by row block and
+mirrors it, so it holds about two n x n arrays at its peak; Foster's
+theorem checks every finished table. The noise-free pair sweep
 :func:`two_leader_totals` needs one Gram matrix (BLAS ``dsyrk``, n^3
 flops) and likewise two n x n arrays. Both refuse, with
 ``BudgetExceededError``, any n whose two arrays would pass a fixed byte
-budget (4 GiB, about n = 16k). Every dense Cholesky factor is followed by
-a LAPACK condition estimate, and a grounded matrix whose forward-error
-scale eps/rcond passes ``_CONDITION_LIMIT`` raises ``SolverError``.
+budget (4 GiB, about n = 16k). Every dense Cholesky factor overwrites
+the matrix it factors and is followed by a LAPACK condition estimate, and
+a grounded matrix whose forward-error scale eps/rcond passes
+``_CONDITION_LIMIT`` raises ``SolverError``.
 Every set query on the table is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of leader sets one leader at a time with the
 rank-one Schur steps of :func:`schur_columns`. A leader tied to a
@@ -37,7 +39,7 @@ import math
 import numbers
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dtrtri
 
@@ -72,17 +74,28 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _cho(A):
-    try:
-        c, lower = cho_factor(A, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"grounded system is not positive definite: {exc}") from exc
-    _check_condition(c, np.abs(A).sum(axis=0).max(), lower)
-    return c, lower
+def _factor(A: np.ndarray, edges, lower: bool, clean: bool = False):
+    """Cholesky-factor the SPD matrix A in place; return the factor, A's
+    1-norm (its largest absolute row sum, in O(m) from the diagonal and the
+    off-diagonal entries ``edges`` of :func:`_edge_ends`) and eps/rcond.
+
+    dpotrf overwrites A.T, the Fortran-order view of symmetric A, without a
+    copy; ``lower`` picks that view's triangle, and ``clean`` zeroes the other.
+    """
+    ends, _, values = edges
+    rows = np.abs(np.diagonal(A)) + np.bincount(ends, np.abs(values), minlength=len(A))
+    anorm = rows.max()
+    c, info = dpotrf(A.T, lower=lower, clean=clean, overwrite_a=1)
+    if info > 0:
+        raise SolverError(f"grounded system is not positive definite "
+                          f"(leading minor {info})")
+    if info != 0:
+        raise SolverError(f"LAPACK Cholesky factorization failed (info={info})")
+    return c, anorm, _check_condition(c, anorm, lower)
 
 
-def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> None:
-    """Raise SolverError unless eps/rcond is within ``_CONDITION_LIMIT``.
+def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> float:
+    """Return eps/rcond, raising SolverError if it passes ``_CONDITION_LIMIT``.
 
     ``c`` is the Cholesky factor (in its ``lower`` or upper triangle) of a
     matrix whose 1-norm is ``anorm``; LAPACK ``dpocon`` estimates the
@@ -101,22 +114,26 @@ def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> None:
             f"grounded system is too ill-conditioned: eps/rcond {scale:.1e} "
             f"exceeds {_CONDITION_LIMIT:.0e}"
         )
+    return eps / rcond
 
 
-def spd_trace_inverse(A: np.ndarray) -> float:
-    """Trace of the inverse of an SPD matrix.
+def spd_trace_inverse(diag: np.ndarray, off) -> float:
+    """Trace of the inverse of the SPD matrix A with diagonal ``diag`` and
+    off-diagonal entries ``off = (rows, cols, values)``.
 
-    Uses the triangular inverse of the Cholesky factor, so only the trace
-    is formed, not the full inverse.
+    A is assembled here and overwritten: factored in place as A = U^T U
+    with the other triangle zeroed, then U inverted in place by LAPACK
+    ``dtrtri``. The trace of A^-1 = U^-1 U^-T is the sum of the squares
+    of U^-1, taken in place too, so A is the only n x n array; its 1-norm
+    comes from the entries.
     """
-    n = A.shape[0]
-    if n == 0:
+    if diag.size == 0:
         return 0.0
-    c, _ = _cho(A)
-    inv_u, info = dtrtri(c, lower=0)
+    c = _factor(_dense(diag, off), _edge_ends(off), lower=False, clean=True)[0]
+    inv, info = dtrtri(c, lower=0, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
-    return float((np.triu(inv_u) ** 2).sum())
+    return float(np.square(inv, out=inv).sum())
 
 
 def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
@@ -150,22 +167,21 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
                     coupling[v] = a
                     stack.append(v)
     pivot = np.asarray(diagonal, dtype=np.float64).copy()
+    ratio = np.zeros(n)
     for u in reversed(order):
-        p = parent[u]
-        if p >= 0:
-            if pivot[u] <= 0.0:
-                raise SolverError("forest elimination hit a non-positive pivot")
-            pivot[p] -= coupling[u] * coupling[u] / pivot[u]
-    out = np.zeros(n)
-    for u in order:
-        p = parent[u]
+        # u's children came first, so its pivot is final
         if pivot[u] <= 0.0:
             raise SolverError("forest elimination hit a non-positive pivot")
-        if p < 0:
-            out[u] = 1.0 / pivot[u]
-        else:
-            ratio = coupling[u] / pivot[u]
-            out[u] = 1.0 / pivot[u] + ratio * ratio * out[p]
+        p = parent[u]
+        if p >= 0:
+            # the update as a ratio: a pivot lost to cancellation reads 0,
+            # where coupling^2 / pivot would overflow first
+            ratio[u] = coupling[u] / pivot[u]
+            pivot[p] -= ratio[u] * coupling[u]
+    out = 1.0 / pivot
+    for u in order:
+        if parent[u] >= 0:
+            out[u] += ratio[u] * ratio[u] * out[parent[u]]
     return out
 
 
@@ -266,12 +282,12 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
         raise LeaderQueriedError(f"node {i} is in the leader set")
     if not is_connected(g):
         raise DisconnectedGraphError("resistance_to_set requires a connected graph")
-    Lff, followers = grounded_laplacian(g, S)
+    followers, diag, off = _grounded_entries(g, S)
     pos = followers.index(i)
     e = np.zeros(len(followers))
     e[pos] = 1.0
-    c = _cho(Lff)
-    return float(cho_solve(c, e, check_finite=False)[pos])
+    c = _factor(_dense(diag, off), _edge_ends(off), lower=False)[0]
+    return float(cho_solve((c, False), e, check_finite=False)[pos])
 
 
 def path_two_point_resistance(d_ux: float, d_xy: float) -> float:
@@ -443,14 +459,15 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
 
     The Laplacian grounded at node 0, L0, is factored and inverted in place
     by LAPACK (``dpotrf`` then ``dpotri``, about n^3 flops) into G0, the
-    inverse's upper triangle. Row block by row block, the triangle is
-    mirrored and r(i, j) = G[i, i] + G[j, j] - 2 G[i, j] written straight
-    into the table, with G0 padded by a zero row/column at node 0. Peak
-    memory is the table plus G0 plus one row block. Between the factor and
-    the inverse, ``dpocon`` estimates L0's condition (``_check_condition``).
-    The inverse's residual L0 G0 - I is checked on a few columns against
-    ``SOLVE_TOLERANCE``, with L0 applied from the edge list since the
-    factor overwrote it.
+    inverse's upper triangle; between the two, ``dpocon`` estimates L0's
+    condition (``_check_condition``). The inverse's residual L0 G0 - I is
+    checked on a few columns of that triangle against ``SOLVE_TOLERANCE``,
+    with L0 applied from its entries since the factor overwrote it. Row
+    block by row block, the upper triangle of the table is then written as
+    r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0 padded by a zero
+    row/column at node 0, and mirrored within the table. Peak memory is the
+    table plus G0. Foster's theorem checks the finished table
+    (``_check_foster``).
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -461,36 +478,33 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     _, diag, off = _grounded_entries(g, (0,))
     G0 = _dense(diag, off)
     edges = _edge_ends(off)
-    ends, _, weights = edges
-    # L0 is symmetric, so its 1-norm is its largest absolute row sum
-    anorm = (np.abs(diag) + np.bincount(ends, np.abs(weights), minlength=n - 1)).max()
-    # G0 is symmetric, so its transpose is the Fortran-order view LAPACK
-    # overwrites; the lower triangle there is the upper triangle here
-    c, info = dpotrf(G0.T, lower=1, clean=0, overwrite_a=1)
-    if info > 0:
-        raise SolverError(f"grounded system is not positive definite "
-                          f"(leading minor {info})")
-    if info == 0:
-        _check_condition(c, anorm, lower=True)
-        _, info = dpotri(c, lower=1, overwrite_c=1)
+    c, anorm, scale = _factor(G0, edges, lower=True)
+    _, info = dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
-        raise SolverError(f"LAPACK factor-and-invert failed (info={info})")
+        raise SolverError(f"LAPACK inversion failed (info={info})")
+    _check_residual(G0, diag, edges, anorm)
     m = n - 1
-    d = np.diagonal(G0)
+    d = np.diagonal(G0).copy()
     table = np.empty((n, n))
     table[0, 0] = 0.0
     table[0, 1:] = d
     table[1:, 0] = d
+    T = table[1:, 1:]
     rows = _block_rows(m)
     below = np.tri(rows, k=-1, dtype=bool)
     for a in range(0, m, rows):
         b = min(a + rows, m)
-        _mirror_rows(G0, a, b, below)
-        # (d_i + d_j) - 2 G_ij is exactly 0 on the diagonal
-        t = table[a + 1:b + 1, 1:]
-        np.add(d[a:b, None], d, out=t)
-        t -= 2.0 * G0[a:b]
-    _check_residual(G0, diag, edges, anorm)
+        # below the diagonal, G0's own block still holds L0: clear it, then
+        # scale the rows by -2 in place, which is exact, so each entry
+        # rounds as (d_i + d_j) - 2 G_ij written out would; that is exactly
+        # 0 on the diagonal
+        G0[a:b, a:b][below[:b - a, :b - a]] = 0.0
+        g0, t = G0[a:b, a:], T[a:b, a:]
+        g0 *= -2.0
+        np.add(d[a:b, None], d[a:], out=t)
+        t += g0
+        _mirror_rows(T, a, b, below)
+    _check_foster(g, table, scale)
     return ResistanceOracle(g, table)
 
 
@@ -513,11 +527,11 @@ def _mirror_rows(A: np.ndarray, a: int, b: int, below: np.ndarray) -> None:
 
 
 def _edge_ends(off):
-    """Both orientations of the ``(row, row, value)`` entries in ``off``,
-    as ``(rows, columns, values)`` arrays."""
-    i, j, a = zip(*off) if off else ((), (), ())
-    return (np.array(i + j, dtype=np.intp), np.array(j + i, dtype=np.intp),
-            np.array(a + a, dtype=np.float64))
+    """Both orientations of the off-diagonal entries ``off = (rows, cols,
+    values)``, as ``(rows, columns, values)`` arrays."""
+    rows, cols, values = off
+    return (np.concatenate((rows, cols)), np.concatenate((cols, rows)),
+            np.concatenate((values, values)))
 
 
 def _check_residual(G0: np.ndarray, diag: np.ndarray, edges, anorm: float) -> None:
@@ -527,12 +541,13 @@ def _check_residual(G0: np.ndarray, diag: np.ndarray, edges, anorm: float) -> No
     :func:`_edge_ends`) and the 1-norm (equal to its infinity norm)
     ``anorm``; it is applied to each column from those entries, O(m) per
     column. The residual is scaled by ``anorm`` times the largest entry of
-    the checked columns.
+    the checked columns. G0 holds the inverse in its upper triangle only.
     """
     m = G0.shape[0]
     k = min(4, m)
     cols = np.arange(k) * (m - 1) // max(1, k - 1)
-    X = G0[cols]  # the checked columns, stored as rows: G0 is symmetric
+    # the checked columns, stored as rows: G0 is symmetric
+    X = np.where(np.arange(m) < cols[:, None], G0[:, cols].T, G0[cols])
     ends, others, weights = edges
     terms = X[:, others] * weights
     LX = X * diag
@@ -545,6 +560,27 @@ def _check_residual(G0: np.ndarray, diag: np.ndarray, edges, anorm: float) -> No
     if not res / scale <= SOLVE_TOLERANCE:
         raise SolverError(
             f"solve residual {res / scale:.3e} exceeds {SOLVE_TOLERANCE:.0e}"
+        )
+
+
+def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
+    """Raise SolverError unless the table satisfies Foster's theorem,
+    sum_e w_e r_e = n - 1 (Klein & Randic 1993).
+
+    Each edge's resistance is read in both orientations, so a wrong mirror
+    cannot pass. The sum is the trace of L0 G0, so it misses n - 1 by the
+    trace of the inverse's residual L0 G0 - I, whose n - 1 diagonal entries
+    are each bounded, to first order, by c_n eps kappa(L0) (Higham, ch.
+    14); with c_n = n and eps kappa(L0) = ``scale`` = eps/rcond from
+    ``_check_condition``, the tolerance is (n - 1) n eps/rcond. O(m).
+    """
+    n = g.node_count
+    u, v = g._uv[:, 0], g._uv[:, 1]
+    total = 0.5 * float((g._w * (table[u, v] + table[v, u])).sum())
+    # written so that a NaN sum fails too
+    if not abs(total - (n - 1)) <= (n - 1) * n * scale:
+        raise SolverError(
+            f"Foster's sum over the edges is {total!r}, not n - 1 = {n - 1}"
         )
 
 

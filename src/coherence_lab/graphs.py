@@ -39,58 +39,67 @@ class Graph:
 
     Invariants enforced at construction: no self-loops, at most one edge
     per unordered pair, strictly positive finite weights, all endpoints in
-    ``[0, node_count)``.
+    ``[0, node_count)``. The edges are held, in input order, as two
+    read-only arrays: ``_uv`` (m, 2) with u < v in each row and ``_w`` (m,)
+    their weights. Every matrix is assembled from these arrays;
+    connectivity is computed once, on the first query.
     """
 
-    __slots__ = ("node_count", "edges", "_adj")
+    __slots__ = ("node_count", "_uv", "_w", "_edges", "_connected")
 
     def __init__(self, node_count: int, edges):
         node_count = int(node_count)
         if node_count < 1:
             raise BadParameterError("a graph needs at least one node")
-        seen = set()
-        normalized = []
-        for u, v, w in edges:
-            u = int(u)
-            v = int(v)
-            w = float(w)
-            if u == v:
-                raise SelfLoopError(f"self-loop at node {u}")
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise BadParameterError(
-                    f"edge ({u},{v}) outside node range [0,{node_count})"
-                )
-            if not (math.isfinite(w) and w > 0.0):
-                raise BadWeightError(f"edge ({u},{v}) has non-positive weight {w}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise DuplicateEdgeError(f"duplicate edge between {key[0]} and {key[1]}")
-            seen.add(key)
-            normalized.append((key[0], key[1], w))
+        # every edge must be a triple; the ids are read as floats, exact
+        # below 2**53, and truncated as int() would
+        u, v, w = tuple(zip(*edges, strict=True)) or ((), (), ())
+        ids = np.trunc(np.array((u, v), dtype=np.float64))
+        w = np.array(w, dtype=np.float64)
+        lo, hi = ids.min(axis=0), ids.max(axis=0)
+        inside = (0.0 <= lo) & (hi < node_count)
+        # -1 stands for the ids of an edge outside the range, which is
+        # flagged anyway, so that they cast to integers without overflow
+        ends = np.where(inside, (lo, hi), -1).astype(np.intp)
+        dup = np.ones(w.size, dtype=bool)
+        dup[np.unique(ends[0] * node_count + ends[1], return_index=True)[1]] = False
+        flags = (lo == hi, ~inside, ~(np.isfinite(w) & (w > 0.0)), dup)
+        bad = np.logical_or.reduce(flags)
+        if bad.any():
+            # every edge before the first flagged one is valid, so its flags
+            # are those a scan in input order would raise on, in this order
+            i = int(bad.argmax())
+            u, v = int(ids[0, i]), int(ids[1, i])
+            edge = f"edge ({u},{v})"
+            errors = (
+                SelfLoopError(f"self-loop at node {u}"),
+                BadParameterError(f"{edge} outside node range [0,{node_count})"),
+                BadWeightError(f"{edge} has non-positive weight {float(w[i])}"),
+                DuplicateEdgeError(f"duplicate edge between {min(u, v)} and {max(u, v)}"),
+            )
+            raise next(e for flag, e in zip(flags, errors) if flag[i])
         self.node_count = node_count
-        self.edges = tuple(normalized)
-        self._adj = None
+        self._uv = np.ascontiguousarray(ends.T)
+        self._w = w
+        self._uv.flags.writeable = self._w.flags.writeable = False
+        self._edges = self._connected = None
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as (u, v, w) tuples with u < v, in input order."""
+        if self._edges is None:
+            self._edges = tuple(zip(*self._uv.T.tolist(), self._w.tolist()))
+        return self._edges
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency(self):
-        """Adjacency lists as tuples of (neighbor, weight), built lazily."""
-        if self._adj is None:
-            adj = [[] for _ in range(self.node_count)]
-            for u, v, w in self.edges:
-                adj[u].append((v, w))
-                adj[v].append((u, w))
-            self._adj = tuple(tuple(nbrs) for nbrs in adj)
-        return self._adj
+        return self._w.size
 
     def degree_weights(self) -> np.ndarray:
-        d = np.zeros(self.node_count)
-        for u, v, w in self.edges:
-            d[u] += w
-            d[v] += w
-        return d
+        # over the interleaved ends u0, v0, u1, ..., bincount adds the
+        # weights in the order of a loop over the edges
+        d = np.bincount(self._uv.ravel(), np.repeat(self._w, 2), self.node_count)
+        return d.astype(np.float64, copy=False)  # integer when there are no edges
 
     def __repr__(self):
         return f"Graph(n={self.node_count}, m={self.edge_count})"
@@ -111,11 +120,15 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     given; ids in range that appear in no edge become isolated nodes.
     """
     edge_list = list(edge_list)
-    inferred = 0
-    for u, v, _ in edge_list:
+    ids = np.array(tuple(zip(*edge_list, strict=True))[:2] or ((), ()), dtype=float)
+    flagged = (~(ids >= 0.0) | np.isinf(ids)).any(axis=0)
+    if flagged.any():
+        # a negative id, or one that int() rejects: NaN or infinite
+        u, v, _ = edge_list[int(flagged.argmax())]
         if u < 0 or v < 0:
             raise BadParameterError(f"negative node id in edge ({u},{v})")
-        inferred = max(inferred, int(u) + 1, int(v) + 1)
+        int(u), int(v)
+    inferred = int(ids.max()) + 1 if ids.size else 0
     n = max(inferred, int(node_count) if node_count is not None else 0)
     if n < 1:
         raise BadParameterError("empty edge list needs an explicit node_count")
@@ -128,28 +141,29 @@ def _grounded_entries(g: Graph, leaders=(), kvec=None):
     Without ``kvec`` the leaders are pinned to the reference and their
     rows and columns dropped (noise-free); with it ``leaders[i]`` is tied
     to the reference by the conductance ``kvec[i]`` on its diagonal
-    (noise-corrupted). Returns ``(nodes, diag, off)``: the node of each
-    row, the diagonal, and one ``(row, row, -w)`` entry per edge between
-    kept nodes.
+    (noise-corrupted). Returns ``(nodes, diag, off)``: the list of the
+    node of each row, the diagonal, and ``off = (rows, cols, values)``,
+    arrays with one entry ``-w`` per edge between kept nodes.
     """
     diag = g.degree_weights()
-    if kvec is None:
-        dropped = set(leaders)
-        nodes = [v for v in range(g.node_count) if v not in dropped]
-    else:
+    if kvec is not None:
         diag[list(leaders)] += kvec
-        nodes = list(range(g.node_count))
-    row = {v: r for r, v in enumerate(nodes)}
-    off = [(row[u], row[v], -w) for u, v, w in g.edges if u in row and v in row]
-    return nodes, diag[nodes], off
+        return list(range(g.node_count)), diag, (g._uv[:, 0], g._uv[:, 1], -g._w)
+    row = np.zeros(g.node_count, dtype=np.intp)
+    row[list(leaders)] = -1
+    nodes = np.flatnonzero(row == 0)
+    row[nodes] = np.arange(nodes.size)
+    ends = row[g._uv]
+    kept = (ends >= 0).all(axis=1)
+    return nodes.tolist(), diag[nodes], (ends[kept, 0], ends[kept, 1], -g._w[kept])
 
 
 def _dense(diag, off) -> np.ndarray:
     """The symmetric matrix with this diagonal and these off-diagonal entries."""
     A = np.diag(diag)
-    for r, c, a in off:
-        A[r, c] = a
-        A[c, r] = a
+    rows, cols, values = off
+    A[rows, cols] = values
+    A[cols, rows] = values
     return A
 
 
@@ -159,21 +173,30 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff the graph has a single connected component."""
-    n = g.node_count
-    adj = g.adjacency()
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+    """True iff the graph has a single connected component; computed once.
+
+    Each round hooks the labels of every edge's ends to the smaller one and
+    follows labels to their fixed point. Once a round changes nothing, each
+    label is the smallest node of its component, so all are 0 iff connected.
+    """
+    if g._connected is None:
+        label = np.arange(g.node_count)
+        while True:
+            ends = label[g._uv]
+            low = ends.min(axis=1)
+            hooked = label.copy()
+            np.minimum.at(hooked, ends[:, 0], low)
+            np.minimum.at(hooked, ends[:, 1], low)
+            while True:
+                jumped = hooked[hooked]
+                if np.array_equal(jumped, hooked):
+                    break
+                hooked = jumped
+            if np.array_equal(hooked, label):
+                break
+            label = hooked
+        g._connected = not label.any()
+    return g._connected
 
 
 def is_tree(g: Graph) -> bool:
@@ -187,7 +210,12 @@ def graph_distance(g: Graph, u: int, v: int) -> float:
         raise BadParameterError(f"node out of range: ({u},{v}) with n={n}")
     if u == v:
         return 0.0
-    adj = g.adjacency()
+    # both orientations of every edge, grouped by their first end
+    ends = g._uv.ravel()
+    order = np.argsort(ends, kind="stable")
+    start = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
+    other = g._uv[:, ::-1].ravel()[order].tolist()
+    weight = np.repeat(g._w, 2)[order].tolist()
     dist = [math.inf] * n
     dist[u] = 0.0
     heap = [(0.0, u)]
@@ -197,8 +225,9 @@ def graph_distance(g: Graph, u: int, v: int) -> float:
             return d
         if d > dist[a]:
             continue
-        for b, w in adj[a]:
-            nd = d + w
+        for e in range(start[a], start[a + 1]):
+            nd = d + weight[e]
+            b = other[e]
             if nd < dist[b]:
                 dist[b] = nd
                 heapq.heappush(heap, (nd, b))

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import jsonschema
 import pytest
@@ -143,6 +144,18 @@ def test_ill_conditioned_resistance_exit_code(tmp_path, w):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "ill-conditioned" in err
+
+
+def test_forest_elimination_failure_exit_code(tmp_path):
+    path = tmp_path / "stiff_tree.txt"
+    path.write_text("0 1 1.0\n1 2 1e200\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "pivot" in err
 
 
 def test_resistance_command():

@@ -1,8 +1,10 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf, dpotri
 
 import coherence_lab as cl
 from coherence_lab import electrical
@@ -384,6 +386,52 @@ def test_table_build_and_pair_sweep_peak_memory():
     assert select_peak <= 3.0 * table_bytes
 
 
+def test_trace_route_peak_memory():
+    # the trace route factors and inverts its grounded matrix in place
+    g = cl.build_cycle(400)
+    matrix_bytes = 8 * 400 * 400
+    tracemalloc.start()
+    try:
+        cl.coherence_nf(g, (0,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix_bytes
+
+
+def test_table_is_bitwise_the_naive_formation_of_the_same_inverse(rng):
+    graphs = [cl.build_cycle(40), cl.build_path(70), cl.build_perfect_tree(2, 5).graph,
+              random_connected_graph(rng, 90, extra_edges=120), stiff_graph(rng, 60, 40)]
+    for g in graphs:
+        n = g.node_count
+        L0, _ = cl.grounded_laplacian(g, (0,))
+        c, info = dpotrf(np.asfortranarray(L0), lower=1)
+        assert info == 0
+        inv, info = dpotri(c, lower=1)
+        assert info == 0
+        P = np.zeros((n, n))
+        P[1:, 1:] = np.tril(inv) + np.tril(inv, -1).T
+        d = np.diag(P)
+        assert np.array_equal(cl.resistance_oracle(g).table, (d[:, None] + d) - 2.0 * P)
+
+
+def test_foster_check_refuses_a_wrong_triangle(rng, monkeypatch):
+    checked = []
+    check = electrical._check_foster
+    monkeypatch.setattr(electrical, "_check_foster",
+                        lambda g, table, scale: checked.append((table.copy(), scale)))
+    g = random_connected_graph(rng, 30, extra_edges=30)
+    cl.resistance_oracle(g)
+    (table, scale), = checked
+    check(g, table, scale)
+    for tri in (np.tril_indices(30, -1), np.triu_indices(30, 1)):
+        for wrong in (0.0, 1.0 + 1e-9):
+            bad = table.copy()
+            bad[tri] *= wrong
+            with pytest.raises(SolverError, match="Foster"):
+                check(g, bad, scale)
+
+
 def test_set_totals_matches_naive(rng):
     # k = 2 twice per family; the stiff family spreads weights over 10^+-3
     for make in (lambda n: random_connected_graph(rng, n, extra_edges=4),
@@ -500,6 +548,16 @@ def test_path_two_point_resistance_values():
 def test_path_two_point_resistance_range(dux, dxy):
     with pytest.raises(OutOfRangeError):
         cl.path_two_point_resistance(dux, dxy)
+
+
+def test_forest_elimination_raises_before_overflowing():
+    # 1 + 1e200 rounds to 1e200, so the middle pivot cancels to exactly 0;
+    # coupling^2 / pivot would overflow on the way
+    g = cl.build_graph([(0, 1, 1.0), (1, 2, 1e200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="non-positive pivot"):
+            cl.coherence_nf(g, (0,))
 
 
 def test_forest_inverse_diagonal_matches_dense(rng):

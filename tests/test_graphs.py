@@ -44,6 +44,27 @@ def test_build_graph_rejects_bad_weights(w):
         cl.build_graph([(0, 1, w)])
 
 
+_VALID = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
+
+
+@pytest.mark.parametrize("bad, error, message", [
+    ((3, 3, 1.0), SelfLoopError, "self-loop at node 3"),
+    ((1, 4, 1.0), BadParameterError, "edge (1,4) outside node range [0,4)"),
+    ((3, 0, float("nan")), BadWeightError, "edge (3,0) has non-positive weight nan"),
+    ((3, 0, float("inf")), BadWeightError, "edge (3,0) has non-positive weight inf"),
+    ((3, 0, 0.0), BadWeightError, "edge (3,0) has non-positive weight 0.0"),
+    ((3, 0, -1.5), BadWeightError, "edge (3,0) has non-positive weight -1.5"),
+    ((2, 1, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
+    ((1, 2, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
+])
+def test_first_bad_edge_after_valid_ones_keeps_class_and_message(bad, error, message):
+    # a later edge that is bad in another way must not be the one reported
+    for later in ((0, 0, 1.0), (0, 9, 1.0), (0, 2, -1.0), (0, 1, 1.0)):
+        with pytest.raises(error) as info:
+            cl.Graph(4, _VALID + [bad, later])
+        assert str(info.value) == message
+
+
 def test_build_graph_rejects_negative_ids():
     with pytest.raises(BadParameterError):
         cl.build_graph([(-1, 2, 1.0)])
@@ -100,6 +121,24 @@ def test_grounded_builder_matches_independent_assembly(rng):
         shifted[S, S] += kvec
         assert nodes == list(range(n))
         assert np.array_equal(_dense(diag, off), shifted)
+    # fractional weights in shuffled order and orientation: every degree is
+    # summed in input order, like the loop below
+    for _ in range(20):
+        n = int(rng.integers(3, 30))
+        g0 = random_connected_graph(rng, n, extra_edges=n)
+        edges = [(v, u, w / 7.0) if rng.random() < 0.5 else (u, v, w / 7.0)
+                 for u, v, w in g0.edges]
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        g = cl.build_graph(edges, node_count=n)
+        L = np.zeros((n, n))
+        for u, v, w in edges:
+            L[u, u] += w
+            L[v, v] += w
+            L[u, v] = L[v, u] = -w
+        assert np.array_equal(cl.laplacian(g), L)
+        S = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
+        keep = [v for v in range(n) if v not in S]
+        assert np.array_equal(grounded_laplacian(g, S)[0], L[np.ix_(keep, keep)])
 
 
 def test_stiff_graph_clips_chords_to_free_pairs(rng):
