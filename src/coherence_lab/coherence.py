@@ -87,8 +87,8 @@ def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     """
     nodes, diag, off = _grounded_entries(g, leaders, kvec)
     if is_tree(g):
-        triples = zip(*(x.tolist() for x in off))
-        return float(forest_inverse_diagonal(len(nodes), diag, triples).sum())
+        inverse = forest_inverse_diagonal(len(nodes), diag, np.column_stack(off))
+        return float(inverse.sum())
     return spd_trace_inverse(diag, off)
 
 

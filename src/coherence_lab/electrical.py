@@ -9,18 +9,24 @@ assembled from the graph's edge arrays by ``graphs._grounded_entries``.
 
 :func:`resistance_to_set` evaluates the grounded definition directly and
 serves as the reference (:func:`resistance` is its one-node case);
-:func:`resistance_oracle` precomputes the full pairwise table: it grounds
-node 0, factors and inverts that matrix in place with LAPACK (about n^3
-flops), and writes the table's upper triangle row block by row block and
-mirrors it, so it holds about two n x n arrays at its peak; Foster's
-theorem checks every finished table. The noise-free pair sweep
+:func:`resistance_oracle` precomputes the full pairwise table from the
+inverse of the Laplacian grounded at node 0, by one of two routes chosen
+from the edge count. A connected graph with at most one cycle (m <= n:
+trees, paths, cycles, unicyclic graphs) takes O(n^2) path sums over a
+spanning tree, where the inverse is the resistance from node 0 to the
+nearest common ancestor, plus one rank-one update for the edge the tree
+leaves out. Every other graph is factored and inverted in place by
+LAPACK (about n^3 flops), as is a graph with m <= n whose exact
+condition bound fails. Either route holds at most two n x n arrays, and
+Foster's theorem checks every finished table. The noise-free pair sweep
 :func:`two_leader_totals` needs one Gram matrix (BLAS ``dsyrk``, n^3
 flops) and likewise two n x n arrays. Both refuse, with
 ``BudgetExceededError``, any n whose two arrays would pass a fixed byte
 budget (4 GiB, about n = 16k). Every dense Cholesky factor overwrites
 the matrix it factors and is followed by a LAPACK condition estimate, and
 a grounded matrix whose forward-error scale eps/rcond passes
-``_CONDITION_LIMIT`` raises ``SolverError``.
+``_CONDITION_LIMIT`` raises ``SolverError``; the path-sum route computes
+that scale exactly, and a graph that fails it goes to the factored route.
 Every set query on the table is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of leader sets one leader at a time with the
 rank-one Schur steps of :func:`schur_columns`. A leader tied to a
@@ -55,7 +61,7 @@ from .errors import (
     SameNodeError,
     SolverError,
 )
-from .graphs import Graph, _dense, _grounded_entries, is_connected
+from .graphs import Graph, _dense, _grounded_entries, is_connected, rooted_forest
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
@@ -65,6 +71,7 @@ SOLVE_TOLERANCE = 1e-10
 #: w ~ 1.1e9 on; from w = 1e15 on its grounded matrix is rounded at
 #: assembly past any accuracy (eps/rcond >= 0.89)
 _CONDITION_LIMIT = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 #: bytes of n x n float arrays that one table build or pair sweep may hold
 _TABLE_BUDGET = 4 << 30
 #: floats per row block when a table or the pair totals are formed
@@ -74,24 +81,32 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(A: np.ndarray, edges, lower: bool, clean: bool = False):
+def _factor(A: np.ndarray, edges, lower: bool):
     """Cholesky-factor the SPD matrix A in place; return the factor, A's
-    1-norm (its largest absolute row sum, in O(m) from the diagonal and the
-    off-diagonal entries ``edges`` of :func:`_edge_ends`) and eps/rcond.
+    1-norm (:func:`_one_norm`, from the diagonal and the off-diagonal
+    entries ``edges`` of :func:`_edge_ends`) and eps/rcond.
 
     dpotrf overwrites A.T, the Fortran-order view of symmetric A, without a
-    copy; ``lower`` picks that view's triangle, and ``clean`` zeroes the other.
+    copy; ``lower`` picks that view's triangle, and the other keeps A's
+    entries.
     """
-    ends, _, values = edges
-    rows = np.abs(np.diagonal(A)) + np.bincount(ends, np.abs(values), minlength=len(A))
-    anorm = rows.max()
-    c, info = dpotrf(A.T, lower=lower, clean=clean, overwrite_a=1)
+    anorm = _one_norm(np.diagonal(A), edges)
+    c, info = dpotrf(A.T, lower=lower, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
     if info != 0:
         raise SolverError(f"LAPACK Cholesky factorization failed (info={info})")
     return c, anorm, _check_condition(c, anorm, lower)
+
+
+def _one_norm(diag: np.ndarray, edges) -> float:
+    """1-norm of the symmetric matrix with diagonal ``diag`` and the
+    off-diagonal entries ``edges`` of :func:`_edge_ends`: its largest
+    absolute row sum, in O(m)."""
+    ends, _, values = edges
+    rows = np.abs(diag) + np.bincount(ends, np.abs(values), minlength=len(diag))
+    return rows.max()
 
 
 def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> float:
@@ -106,68 +121,55 @@ def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> float:
     rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
     if info != 0:
         raise SolverError(f"LAPACK condition estimate failed (info={info})")
-    eps = np.finfo(np.float64).eps
     # written so that a NaN estimate fails too
-    if not rcond * _CONDITION_LIMIT >= eps:
-        scale = eps / rcond if rcond > 0.0 else math.inf
+    if not rcond * _CONDITION_LIMIT >= _EPS:
+        scale = _EPS / rcond if rcond > 0.0 else math.inf
         raise SolverError(
             f"grounded system is too ill-conditioned: eps/rcond {scale:.1e} "
             f"exceeds {_CONDITION_LIMIT:.0e}"
         )
-    return eps / rcond
+    return _EPS / rcond
 
 
 def spd_trace_inverse(diag: np.ndarray, off) -> float:
     """Trace of the inverse of the SPD matrix A with diagonal ``diag`` and
     off-diagonal entries ``off = (rows, cols, values)``.
 
-    A is assembled here and overwritten: factored in place as A = U^T U
-    with the other triangle zeroed, then U inverted in place by LAPACK
-    ``dtrtri``. The trace of A^-1 = U^-1 U^-T is the sum of the squares
-    of U^-1, taken in place too, so A is the only n x n array; its 1-norm
-    comes from the entries.
+    A is assembled here and overwritten: factored in place as A = U^T U,
+    then U inverted in place by LAPACK ``dtrtri``. Neither touches the other
+    triangle, which still holds A's off-diagonal entries; zeroing just
+    those, O(m), clears it without the n^2 / 2 writes of zeroing all of it.
+    The trace of A^-1 = U^-1 U^-T is the sum of the squares of U^-1, taken
+    in place too, so A is the only n x n array; its 1-norm comes from the
+    entries.
     """
     if diag.size == 0:
         return 0.0
-    c = _factor(_dense(diag, off), _edge_ends(off), lower=False, clean=True)[0]
+    c = _factor(_dense(diag, off), _edge_ends(off), lower=False)[0]
     inv, info = dtrtri(c, lower=0, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
+    rows, cols, _ = off
+    inv[np.maximum(rows, cols), np.minimum(rows, cols)] = 0.0
     return float(np.square(inv, out=inv).sum())
 
 
 def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
     """Diagonal of the inverse of an SPD matrix whose graph is a forest.
 
-    ``offdiag_edges`` holds (u, v, value) with value = A[u, v]. Two passes:
-    leaf-to-root elimination pivots, then root-to-leaf back-substitution.
-    Exact in O(n), which keeps trace computations on large trees cheap.
+    ``offdiag_edges`` holds (u, v, value) rows with value = A[u, v], as an
+    (m, 3) array or a sequence of triples. Two passes over the preorder of
+    :func:`graphs.rooted_forest`: leaf-to-root elimination pivots, then
+    root-to-leaf back-substitution. Exact in O(n), which keeps trace
+    computations on large trees cheap.
     """
     n = node_count
-    adj = [[] for _ in range(n)]
-    for u, v, a in offdiag_edges:
-        adj[u].append((v, a))
-        adj[v].append((u, a))
-    parent = np.full(n, -1, dtype=np.int64)
-    coupling = np.zeros(n)
-    order = []
-    seen = bytearray(n)
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for v, a in adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    parent[v] = u
-                    coupling[v] = a
-                    stack.append(v)
-    pivot = np.asarray(diagonal, dtype=np.float64).copy()
-    ratio = np.zeros(n)
+    uvw = np.asarray(offdiag_edges, dtype=np.float64).reshape(-1, 3)
+    order, parent, edge = rooted_forest(n, uvw[:, :2].astype(np.intp))
+    # a root's edge index -1 picks the padding
+    coupling = np.append(uvw[:, 2], 0.0)[edge].tolist()
+    pivot = np.asarray(diagonal, dtype=np.float64).tolist()
+    ratio = [0.0] * n
     for u in reversed(order):
         # u's children came first, so its pivot is final
         if pivot[u] <= 0.0:
@@ -178,11 +180,12 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
             # where coupling^2 / pivot would overflow first
             ratio[u] = coupling[u] / pivot[u]
             pivot[p] -= ratio[u] * coupling[u]
-    out = 1.0 / pivot
+    out = (1.0 / np.array(pivot)).tolist()
     for u in order:
-        if parent[u] >= 0:
-            out[u] += ratio[u] * ratio[u] * out[parent[u]]
-    return out
+        p = parent[u]
+        if p >= 0:
+            out[u] += ratio[u] * ratio[u] * out[p]
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -457,17 +460,15 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
 def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
-    The Laplacian grounded at node 0, L0, is factored and inverted in place
-    by LAPACK (``dpotrf`` then ``dpotri``, about n^3 flops) into G0, the
-    inverse's upper triangle; between the two, ``dpocon`` estimates L0's
-    condition (``_check_condition``). The inverse's residual L0 G0 - I is
-    checked on a few columns of that triangle against ``SOLVE_TOLERANCE``,
-    with L0 applied from its entries since the factor overwrote it. Row
-    block by row block, the upper triangle of the table is then written as
-    r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0 padded by a zero
-    row/column at node 0, and mirrored within the table. Peak memory is the
-    table plus G0. Foster's theorem checks the finished table
-    (``_check_foster``).
+    Both routes ground node 0; L0 is that grounded Laplacian and G0 its
+    inverse. A graph with at most one cycle (m <= n) takes the O(n^2)
+    route of :func:`_one_cycle_table`: path sums over a spanning tree plus
+    one rank-one update for the cycle's left-out edge. Every other graph,
+    and every graph whose condition bound fails there, takes
+    :func:`_factored_table`, about n^3 flops of LAPACK. Each route bounds
+    L0's condition, checks the residual L0 G0 - I on four columns of G0
+    against ``SOLVE_TOLERANCE`` and checks the finished table by Foster's
+    theorem (``_check_foster``). Peak memory is at most the table plus G0.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -476,14 +477,37 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     if n == 1:
         return ResistanceOracle(g, np.zeros((1, 1)))
     _, diag, off = _grounded_entries(g, (0,))
-    G0 = _dense(diag, off)
     edges = _edge_ends(off)
+    table = _one_cycle_table(g, diag, edges) if g.edge_count <= n else None
+    if table is None:
+        table = _factored_table(g, diag, off, edges)
+    return ResistanceOracle(g, table)
+
+
+def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
+    """The table from L0 (diagonal ``diag``, off-diagonal entries ``off``
+    and their :func:`_edge_ends` ``edges``), factored and inverted by LAPACK.
+
+    L0 is factored and inverted in place (``dpotrf`` then ``dpotri``, about
+    n^3 flops) into G0, the inverse's upper triangle; between the two,
+    ``dpocon`` estimates L0's condition (``_check_condition``). The
+    residual is checked on that triangle, with L0 applied from its entries
+    since the factor overwrote it. Row block by row block, the upper
+    triangle of the table is then written as
+    r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0 padded by a zero
+    row/column at node 0, and mirrored within the table.
+    """
+    n = g.node_count
+    G0 = _dense(diag, off)
     c, anorm, scale = _factor(G0, edges, lower=True)
     _, info = dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK inversion failed (info={info})")
-    _check_residual(G0, diag, edges, anorm)
     m = n - 1
+    cols = _residual_columns(m)
+    # the checked columns, stored as rows: G0 is symmetric
+    X = np.where(np.arange(m) < cols[:, None], G0[:, cols].T, G0[cols])
+    _check_residual(X, cols, diag, edges, anorm)
     d = np.diagonal(G0).copy()
     table = np.empty((n, n))
     table[0, 0] = 0.0
@@ -505,7 +529,135 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
         t += g0
         _mirror_rows(T, a, b, below)
     _check_foster(g, table, scale)
-    return ResistanceOracle(g, table)
+    return table
+
+
+def _one_cycle_table(g: Graph, diag: np.ndarray, edges):
+    """The table of a connected graph with m <= n edges in O(n^2), or None
+    when L0's condition bound fails (L0 as in :func:`_factored_table`).
+
+    A spanning tree rooted at node 0 leaves out the lightest edge of the
+    cycle, if there is one. On the tree, G0[u, v] = D(lca(u, v)), with D
+    the resistance from the root, so each row of G0 is its parent's row
+    with the row's own subtree, one slice of the preorder, set to D(u); the
+    rows are written into the table and formed in place as
+    r(u, v) = (D(u) + D(v)) - 2 G0[u, v] by row blocks, which is exactly
+    symmetric and 0 on the diagonal. The left-out edge (i, j) of weight w
+    then enters as the rank-one update of :func:`edge_addition_update`,
+    r(p, q) -= w (x_p - x_q)^2 / (4 (1 + w r(i, j))) with x the difference
+    of the columns i and j, by row blocks again.
+
+    Grounded inverses are entrywise nonnegative, so the 1-norm of G0 is its
+    largest row sum, which makes the condition bound exact: on a tree the
+    row sum of u is the sum of size(a) r(a, parent(a)) over the nodes a
+    from u up to the root, size(a) counting a's subtree, and is known
+    before the table is built; with the cycle's edge it is
+    (n r(u, 0) + sum_v r(v, 0) - sum_v r(u, v)) / 2, read from the table.
+    The residual's four columns of G0 are read from the table as
+    (r(u, 0) + r(v, 0) - r(u, v)) / 2.
+    """
+    n = g.node_count
+    uv, w = g._uv, g._w
+    order, parent, edge = rooted_forest(n, uv)
+    chord = None
+    if g.edge_count == n:
+        chord = _lightest_cycle_edge(w, parent, edge, uv)
+        if chord in edge:
+            # this tree kept the lightest edge: span the graph without it
+            order, parent, edge = rooted_forest(n, np.delete(uv, chord, axis=0))
+            # back to indices among all the edges
+            edge = [e + (e >= chord) for e in edge]
+    # each node's resistance to its parent; the root's entry is not read
+    res = (1.0 / w)[edge].tolist()
+    size = [1] * n
+    for u in order[:0:-1]:
+        size[parent[u]] += size[u]
+    D = [0.0] * n
+    row_sums = [0.0] * n
+    for u in order[1:]:
+        p = parent[u]
+        D[u] = D[p] + res[u]
+        row_sums[u] = row_sums[p] + size[u] * res[u]
+    anorm = float(_one_norm(diag, edges))
+    scale = _EPS * anorm * max(row_sums)
+    # written so that a NaN bound fails too
+    if chord is None and not scale <= _CONDITION_LIMIT:
+        return None
+    table = np.empty((n, n))
+    table[0] = 0.0
+    nodes = np.array(order)
+    leaves = []
+    for k in range(1, n):
+        u = order[k]
+        if size[u] == 1:
+            leaves.append(u)
+            continue
+        row = table[u]
+        row[:] = table[parent[u]]
+        row[nodes[k:k + size[u]]] = D[u]
+    # a leaf's row is its parent's with its own entry set to D(leaf); no
+    # row is copied from a leaf's, so they can all go at once, last
+    d = np.array(D)
+    leaves = np.array(leaves, dtype=np.intp)
+    table[leaves] = table[np.array(parent)[leaves]]
+    table[leaves, leaves] = d[leaves]
+    rows = _block_rows(n)
+    scratch = np.empty((rows, n))
+    for a in range(0, n, rows):
+        b = min(a + rows, n)
+        t, s = table[a:b], scratch[:b - a]
+        # as in _factored_table, -2 G0 is exact
+        t *= -2.0
+        t += np.add(d[a:b, None], d, out=s)
+    if chord is not None:
+        i, j = uv[chord].tolist()
+        x = table[i] - table[j]
+        wc = float(w[chord])
+        denominator = 4.0 * (1.0 + wc * float(table[i, j]))
+        for a in range(0, n, rows):
+            b = min(a + rows, n)
+            s = np.subtract(x[a:b, None], x, out=scratch[:b - a])
+            s *= s
+            s *= wc
+            s /= denominator
+            table[a:b] -= s
+        sums = table.sum(axis=0)
+        inverse_norm = 0.5 * float((n * table[1:, 0] + sums[0] - sums[1:]).max())
+        scale = _EPS * anorm * inverse_norm
+        if not scale <= _CONDITION_LIMIT:
+            return None
+    # the grounded nodes are 1 .. n - 1
+    to_root = table[1:, 0]
+    cols = _residual_columns(n - 1)
+    X = 0.5 * ((to_root + to_root[cols, None]) - table[1:, 1:][cols])
+    _check_residual(X, cols, diag, edges, anorm)
+    _check_foster(g, table, scale)
+    return table
+
+
+def _lightest_cycle_edge(w: np.ndarray, parent, edge, uv) -> int:
+    """Index of the lightest edge on the one cycle of a connected graph with
+    as many edges as nodes, given the ``parent`` and ``edge`` lists of a
+    spanning tree rooted at node 0 (:func:`graphs.rooted_forest`). A tie
+    keeps the edge that tree leaves out, so no second tree is needed.
+    """
+    # the edge indices sum to m (m - 1) / 2 with m = n, and the tree takes
+    # all of them but one; the root's entry in ``edge`` is -1
+    n = len(edge)
+    left_out = n * (n - 1) // 2 - sum(edge) - 1
+    # the cycle is the left-out edge and the tree path between its ends
+    a, b = uv[left_out].tolist()
+    up_a = [a]
+    while parent[up_a[-1]] >= 0:
+        up_a.append(parent[up_a[-1]])
+    on_a = set(up_a)
+    cycle = [left_out]
+    while b not in on_a:
+        cycle.append(edge[b])
+        b = parent[b]
+    cycle += [edge[v] for v in up_a[:up_a.index(b)]]
+    weights = w[cycle].tolist()
+    return cycle[weights.index(min(weights))]
 
 
 def _block_rows(n: int) -> int:
@@ -534,26 +686,35 @@ def _edge_ends(off):
             np.concatenate((values, values)))
 
 
-def _check_residual(G0: np.ndarray, diag: np.ndarray, edges, anorm: float) -> None:
-    """Raise SolverError unless L0 G0 is the identity on four columns.
+def _residual_columns(m: int) -> np.ndarray:
+    """The (at most four, evenly spread) columns of an m x m grounded
+    inverse that :func:`_check_residual` checks."""
+    k = min(4, m)
+    return np.array([c * (m - 1) // max(1, k - 1) for c in range(k)], dtype=np.intp)
 
-    L0 has diagonal ``diag``, the off-diagonal entries ``edges`` (from
+
+def _check_residual(X: np.ndarray, cols: np.ndarray, diag: np.ndarray, edges,
+                    anorm: float) -> None:
+    """Raise SolverError unless L0 X is the identity's columns ``cols``.
+
+    ``X`` holds, as rows, the columns ``cols`` (from
+    :func:`_residual_columns`) of the computed inverse of L0. L0 has
+    diagonal ``diag``, the off-diagonal entries ``edges`` (from
     :func:`_edge_ends`) and the 1-norm (equal to its infinity norm)
     ``anorm``; it is applied to each column from those entries, O(m) per
     column. The residual is scaled by ``anorm`` times the largest entry of
-    the checked columns. G0 holds the inverse in its upper triangle only.
+    the checked columns.
     """
-    m = G0.shape[0]
-    k = min(4, m)
-    cols = np.arange(k) * (m - 1) // max(1, k - 1)
-    # the checked columns, stored as rows: G0 is symmetric
-    X = np.where(np.arange(m) < cols[:, None], G0[:, cols].T, G0[cols])
+    k, m = X.shape
     ends, others, weights = edges
     terms = X[:, others] * weights
+    # one bincount over the k columns side by side adds, per entry, the
+    # same terms in the same order as one per column
     LX = X * diag
-    for c in range(k):
-        LX[c] += np.bincount(ends, terms[c], minlength=m)
-    LX[np.arange(k), cols] -= 1.0
+    LX += np.bincount(np.add.outer(m * np.arange(k), ends).ravel(), terms.ravel(),
+                      minlength=k * m).reshape(k, m)
+    for c, col in enumerate(cols.tolist()):
+        LX[c, col] -= 1.0
     res = np.abs(LX).max()
     scale = anorm * np.abs(X).max() + 1.0
     # written so that a NaN residual fails too

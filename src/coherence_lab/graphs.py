@@ -203,6 +203,52 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.node_count - 1 and is_connected(g)
 
 
+def rooted_forest(node_count: int, ends: np.ndarray):
+    """A spanning forest of the graph on ``node_count`` nodes whose edges
+    join the two nodes of each row of the (m, 2) integer array ``ends``, in
+    depth-first preorder.
+
+    Each component is rooted at its smallest node, and the components come
+    in the order of their roots. A node's neighbours are visited in reverse
+    edge order, and each node joins the forest through the first edge that
+    reaches it. Returns three lists: ``order``, the nodes in preorder, in
+    which every subtree is one contiguous slice that starts at its root;
+    ``parent``, each node's parent; and ``edge``, the index of the edge
+    joining each node to its parent (both -1 at a root). On a forest every
+    edge joins a node to its parent; otherwise the edges no node names in
+    ``edge`` are those the spanning forest leaves out.
+    """
+    # both ends of every edge, interleaved and grouped by node, so each
+    # node's neighbours come in edge order
+    flat = ends.ravel()
+    by_end = np.argsort(flat, kind="stable")
+    start = np.searchsorted(flat[by_end], np.arange(node_count + 1)).tolist()
+    other = ends[:, ::-1].ravel()[by_end].tolist()
+    through = (by_end >> 1).tolist()
+    parent = [-1] * node_count
+    edge = [-1] * node_count
+    seen = [False] * node_count
+    order = []
+    visit = order.append
+    for root in range(node_count):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        push, pop = stack.append, stack.pop
+        while stack:
+            u = pop()
+            visit(u)
+            for k in range(start[u], start[u + 1]):
+                v = other[k]
+                if not seen[v]:
+                    seen[v] = True
+                    parent[v] = u
+                    edge[v] = through[k]
+                    push(v)
+    return order, parent, edge
+
+
 def graph_distance(g: Graph, u: int, v: int) -> float:
     """Shortest weighted path length between u and v (Dijkstra)."""
     n = g.node_count

@@ -21,6 +21,7 @@ from coherence_lab.errors import (
     SameNodeError,
     SolverError,
 )
+from coherence_lab.graphs import _grounded_entries, rooted_forest
 
 from conftest import (
     dense_laplacian,
@@ -400,8 +401,9 @@ def test_trace_route_peak_memory():
 
 
 def test_table_is_bitwise_the_naive_formation_of_the_same_inverse(rng):
-    graphs = [cl.build_cycle(40), cl.build_path(70), cl.build_perfect_tree(2, 5).graph,
-              random_connected_graph(rng, 90, extra_edges=120), stiff_graph(rng, 60, 40)]
+    # graphs with more edges than nodes; trees and cycles take the path-sum
+    # route, checked exactly by the unit-weight tests below
+    graphs = [random_connected_graph(rng, 90, extra_edges=120), stiff_graph(rng, 60, 40)]
     for g in graphs:
         n = g.node_count
         L0, _ = cl.grounded_laplacian(g, (0,))
@@ -413,6 +415,129 @@ def test_table_is_bitwise_the_naive_formation_of_the_same_inverse(rng):
         P[1:, 1:] = np.tril(inv) + np.tril(inv, -1).T
         d = np.diag(P)
         assert np.array_equal(cl.resistance_oracle(g).table, (d[:, None] + d) - 2.0 * P)
+
+
+def _factored_table(g):
+    """The LAPACK build, which every graph with more edges than nodes takes."""
+    _, diag, off = _grounded_entries(g, (0,))
+    return electrical._factored_table(g, diag, off, electrical._edge_ends(off))
+
+
+def _relabelled(rng, g):
+    perm = rng.permutation(g.node_count)
+    edges = [(int(perm[u]), int(perm[v]), w) for u, v, w in g.edges]
+    return cl.build_graph([edges[i] for i in rng.permutation(len(edges))],
+                          node_count=g.node_count), perm
+
+
+def test_unit_trees_and_paths_equal_graph_distance_exactly(rng):
+    graphs = [cl.build_path(2), cl.build_path(30), cl.build_perfect_tree(2, 4).graph,
+              cl.build_perfect_tree(3, 3).graph]
+    graphs += [_relabelled(rng, g)[0] for g in graphs[1:]]
+    graphs += [random_tree(rng, n, weighted=False) for n in (3, 17, 40)]
+    for g in graphs:
+        n = g.node_count
+        distance = [[cl.graph_distance(g, u, v) for v in range(n)] for u in range(n)]
+        assert np.array_equal(cl.resistance_oracle(g).table, np.array(distance))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 25, 99, 400])
+def test_unit_cycles_equal_the_closed_form(rng, n):
+    # r = d (n - d) / n at cycle distance d. Next to the left-out edge the
+    # rank-one update cancels most of a path sum of about n, so the bound
+    # is 4 ulp of the largest entry rather than of each entry
+    i = np.arange(n)
+    d = np.minimum(np.abs(i[:, None] - i), n - np.abs(i[:, None] - i))
+    exact = d * (n - d) / n
+    plain = cl.build_cycle(n)
+    shuffled, perm = _relabelled(rng, plain)
+    moved = np.empty((n, n))
+    moved[np.ix_(perm, perm)] = exact
+    for g, expected in ((plain, exact), (shuffled, moved)):
+        R = cl.resistance_oracle(g).table
+        assert np.array_equal(R, R.T)
+        assert np.all(np.diagonal(R) == 0.0)
+        assert np.abs(R - expected).max() <= 4 * np.spacing(exact.max())
+
+
+@pytest.mark.parametrize("chords", [0, 1])
+def test_one_cycle_tables_match_pseudoinverse_and_factored_build(rng, chords):
+    # weights over 10^+-3, on which the factored build and the pseudoinverse
+    # are themselves off by up to ~1e-10 (eps/rcond) at n = 30
+    for n in (2, 3, 9, 30):
+        g = stiff_graph(rng, n, chords)
+        assert g.edge_count == n - 1 + (chords if n > 2 else 0)
+        _assert_matches_pseudoinverse(g)
+        R, factored = cl.resistance_oracle(g).table, _factored_table(g)
+        assert np.abs(R - factored).max() <= 1e-9 * factored.max()
+
+
+def test_cycle_closed_by_its_heaviest_edge(rng):
+    # the edge a spanning tree of the cycle leaves out weighs 1e3, the others
+    # 10^-3 .. 10^3: the route leaves out the lightest edge instead, since
+    # the update's cancellation with the heavy one fails Foster's check on
+    # about a third of these small cycles
+    for n in (3, 4, 5):
+        plain = cl.build_cycle(n)
+        left_out, = set(range(n)) - set(rooted_forest(n, plain._uv)[2])
+        for _ in range(20):
+            weights = 10.0 ** rng.uniform(-3.0, 3.0, n)
+            weights[left_out] = 1e3
+            edges = [(u, v, float(w)) for (u, v, _), w in zip(plain.edges, weights)]
+            _assert_matches_pseudoinverse(cl.build_graph(edges))
+
+
+@pytest.mark.parametrize("w", [1e8, 1e9, 1.2e9, 1e12, 1e17, 1e200, 1e300])
+def test_stiff_paths_agree_with_the_factored_build(w):
+    # a failed condition bound hands the path to the factored build, so
+    # every refusal keeps its class and message
+    g = _stiff_path(w)
+    outcomes = []
+    for build in (lambda: cl.resistance_oracle(g).table, lambda: _factored_table(g)):
+        try:
+            outcomes.append(build())
+        except SolverError as exc:
+            outcomes.append(exc)
+    R, factored = outcomes
+    if isinstance(R, Exception) or isinstance(factored, Exception):
+        assert (type(R), str(R)) == (type(factored), str(factored))
+    else:
+        # the sums along root paths round once; the factored build is off by
+        # up to its eps/rcond, which the condition limit bounds
+        assert R[0, 1] == 1.0 and R[0, 2] == 1.0 + 1.0 / w
+        np.testing.assert_allclose(R, factored, rtol=electrical._CONDITION_LIMIT)
+
+
+def test_path_sum_route_keeps_the_residual_and_condition_checks(rng, monkeypatch):
+    graphs = [random_tree(rng, 12), stiff_graph(rng, 12, 1)]
+    monkeypatch.setattr(electrical, "SOLVE_TOLERANCE", 0.0)
+    for g in graphs:
+        with pytest.raises(SolverError, match="residual"):
+            cl.resistance_oracle(g)
+    monkeypatch.undo()
+    # a failed bound hands the graph to the factored build, whose own
+    # condition estimate then refuses it
+    monkeypatch.setattr(electrical, "_CONDITION_LIMIT", 1e-30)
+    for g in graphs:
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            cl.resistance_oracle(g)
+
+
+def test_only_graphs_with_more_edges_than_nodes_are_factored(rng, monkeypatch):
+    factored = []
+    build = electrical._factored_table
+    monkeypatch.setattr(electrical, "_factored_table",
+                        lambda g, *args: factored.append(g) or build(g, *args))
+    few = [cl.build_path(5), cl.build_cycle(7), random_tree(rng, 20),
+           stiff_graph(rng, 15, 1)]
+    # two triangles sharing the edge (0, 2): five edges on four nodes
+    many = [random_connected_graph(rng, 12, extra_edges=2), stiff_graph(rng, 15, 2),
+            cl.build_graph([(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0), (2, 3, 1.0),
+                            (0, 3, 1.0)])]
+    for g in few + many:
+        cl.resistance_oracle(g)
+    assert len(factored) == len(many)
+    assert all(a is b for a, b in zip(factored, many))
 
 
 def test_foster_check_refuses_a_wrong_triangle(rng, monkeypatch):

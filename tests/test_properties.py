@@ -3,8 +3,11 @@
 Small random connected weighted graphs (n <= 12, weights over 10^-2 ..
 10^2) and stubbornness weights over the same range are drawn with a fixed,
 derandomized profile, so every run checks the same examples and no example
-database is written.
+database is written. Trees and graphs with one cycle (n <= 16, weights
+over 10^-3 .. 10^3) check the table's path-sum route.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab as cl
+from coherence_lab import electrical
+from coherence_lab.graphs import _grounded_entries
 
 from conftest import naive_nc_value, naive_resistance_table
 
@@ -198,3 +203,62 @@ def test_adding_a_leader_never_raises_nf(case, data):
         before = cl.coherence_nf(g, leaders, method=method).value
         after = cl.coherence_nf(g, more, method=method).value
         assert after <= before * (1.0 + 1e-9)
+
+
+_wide_exponents = st.floats(min_value=-3.0, max_value=3.0)
+
+
+@st.composite
+def one_cycle_graphs(draw, max_n=16):
+    """A connected graph with at most one cycle, weights over 10^-3 .. 10^3,
+    its nodes relabelled and its edges listed in a drawn order."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = 10.0 ** draw(_wide_exponents)
+    chords = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+    if chords and draw(st.booleans()):
+        edges[draw(st.sampled_from(chords))] = 10.0 ** draw(_wide_exponents)
+    perm = draw(st.permutations(range(n)))
+    triples = [(perm[u], perm[v], w) for (u, v), w in edges.items()]
+    return cl.build_graph(draw(st.permutations(triples)), node_count=n)
+
+
+@PROFILE
+@given(one_cycle_graphs())
+def test_one_cycle_tables_match_the_pseudoinverse_and_the_factored_build(g):
+    R = cl.resistance_oracle(g).table
+    assert np.array_equal(R, R.T)
+    assert np.all(np.diagonal(R) == 0.0)
+    expected = naive_resistance_table(g)
+    np.testing.assert_allclose(R, expected, rtol=1e-9, atol=1e-12 * expected.max())
+    # the LAPACK build, which graphs with more edges than nodes take, is off
+    # by up to its eps/rcond on these weights
+    _, diag, off = _grounded_entries(g, (0,))
+    factored = electrical._factored_table(g, diag, off, electrical._edge_ends(off))
+    assert np.abs(R - factored).max() <= 1e-9 * factored.max()
+
+
+@PROFILE
+@given(one_cycle_graphs())
+def test_tree_tables_are_the_exact_path_sums(g):
+    # resistances along the unique paths, summed exactly and rounded once;
+    # the table rounds each sum from the root at most n - 1 times
+    n = g.node_count
+    assume(g.edge_count == n - 1)
+    neighbours = {u: [] for u in range(n)}
+    for u, v, w in g.edges:
+        neighbours[u].append((v, 1 / Fraction(w)))
+        neighbours[v].append((u, 1 / Fraction(w)))
+    exact = np.zeros((n, n))
+    for source in range(n):
+        sums, stack = {source: Fraction(0)}, [source]
+        while stack:
+            u = stack.pop()
+            for v, r in neighbours[u]:
+                if v not in sums:
+                    sums[v] = sums[u] + r
+                    stack.append(v)
+        exact[source] = [float(sums[v]) for v in range(n)]
+    R = cl.resistance_oracle(g).table
+    assert np.abs(R - exact).max() <= n * np.finfo(float).eps * exact.max()
