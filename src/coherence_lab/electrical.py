@@ -532,7 +532,7 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     return table
 
 
-def _one_cycle_table(g: Graph, diag: np.ndarray, edges):
+def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
     """The table of a connected graph with m <= n edges in O(n^2), or None
     when L0's condition bound fails (L0 as in :func:`_factored_table`).
 
