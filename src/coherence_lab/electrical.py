@@ -18,18 +18,21 @@ nearest common ancestor, plus one rank-one update for the edge the tree
 leaves out. Every other graph is factored and inverted in place by
 LAPACK (about n^3 flops), as is a graph with m <= n whose exact
 condition bound fails. Either route holds at most two n x n arrays, and
-Foster's theorem checks every finished table. The noise-free pair sweep
-:func:`two_leader_totals` needs one Gram matrix (BLAS ``dsyrk``, n^3
-flops) and likewise two n x n arrays. Both refuse, with
+Foster's theorem checks every finished table. The pair sweep
+:func:`two_leader_totals` needs one Gram matrix of the table (BLAS
+``dsyrk``, n^3 flops) and likewise two n x n arrays; its rows
+(:func:`_pair_rows`) take both dynamics, and the exhaustive search in
+``selection`` runs them, and its prefix sweep for larger sets, without
+the mirrored copy. Both the build and the sweep refuse, with
 ``BudgetExceededError``, any n whose two arrays would pass a fixed byte
 budget (4 GiB, about n = 16k). Every dense Cholesky factor overwrites
 the matrix it factors and is followed by a LAPACK condition estimate, and
 a grounded matrix whose forward-error scale eps/rcond passes
 ``_CONDITION_LIMIT`` raises ``SolverError``; the path-sum route computes
 that scale exactly, and a graph that fails it goes to the factored route.
-Every set query on the table is :meth:`ResistanceOracle.set_totals`,
-which grounds a batch of leader sets one leader at a time with the
-rank-one Schur steps of :func:`schur_columns`. A leader tied to a
+A query for given leader sets is :meth:`ResistanceOracle.set_totals`,
+which grounds a batch of them one leader at a time with the rank-one
+Schur steps of :func:`schur_columns`. A leader tied to a
 reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
 leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
@@ -395,15 +398,20 @@ def schur_columns(R: np.ndarray, sets: np.ndarray, inv_kappa=None):
         pivot = col[rows, rest[:, j]]
         if inv_kappa is not None:
             pivot = pivot + inv_kappa[:, j + 1]
-        if not np.all(pivot > 0.0):
-            raise SolverError("grounded system is not positive definite: "
-                              "a Schur pivot is not positive")
+        _check_pivots(pivot)
         pivots[:, j] = pivot
         later = rest[:, j + 1:]
         if later.shape[1]:
             coupling = np.take_along_axis(col, later, axis=1) / pivot[:, None]
             cols[:, j + 1:] -= coupling[:, :, None] * col[:, None, :]
     return cols, pivots
+
+
+def _check_pivots(pivots: np.ndarray) -> None:
+    """Raise SolverError unless every Schur pivot is positive."""
+    if not np.all(pivots > 0.0):
+        raise SolverError("grounded system is not positive definite: "
+                          "a Schur pivot is not positive")
 
 
 def two_leader_totals(R: np.ndarray) -> np.ndarray:
@@ -419,15 +427,19 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
     column sums. The Gram matrix R R (R is symmetric) is one symmetric
     rank-n update, BLAS ``dsyrk`` (n^3 flops): handed the Fortran-order
     view ``R.T``, it copies nothing and its lower triangle, transposed, is
-    the upper triangle of ``T``. The rest of the formula is applied in
-    place on that buffer, over the upper triangle in row blocks, and
-    mirrored. Peak memory is the table plus ``T`` plus one row block.
+    the upper triangle of ``T``. The rest of the formula,
+    :func:`_pair_rows`, is applied in place on that buffer, over the upper
+    triangle in row blocks, and mirrored. Peak memory is the table plus
+    ``T`` plus one row block. The exhaustive search runs the same rows for
+    both dynamics, each leader tied to the reference node by 1/kappa when
+    noise-corrupted, with a rounding bound beside them and without the
+    mirror.
     """
     R = np.asarray(R, dtype=np.float64)
     n = R.shape[0]
     _check_table_budget(n, "the pair sweep")
     col = R.sum(axis=0)
-    T = dsyrk(1.0, R.T, trans=1, lower=1).T
+    T = _pair_gram(R)
     q = np.diagonal(T).copy()
     rows = _block_rows(n)
     scratch = np.empty((rows, n))
@@ -435,26 +447,75 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, n, rows):
             b = min(a + rows, n)
-            t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
-            cx = col[a:b, None]
-            # num = q_x + q_y - 2 Q + 2 R (c_x - c_y) + n R^2, then
-            # T = c_x - num / (4 R); scaling by 2 or 4 is exact, so each
-            # entry rounds as the expression written out would
-            t *= 2.0
-            np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
-            np.subtract(cx, col[a:], out=s)
-            s *= r
-            s *= 2.0
-            t += s
-            np.multiply(r, float(n), out=s)
-            s *= r
-            t += s
-            t /= r
-            t *= 0.25
-            np.subtract(cx, t, out=t)
+            _pair_rows(T, R, q, col, a, b, scratch)
             _mirror_rows(T, a, b, below)
     np.fill_diagonal(T, 0.0)
     return T
+
+
+def _pair_gram(R: np.ndarray) -> np.ndarray:
+    """The Gram matrix R R of the symmetric table R, by one BLAS ``dsyrk``;
+    only its upper triangle (diagonal included) is written."""
+    return dsyrk(1.0, R.T, trans=1, lower=1).T
+
+
+def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
+               a: int, b: int, scratch: np.ndarray, inv_kappa=None,
+               bound=None) -> None:
+    """Overwrite rows a:b of ``T``'s upper triangle, from column a on, with
+    the pair totals sum_u r(u, {x, y}), x < y.
+
+    ``T`` holds the Gram matrix Q = R R there (:func:`_pair_gram`), ``q`` its
+    diagonal and ``col`` the table's column sums. Grounding x first (the
+    anchor) and then y by one Schur step gives
+
+        cs_x + n/kappa_x - [(q_x + q_y - 2 Q_xy) + 2 h (cs_x - cs_y) + n h^2]
+                           / (4 (r_xy + 1/kappa_x + 1/kappa_y)),
+
+    with h = r_xy + 2/kappa_x; ``inv_kappa`` is the pair (1/kappa of every
+    node as the first leader, as the second), and without it every leader
+    is pinned (the 1/kappa terms are 0). Scaling by 2 or 4 is exact, so
+    each entry rounds as the expression written out would. ``scratch``
+    has at least b - a rows of n columns. When given, ``bound`` (as large)
+    receives, in the same cells, a little more than the sum of the
+    absolute values of the terms, each bracketed term divided by 4 times
+    the pivot: the rounding error of a total is at most a few eps times
+    it.
+    """
+    n = R.shape[0]
+    t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
+    cx, cy = col[a:b, None], col[a:]
+    if inv_kappa is None:
+        h = pivot = r
+        lead = cx
+    else:
+        first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
+        h = r + 2.0 * first
+        pivot = (r + first) + second
+        lead = cx + n * first
+    if bound is not None:
+        # every term is positive but -2 Q_xy and -2 h cs_y, so the absolute
+        # values sum to the bracket plus 4 (Q_xy + h cs_y)
+        e = bound[:b - a, :n - a]
+        np.multiply(h, cy, out=e)
+        e += t
+    t *= 2.0
+    np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
+    np.subtract(cx, cy, out=s)
+    s *= h
+    s *= 2.0
+    t += s
+    np.multiply(h, float(n), out=s)
+    s *= h
+    t += s
+    t /= pivot
+    t *= 0.25
+    np.subtract(lead, t, out=t)
+    if bound is not None:
+        # lead + bracket / (4 pivot) + (Q_xy + h cs_y) / pivot, with the
+        # bracket's share, lead minus the total, taken as lead
+        e /= pivot
+        e += 2.0 * lead
 
 
 def resistance_oracle(g: Graph) -> ResistanceOracle:

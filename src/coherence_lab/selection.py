@@ -3,21 +3,41 @@
 Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
 searching exactly size k solves the "at most k" problem). Every value
-comes from one pairwise resistance table: noise-free pairs on more than
-two nodes use the Gram-matrix pair sweep, and every other (dynamics, k)
-sums ``ResistanceOracle.set_totals`` over lexicographic chunks of
-candidates, which grounds each candidate's leaders one at a time with
-the rank-one Schur steps of ``electrical.schur_columns`` (pinned for
-noise-free, tied by 1/kappa for noise-corrupted).
+comes from one pairwise resistance table, in one sweep for every
+k >= 2 that shares rank-one grounding steps between sets (as in Lin,
+Fardad & Jovanovic, IEEE TAC 2014). A set is its lexicographic prefix
+P of k - 2 leaders plus a trailing pair s < t after it. Grounding P on
+the table (pinned for noise-free, tied to a reference node by 1/kappa
+for noise-corrupted; ``electrical.schur_columns``) gives the grounded
+inverse A_P, and one Gram matrix G_P = A_P^T A_P (BLAS ``dsyrk``) then
+scores every trailing pair by two closed Schur steps:
+
+    total = tau_P - G_ss / p_s - (G_tt - 2 c G_st + c^2 G_ss) / p_t,
+
+with tau_P the total of P, p_s = A_ss + 1/kappa_s, c = A_st / p_s and
+p_t = A_tt - c A_st + 1/kappa_t. For k = 2, P is empty and the table
+itself plays A (``electrical._pair_rows``, the rows of
+``two_leader_totals``); for k = 1 a total is a column sum plus n/kappa.
+Prefixes are taken in groups whose grounded rows fit one block of
+``electrical._BLOCK_FLOATS`` floats, so small graphs pay Python once per
+group, not per prefix. The Gram expansion cancels where a set's value is
+small beside its terms (stiff weights), so every total carries the sum
+of its terms' absolute values, and a set whose rounding bound, 4 eps
+times that sum, exceeds ``_RECHECK`` of its value is recomputed
+directly by ``ResistanceOracle.set_totals``. The reduction keeps a
+running minimum and the sets within ``_tie_window`` of it, block by
+block; no array of all C(n, k) values is ever formed.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .coherence import (
     NOISE_CORRUPTED,
@@ -26,14 +46,32 @@ from .coherence import (
     coherence_nc,
     coherence_nf,
 )
-from .electrical import SOLVE_TOLERANCE, _is_int, normalize_kappa, resistance_oracle
+from .electrical import (
+    _BLOCK_FLOATS,
+    _EPS,
+    SOLVE_TOLERANCE,
+    ResistanceOracle,
+    _block_rows,
+    _check_pivots,
+    _is_int,
+    _pair_gram,
+    _pair_rows,
+    normalize_kappa,
+    resistance_oracle,
+    schur_columns,
+)
 from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
 from .graphs import Graph, is_connected
 
 DEFAULT_BUDGET = 10_000_000
 CO_OPTIMAL_CAP = 1000
-#: floats in the (candidates, k - 1, n) block of leader columns per chunk
-_BLOCK_FLOATS = 1 << 15
+#: sets scored together by the prefix sweep; each holds some 16 floats of
+#: temporaries
+_SETS_PER_BLOCK = _BLOCK_FLOATS // 8
+#: largest rounding bound, relative to a set's value, accepted from the
+#: Gram expansion; a set past it is recomputed directly. Fixed at a
+#: hundredth of the solve tolerance before any measurement.
+_RECHECK = 0.01 * SOLVE_TOLERANCE
 
 
 @dataclass(frozen=True)
@@ -56,37 +94,8 @@ def _tie_window(vmin: float) -> float:
     return 1e-12 + SOLVE_TOLERANCE * max(1.0, abs(vmin))
 
 
-def _lex_unranker(n: int, k: int):
-    """Map lexicographic ranks to the size-k subsets of range(n), one row each.
-
-    The rank r of c_1 < ... < c_k satisfies
-    C(n, k) - 1 - r = sum_i C(n - 1 - c_i, k + 1 - i) (the combinatorial
-    number system), so each position is one search in a column of
-    binomials. Columns are clipped at C(n, k): every remainder is below
-    it, so clipping changes no search and keeps the table in int64.
-    """
-    total = math.comb(n, k)
-    col = np.arange(n, dtype=np.int64)
-    binom = []
-    for j in range(1, k + 1):
-        binom.append(np.minimum(col, total))
-        col = np.concatenate(([0], np.cumsum(binom[-1])[:-1]))
-    binom.reverse()
-
-    def unrank(ranks):
-        rest = total - 1 - np.asarray(ranks, dtype=np.int64)
-        sets = np.empty((rest.size, k), dtype=np.intp)
-        for i, column in enumerate(binom):
-            d = np.searchsorted(column, rest, side="right") - 1
-            rest -= column[d]
-            sets[:, i] = n - 1 - d
-        return sets
-
-    return unrank
-
-
-def _kappa_reciprocals(kappa, n: int, k: int):
-    """1/kappa for every (candidate, position) of a chunk of sorted sets.
+def _kappa_reciprocals(kappa, n: int, k: int) -> np.ndarray:
+    """1/kappa of every node at every position of a sorted set, (k, n).
 
     A scalar or a mapping gives each node its own weight; a sequence is
     aligned with the candidate's leaders in ascending order, the order in
@@ -95,27 +104,263 @@ def _kappa_reciprocals(kappa, n: int, k: int):
     """
     if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
         per_node = 1.0 / normalize_kappa(range(n), kappa)
-        return lambda sets: per_node[sets]
+        return np.broadcast_to(per_node, (k, n))
     per_position = 1.0 / normalize_kappa(range(k), kappa)
-    return lambda sets: np.broadcast_to(per_position, sets.shape)
+    return np.broadcast_to(per_position[:, None], (k, n))
 
 
-def _table_values(g: Graph, k: int, dynamics: str, kappa) -> np.ndarray:
-    """Values for every size-k candidate, in lexicographic order."""
-    n = g.node_count
-    unrank = _lex_unranker(n, k)
-    oracle = resistance_oracle(g)
-    reciprocals = (_kappa_reciprocals(kappa, n, k)
-                   if dynamics == NOISE_CORRUPTED else None)
-    total = math.comb(n, k)
-    chunk = max(1, _BLOCK_FLOATS // max(1, (k - 1) * n))
-    values = np.empty(total)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        sets = unrank(np.arange(lo, hi))
-        inv_kappa = reciprocals(sets) if reciprocals is not None else None
-        values[lo:hi] = oracle.set_totals(sets, inv_kappa)
-    return 0.5 * values
+class _Minimum:
+    """The least of a stream of totals and every set whose value (half its
+    total) is within the tie window of the least value, in the order the
+    sets arrived."""
+
+    def __init__(self):
+        self.total = math.inf
+        self._totals = []
+        self._sets = []
+
+    def _limit(self) -> float:
+        # twice (least value + window); doubling is exact, so a total
+        # passes exactly when its value would
+        return self.total + 2.0 * _tie_window(0.5 * self.total)
+
+    def add(self, totals: np.ndarray, sets_at) -> None:
+        """Take a block of totals; ``sets_at`` maps ``np.nonzero``
+        positions in it to their sets, one row each."""
+        low = float(totals.min())
+        if low < self.total:
+            self.total = low
+            limit = self._limit()
+            keep = [v <= limit for v in self._totals]
+            self._totals = [v[k] for v, k in zip(self._totals, keep)]
+            self._sets = [S[k] for S, k in zip(self._sets, keep)]
+        limit = self._limit()
+        if low <= limit:
+            hits = np.nonzero(totals <= limit)
+            self._totals.append(totals[hits])
+            self._sets.append(sets_at(hits))
+
+    @property
+    def value(self) -> float:
+        return 0.5 * self.total
+
+    @property
+    def count(self) -> int:
+        return sum(v.size for v in self._totals)
+
+    def sets(self, cap: int) -> tuple[tuple[int, ...], ...]:
+        """The first ``cap`` sets within the tie window."""
+        out = []
+        for S in self._sets:
+            out += S[:cap - len(out)].tolist()
+        return tuple(tuple(S) for S in out)
+
+    def first(self) -> tuple[int, ...]:
+        """The first set whose total is the least itself."""
+        for v, S in zip(self._totals, self._sets):
+            at = np.flatnonzero(v == self.total)
+            if at.size:
+                return tuple(S[at[0]].tolist())
+        raise ValueError("no total was added")
+
+
+def _single_blocks(oracle: ResistanceOracle, recip):
+    """k = 1: each node's column sum plus n/kappa."""
+    totals = oracle.column_sums().copy()
+    if recip is not None:
+        totals += totals.size * recip[0]
+    yield totals, (), lambda hits: hits[0][:, None]
+
+
+def _pair_blocks(oracle: ResistanceOracle, recip):
+    """k = 2: the pair totals of ``electrical._pair_rows``, row block by
+    row block of the table's upper triangle, in place on its Gram matrix;
+    cells on or below the diagonal read +inf."""
+    R = oracle.table
+    n = R.shape[0]
+    col = oracle.column_sums()
+    T = _pair_gram(R)
+    q = np.diagonal(T).copy()
+    rows = _block_rows(n)
+    scratch = np.empty((rows, n))
+    bound = np.empty((rows, n))
+    lower = np.tri(rows, dtype=bool)
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _pair_rows(T, R, q, col, a, b, scratch, recip, bound)
+        t = T[a:b, a:]
+        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
+        wide = _too_wide(bound[:b - a, :n - a], t, scratch[:b - a, :n - a])
+
+        def sets_at(hits, a=a):
+            return np.column_stack((a + hits[0], a + hits[1]))
+
+        yield t, wide, sets_at
+
+
+def _prefix_blocks(oracle: ResistanceOracle, k: int, recip):
+    """k >= 3: the prefixes P of k - 2 leaders, in lexicographic order and
+    in groups whose grounded rows fit one block (:func:`_group_blocks`)."""
+    R = oracle.table
+    n = R.shape[0]
+    prefixes = itertools.combinations(range(n - 2), k - 2)
+    for first in prefixes:
+        # every prefix of the group has its last leader at first[0] + k - 3
+        # or later, so its columns after P number at most `widest`
+        widest = n - first[0] - k + 2
+        m = max(1, _BLOCK_FLOATS // (n * widest))
+        group = np.array([first, *itertools.islice(prefixes, m - 1)], dtype=np.intp)
+        yield from _group_blocks(oracle, group, recip)
+
+
+def _group_blocks(oracle: ResistanceOracle, group: np.ndarray, recip):
+    """The sets (P, s, t) of a group of prefixes P, rows of ``group``, as
+    vectors in lexicographic order: A_P's columns after j0 (the column
+    after the earliest-ending prefix), their Gram matrices G_P and the
+    diagonal of A_P give every trailing pair's total and rounding bound.
+    """
+    R = oracle.table
+    n = R.shape[0]
+    m, depth = group.shape
+    last = group[:, -1]
+    j0 = int(last.min()) + 1
+    w = n - j0
+    anchor = group[:, 0]
+    inv_kappa = None if recip is None else recip[np.arange(depth), group]
+    tau = oracle.set_totals(group, inv_kappa)
+    # each later prefix leader takes A_P down by col col^T / pivot
+    cols, pivots = schur_columns(R, group, inv_kappa)
+    cols /= np.sqrt(pivots)[:, :, None]
+
+    def grounded_rows(lo, hi):
+        """A_P[u, v] for lo <= u < hi and v >= j0, every prefix."""
+        A = R[anchor, lo:hi][:, :, None] + R[anchor, j0:][:, None, :]
+        A -= R[lo:hi, j0:]
+        A *= 0.5
+        if recip is not None:
+            A += inv_kappa[:, 0, None, None]
+        for j in range(depth - 1):
+            A -= cols[:, j, lo:hi, None] * cols[:, j, None, j0:]
+        return A
+
+    # the diagonal of A_P after j0: r(v, anchor) (+ 1/kappa), less the
+    # Schur steps, as grounded_rows forms it
+    diag = R[anchor, j0:]
+    if recip is not None:
+        diag += inv_kappa[:, :1]
+    for j in range(depth - 1):
+        diag -= cols[:, j, j0:] * cols[:, j, j0:]
+    # G_P over the columns after j0, summed over row blocks of A_P. dsyrk
+    # writes one triangle; the other is zeroed, since stale memory may
+    # hold subnormal patterns that slow every operation over the block
+    # tenfold
+    G = np.zeros((m, w, w))
+    step = max(1, _BLOCK_FLOATS // (m * w))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        A = grounded_rows(lo, hi)
+        for i in range(m):
+            dsyrk(1.0, A[i].T, beta=float(lo > 0), c=G[i].T, trans=0, lower=1,
+                  overwrite_c=1)
+    held = A if step >= n else None
+    gram_diag = np.diagonal(G, axis1=1, axis2=2).copy()
+    nodes = np.arange(j0, n)
+    # rows s are scored in runs of about _SETS_PER_BLOCK sets: each prefix
+    # that ends before s pairs it with every t after it
+    per_row = (nodes > last[:, None]).sum(axis=0) * (n - 1 - nodes)
+    run = np.cumsum(per_row) // _SETS_PER_BLOCK
+    cuts = [0, *(np.flatnonzero(np.diff(run)) + 1).tolist(), w]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # the sets of the run, (prefix, s, t) in lexicographic order, from
+        # flat positions; s and t count columns from j0
+        in_run = ((nodes[a:b, None] < nodes)[None]
+                  & (nodes[a:b] > last[:, None])[:, :, None])
+        i, s = np.divmod(np.flatnonzero(in_run), (b - a) * w)
+        if not i.size:
+            continue
+        s, t = np.divmod(s, w)
+        s += a
+        if held is not None:
+            As, top = held, 0
+        else:
+            As, top = grounded_rows(j0 + a, j0 + b), j0 + a
+        A_st = As.ravel()[(i * As.shape[1] + j0 + s - top) * w + t]
+        G_st = G.ravel()[(i * w + s) * w + t]
+        s_at, t_at = i * w + s, i * w + t
+        G_ss, G_tt = gram_diag.ravel()[s_at], gram_diag.ravel()[t_at]
+        p_s, p_t = diag.ravel()[s_at], diag.ravel()[t_at]
+        if recip is not None:
+            p_s += recip[depth, j0 + s]
+        _check_pivots(p_s)
+        c = A_st / p_s
+        p_t -= c * A_st
+        if recip is not None:
+            p_t += recip[depth + 1, j0 + t]
+        _check_pivots(p_t)
+        c2g = c * c
+        c2g *= G_ss
+        c *= G_st
+        c *= 2.0
+        total = G_tt - c
+        total += c2g
+        bound = np.abs(c, out=c)
+        bound += G_tt
+        bound += c2g
+        total /= p_t
+        bound /= p_t
+        first = G_ss / p_s
+        np.subtract(tau[i] - first, total, out=total)
+        bound += tau[i]
+        bound += first
+        wide = _too_wide(bound, total, c2g)
+
+        def sets_at(hits, i=i, s=s, t=t):
+            return np.column_stack((group[i[hits]], j0 + s[hits], j0 + t[hits]))
+
+        yield total, wide, sets_at
+
+
+def _too_wide(bound: np.ndarray, total: np.ndarray, scratch: np.ndarray):
+    """``np.nonzero`` positions of the totals whose rounding bound, 4 eps
+    times ``bound`` (the sum of the absolute values of their terms, or a
+    little more), exceeds ``_RECHECK`` of their value; a total that
+    cancelled below zero is always among them. ``scratch`` (as large) is
+    overwritten."""
+    # cells that hold no set read +inf, and +inf * 0 is NaN
+    with np.errstate(invalid="ignore"):
+        np.multiply(total, _RECHECK / (4.0 * _EPS), out=scratch)
+    return np.nonzero(bound > scratch)
+
+
+def _total_blocks(oracle: ResistanceOracle, k: int, recip):
+    """Every size-k total of the table's graph, block by block, as
+    ``(totals, sets_at)``; cells that hold no set read +inf.
+
+    A set whose rounding bound is too wide is recomputed by
+    ``ResistanceOracle.set_totals``; ``recip`` is the (k, n) array of
+    :func:`_kappa_reciprocals`, or None for noise-free.
+    """
+    if k == 1:
+        blocks = _single_blocks(oracle, recip)
+    elif k == 2:
+        blocks = _pair_blocks(oracle, recip)
+    else:
+        blocks = _prefix_blocks(oracle, k, recip)
+    for total, wide, sets_at in blocks:
+        if wide and wide[0].size:
+            sets = sets_at(wide)
+            inv_kappa = None if recip is None else recip[np.arange(k), sets]
+            total[wide] = oracle.set_totals(sets, inv_kappa)
+        yield total, sets_at
+
+
+def _search(oracle: ResistanceOracle, k: int, recip) -> _Minimum:
+    """The least size-k value and the sets tied with it."""
+    best = _Minimum()
+    for totals, sets_at in _total_blocks(oracle, k, recip):
+        best.add(totals, sets_at)
+    return best
 
 
 def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
@@ -134,6 +379,8 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
         raise BadParameterError(f"unknown dynamics {dynamics!r}")
     if not (_is_int(cap) and cap >= 1):
         raise BadParameterError(f"cap must be an integer >= 1, got {cap!r}")
+    if not (_is_int(budget) and budget >= 1):
+        raise BadParameterError(f"budget must be an integer >= 1, got {budget!r}")
     if not is_connected(g):
         raise DisconnectedGraphError("selection requires a connected graph")
     total = math.comb(n, k)
@@ -142,24 +389,17 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
             f"C({n},{k}) = {total} candidate sets exceed the budget of {budget}"
         )
     start = time.perf_counter()
-    if dynamics == NOISE_FREE and k == 2 < n:
-        # the upper triangle, row by row, is the lexicographic pair order
-        nodes = np.arange(n)
-        values = resistance_oracle(g).pair_totals()[nodes[:, None] < nodes]
-        values *= 0.5
-    else:
-        values = _table_values(g, k, dynamics, kappa)
-    vmin = float(values.min())
-    hits = np.flatnonzero(values <= vmin + _tie_window(vmin))
-    sets = tuple(tuple(int(v) for v in S)
-                 for S in _lex_unranker(n, k)(hits[:cap]))
+    oracle = resistance_oracle(g)
+    recip = (_kappa_reciprocals(kappa, n, k)
+             if dynamics == NOISE_CORRUPTED else None)
+    best = _search(oracle, k, recip)
     elapsed = time.perf_counter() - start
     return SelectionResult(
         dynamics=dynamics,
         k=k,
-        value=vmin,
-        optimal_sets=sets,
-        co_optimal_count=int(hits.size),
+        value=best.value,
+        optimal_sets=best.sets(cap),
+        co_optimal_count=best.count,
         evaluated_count=int(total),
         elapsed_seconds=elapsed,
     )

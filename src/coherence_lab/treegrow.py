@@ -23,6 +23,7 @@ from .closed_forms import tree_pair_geometry
 from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
 from .graphs import Graph, build_perfect_tree
+from .selection import _search
 
 
 class GrowingTree:
@@ -191,15 +192,14 @@ def grow_trajectory(h0: int, steps: int | None = None,
                 d_xy=d_xy, value=0.5 * float(total),
             ))
         if include_global:
-            # the upper triangle, row by row, so argmin keeps the first pair
-            upper = np.triu_indices(tree.node_count, 1)
-            pair_totals = oracle.pair_totals()[upper]
-            best = int(np.argmin(pair_totals))
-            x, y = int(upper[0][best]), int(upper[1][best])
+            # the streamed pair search, whose first minimal set is the
+            # first pair in lexicographic order, as argmin would keep it
+            best = _search(oracle, 2, None)
+            x, y = best.first()
             d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
             global_rows.append(TrajectoryRow(
                 step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,
-                d_xy=d_xy, value=0.5 * float(pair_totals[best]),
+                d_xy=d_xy, value=best.value,
             ))
 
     record(0)

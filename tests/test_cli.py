@@ -126,6 +126,14 @@ def test_select_budget_exceeded_exit_code():
     assert "budget" in err.lower()
 
 
+def test_select_bad_budget_exit_code():
+    code, out, err = run(["select", "--graph", "cycle:6", "--k", "2",
+                          "--budget", "-1"])
+    assert code == 2
+    assert out == ""
+    assert "budget must be an integer" in err
+
+
 def test_select_over_the_table_budget_exit_code(monkeypatch):
     monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1 << 10)
     code, out, err = run(["select", "--graph", "cycle:20", "--k", "1"])

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg.lapack import dpotrf, dpotri
 
 import coherence_lab as cl
-from coherence_lab import electrical
+from coherence_lab import electrical, selection
 from coherence_lab.electrical import forest_inverse_diagonal, two_leader_totals
 from coherence_lab.errors import (
     BadKappaError,
@@ -370,8 +370,14 @@ def test_table_budget_guard(monkeypatch):
 
 
 def test_table_build_and_pair_sweep_peak_memory():
-    # the build holds the table and the grounded inverse, the k = 2 search
-    # the table and the pair totals; each only one row block besides
+    # the build holds the table and the grounded inverse, each only one row
+    # block besides. The k = 2 search holds the table, its Gram matrix, two
+    # row blocks (scratch and rounding bound, 0.2 tables each at n = 400)
+    # and numpy's ufunc buffers (~0.1): 2.58 measured, gate 2.75. The k = 3
+    # search holds the table, one Gram matrix, one block of grounded rows
+    # (0.8 tables at n = 200) and some 16 vectors of the sets scored
+    # together (1.6 tables): 5.09 measured, gate 5.5; an array of all
+    # C(200, 3) values alone would be 66 tables
     g = cl.build_cycle(400)
     table_bytes = 8 * 400 * 400
     tracemalloc.start()
@@ -381,10 +387,14 @@ def test_table_build_and_pair_sweep_peak_memory():
         tracemalloc.reset_peak()
         cl.brute_force_select(g, 2)
         select_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        cl.brute_force_select(cl.build_cycle(200), 3)
+        triple_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert build_peak <= 2.5 * table_bytes
-    assert select_peak <= 3.0 * table_bytes
+    assert select_peak <= 2.75 * table_bytes
+    assert triple_peak <= 5.5 * 8 * 200 * 200
 
 
 def test_trace_route_peak_memory():
@@ -582,6 +592,11 @@ def test_set_queries_reject_a_non_positive_pivot():
         oracle = cl.ResistanceOracle(g, np.full((4, 4), fill))
         with pytest.raises(SolverError):
             oracle.set_totals(np.array([[0, 1, 3]]))
+        # and so does the search's prefix sweep, at its own pivots (k = 3)
+        # and at the prefix's (k = 4)
+        for k in (3, 4):
+            with pytest.raises(SolverError, match="Schur pivot"):
+                selection._search(oracle, k, None)
 
 
 def test_kappa_list_follows_given_leader_order():

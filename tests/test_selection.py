@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab import electrical, selection
 from coherence_lab.errors import (
     BadKappaError,
     BadParameterError,
     BudgetExceededError,
     DisconnectedGraphError,
 )
-from coherence_lab.selection import _table_values
+from coherence_lab.selection import _kappa_reciprocals, _total_blocks
 
 from conftest import naive_nc_value, naive_nf_value, random_connected_graph, stiff_graph
 
@@ -62,6 +63,19 @@ def test_binary_tree_height_five_optimum_is_unique_geometry():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         cl.brute_force_select(cl.build_cycle(20), 5, budget=100)
+
+
+@pytest.mark.parametrize("budget", [None, "10", True, 2.5, 0, -1])
+def test_budget_must_be_a_positive_integer(budget):
+    with pytest.raises(BadParameterError, match="budget must be an integer"):
+        cl.brute_force_select(cl.build_cycle(6), 2, budget=budget)
+
+
+def test_budget_is_inclusive_and_takes_numpy_integers():
+    g = cl.build_cycle(6)
+    assert cl.brute_force_select(g, 2, budget=np.int64(15)).evaluated_count == 15
+    with pytest.raises(BudgetExceededError, match="exceed the budget of 14"):
+        cl.brute_force_select(g, 2, budget=14)
 
 
 def test_parameter_validation():
@@ -180,6 +194,20 @@ def test_two_leader_fast_path_matches_direct_solves(rng):
 # ---------------------------------------------------------------------------
 # the resistance-table evaluator against plain-inverse oracles
 
+def _all_values(g, k, dynamics, kappa):
+    """Every size-k value of the search's sweep, by set, in the order the
+    sweep produced them."""
+    oracle = cl.resistance_oracle(g)
+    recip = (_kappa_reciprocals(kappa, g.node_count, k)
+             if dynamics == cl.NOISE_CORRUPTED else None)
+    out = {}
+    for totals, sets_at in _total_blocks(oracle, k, recip):
+        held = np.nonzero(np.isfinite(totals))
+        for S, v in zip(sets_at(held).tolist(), totals[held].tolist()):
+            out[tuple(S)] = 0.5 * v
+    return out
+
+
 def _naive_search(g, k, value):
     """Every size-k value by the oracle, the optimum, and the optimal sets
     in lexicographic order."""
@@ -238,8 +266,9 @@ def test_table_evaluator_stiff_weights(rng, dynamics):
             return naive_nc_value(g, S, 3.0)
 
         expect = _assert_matches_naive(g, k, dynamics, 3.0, value)
-        got = _table_values(g, k, dynamics, 3.0)
-        for v, S in zip(got, itertools.combinations(range(g.node_count), k)):
+        got = _all_values(g, k, dynamics, 3.0)
+        assert list(got) == list(expect)
+        for S, v in got.items():
             assert v == pytest.approx(expect[S], rel=1e-9)
 
 
@@ -308,3 +337,104 @@ def test_best_single_leader_agrees_with_search(rng, dynamics, kappa):
         search = cl.brute_force_select(g, 1, dynamics, weights)
         assert best == search.optimal_sets[0][0]
         assert report.value == pytest.approx(search.value, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the prefix sweep: plain-inverse oracles, rounding rechecks, ties, blocks
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
+def test_prefix_sweep_stiff_weights_match_plain_inverse(rng, dynamics, k):
+    # weights over 10^+-3; the noise-corrupted case weighs each position
+    # of a sorted set by its own kappa
+    g = stiff_graph(rng, 11, 8)
+    weights = [0.4, 7.0, 1.5, 60.0, 0.05][:k]
+    if dynamics == cl.NOISE_FREE:
+        kappa = None
+
+        def value(S):
+            return naive_nf_value(g, S)
+    else:
+        kappa = weights
+
+        def value(S):
+            return naive_nc_value(g, S, dict(zip(S, weights)))
+
+    expect = _assert_matches_naive(g, k, dynamics, kappa, value)
+    got = _all_values(g, k, dynamics, kappa)
+    assert list(got) == list(expect)
+    for S, v in got.items():
+        assert v == pytest.approx(expect[S], rel=1e-9)
+
+
+def _recomputed_sets(monkeypatch, k):
+    """Record every size-k set that the sweep hands to ``set_totals``."""
+    seen = []
+    set_totals = cl.ResistanceOracle.set_totals
+
+    def spy(self, sets, inv_kappa=None):
+        sets = np.asarray(sets)
+        if sets.shape[1] == k:
+            seen.extend(tuple(S) for S in sets.tolist())
+        return set_totals(self, sets, inv_kappa)
+
+    monkeypatch.setattr(cl.ResistanceOracle, "set_totals", spy)
+    return seen
+
+
+def test_wide_rounding_bounds_are_recomputed(rng, monkeypatch):
+    # on this stiff graph (weights 10^+-3) the Gram expansion of 28 of the
+    # 220 triples cancels past the recheck threshold
+    g = stiff_graph(rng, 12, 6)
+    oracle = cl.resistance_oracle(g)
+    sets = list(itertools.combinations(range(12), 3))
+    direct = dict(zip(sets, 0.5 * oracle.set_totals(sets)))
+    recomputed = _recomputed_sets(monkeypatch, 3)
+    got = _all_values(g, 3, cl.NOISE_FREE, None)
+    assert 0 < len(recomputed) < len(sets)
+    for S in recomputed:
+        assert got[S] == direct[S]
+    for S in sets:
+        assert got[S] == pytest.approx(naive_nf_value(g, S), rel=1e-9)
+    result = cl.brute_force_select(g, 3)
+    # with the threshold at 0 every set is recomputed
+    monkeypatch.setattr(selection, "_RECHECK", 0.0)
+    recomputed.clear()
+    assert _all_values(g, 3, cl.NOISE_FREE, None) == direct
+    assert sorted(recomputed) == sets
+    again = cl.brute_force_select(g, 3)
+    assert again.optimal_sets == result.optimal_sets
+    assert again.co_optimal_count == result.co_optimal_count
+    assert again.value == pytest.approx(result.value, rel=1e-12)
+
+
+def test_complete_graph_ties_every_triple_and_cap_keeps_the_first():
+    g = cl.build_graph([(u, v, 1.0) for u, v in itertools.combinations(range(8), 2)])
+    triples = tuple(itertools.combinations(range(8), 3))
+    result = cl.brute_force_select(g, 3)
+    assert result.co_optimal_count == 56
+    assert result.optimal_sets == triples
+    assert result.value == pytest.approx(naive_nf_value(g, (0, 1, 2)), rel=1e-12)
+    capped = cl.brute_force_select(g, 3, cap=10)
+    assert capped.co_optimal_count == 56
+    assert capped.optimal_sets == triples[:10]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_block_sizes_change_no_set_or_count(rng, monkeypatch, k):
+    graphs = [cl.build_cycle(14), random_connected_graph(rng, 13, extra_edges=6)]
+    runs = [(cl.NOISE_FREE, None), (cl.NOISE_CORRUPTED, 1.7)]
+    expected = [cl.brute_force_select(g, k, d, kappa)
+                for g in graphs for d, kappa in runs]
+    # two-row blocks of the pair sweep; one prefix per group, its Gram
+    # matrix summed over three-row blocks; five sets scored at a time
+    monkeypatch.setattr(electrical, "_BLOCK_FLOATS", 40)
+    monkeypatch.setattr(selection, "_BLOCK_FLOATS", 40)
+    monkeypatch.setattr(selection, "_SETS_PER_BLOCK", 5)
+    got = [cl.brute_force_select(g, k, d, kappa)
+           for g in graphs for d, kappa in runs]
+    for a, b in zip(got, expected):
+        assert a.optimal_sets == b.optimal_sets
+        assert a.co_optimal_count == b.co_optimal_count
+        assert a.evaluated_count == b.evaluated_count
+        assert a.value == pytest.approx(b.value, rel=1e-12)

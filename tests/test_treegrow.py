@@ -135,21 +135,25 @@ def test_trajectory_values_match_naive_oracle():
 
 
 def test_trajectory_global_rows():
-    # the pair a row-major scan of the upper triangle with a strict < picks
-    result = cl.grow_trajectory(4, steps=8, include_global=True)
-    minima = result.minima_by_step()
-    tree = cl.init_growing_tree(4)
-    assert [r.step for r in result.global_rows] == list(range(9))
-    for row in result.global_rows:
-        if row.step:
-            tree.grow_step()
-        totals = cl.resistance_oracle(tree.to_graph()).pair_totals()
-        best = None
-        for x in range(tree.node_count):
-            for y in range(x + 1, tree.node_count):
-                if best is None or totals[x, y] < totals[best]:
-                    best = (x, y)
-        assert row.pair_id == f"{best[0]}-{best[1]}"
-        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, *best)[:3]
-        assert row.value == 0.5 * float(totals[best])
-        assert row.value <= minima[row.step] + 1e-12
+    # the pair a row-major scan of the upper triangle of the pair totals
+    # picks with a strict <, the first lexicographic minimum
+    for h0 in (4, 5):
+        result = cl.grow_trajectory(h0, steps=20, include_global=True)
+        minima = result.minima_by_step()
+        tree = cl.init_growing_tree(h0)
+        assert [r.step for r in result.global_rows] == list(range(21))
+        for row in result.global_rows:
+            if row.step:
+                tree.grow_step()
+            totals = cl.resistance_oracle(tree.to_graph()).pair_totals()
+            best = None
+            for x in range(tree.node_count):
+                for y in range(x + 1, tree.node_count):
+                    if best is None or totals[x, y] < totals[best]:
+                        best = (x, y)
+            assert row.pair_id == f"{best[0]}-{best[1]}"
+            geometry = cl.tree_pair_geometry(tree, *best)[:3]
+            assert (row.d_xr, row.d_yr, row.d_xy) == geometry
+            assert row.value == pytest.approx(0.5 * float(totals[best]),
+                                              rel=1e-12, abs=0.0)
+            assert row.value <= minima[row.step] + 1e-12
