@@ -21,9 +21,9 @@ condition bound fails. Either route holds at most two n x n arrays, and
 Foster's theorem checks every finished table. The pair sweep
 :func:`two_leader_totals` needs one Gram matrix of the table (BLAS
 ``dsyrk``, n^3 flops) and likewise two n x n arrays; its rows
-(:func:`_pair_rows`) take both dynamics, and the exhaustive search in
-``selection`` runs them, and its prefix sweep for larger sets, without
-the mirrored copy. Both the build and the sweep refuse, with
+(:func:`_pair_rows`) take both dynamics, and :func:`pair_total_blocks`
+streams them, with a rounding bound, for the exhaustive search in
+``selection``. Both the build and the sweep refuse, with
 ``BudgetExceededError``, any n whose two arrays would pass a fixed byte
 budget (4 GiB, about n = 16k). Every dense Cholesky factor overwrites
 the matrix it factors and is followed by a LAPACK condition estimate, and
@@ -430,10 +430,8 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
     the upper triangle of ``T``. The rest of the formula,
     :func:`_pair_rows`, is applied in place on that buffer, over the upper
     triangle in row blocks, and mirrored. Peak memory is the table plus
-    ``T`` plus one row block. The exhaustive search runs the same rows for
-    both dynamics, each leader tied to the reference node by 1/kappa when
-    noise-corrupted, with a rounding bound beside them and without the
-    mirror.
+    ``T`` plus one row block. :func:`pair_total_blocks` streams the same
+    rows for both dynamics, with a rounding bound and without the mirror.
     """
     R = np.asarray(R, dtype=np.float64)
     n = R.shape[0]
@@ -451,6 +449,34 @@ def two_leader_totals(R: np.ndarray) -> np.ndarray:
             _mirror_rows(T, a, b, below)
     np.fill_diagonal(T, 0.0)
     return T
+
+
+def pair_total_blocks(R: np.ndarray, col: np.ndarray, inv_kappa=None):
+    """Yield the pair totals sum_u r(u, {x, y}), x < y, of the table ``R``
+    (column sums ``col``) row block by row block, as ``(a, t, bound,
+    scratch)``: ``t[i, j]`` is the total of the pair (a + i, a + j), +inf
+    where j <= i (no pair), and ``bound`` holds a little more than the sum
+    of the absolute values of its terms (:func:`_pair_rows`). ``inv_kappa``
+    is the pair (1/kappa of every node as the first leader, as the
+    second) for noise-corrupted, None for noise-free. ``scratch`` is free
+    space of the same shape. Each block is overwritten by the next; beside
+    the table, the sweep holds one Gram matrix and three row blocks.
+    """
+    n = R.shape[0]
+    _check_table_budget(n, "the pair sweep")
+    T = _pair_gram(R)
+    q = np.diagonal(T).copy()
+    rows = _block_rows(n)
+    scratch = np.empty((rows, n))
+    bound = np.empty((rows, n))
+    lower = np.tri(rows, dtype=bool)
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _pair_rows(T, R, q, col, a, b, scratch, inv_kappa, bound)
+        t = T[a:b, a:]
+        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
+        yield a, t, bound[:b - a, :n - a], scratch[:b - a, :n - a]
 
 
 def _pair_gram(R: np.ndarray) -> np.ndarray:

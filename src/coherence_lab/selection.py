@@ -16,7 +16,7 @@ scores every trailing pair by two closed Schur steps:
 
 with tau_P the total of P, p_s = A_ss + 1/kappa_s, c = A_st / p_s and
 p_t = A_tt - c A_st + 1/kappa_t. For k = 2, P is empty and the table
-itself plays A (``electrical._pair_rows``, the rows of
+itself plays A (``electrical.pair_total_blocks``, the rows of
 ``two_leader_totals``); for k = 1 a total is a column sum plus n/kappa.
 Prefixes are taken in groups whose grounded rows fit one block of
 ``electrical._BLOCK_FLOATS`` floats, so small graphs pay Python once per
@@ -26,7 +26,8 @@ of its terms' absolute values, and a set whose rounding bound, 4 eps
 times that sum, exceeds ``_RECHECK`` of its value is recomputed
 directly by ``ResistanceOracle.set_totals``. The reduction keeps a
 running minimum and the sets within ``_tie_window`` of it, block by
-block; no array of all C(n, k) values is ever formed.
+block; no array of all C(n, k) values is ever formed. The kept sets are
+sorted at the end, so their order does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -51,12 +52,10 @@ from .electrical import (
     _EPS,
     SOLVE_TOLERANCE,
     ResistanceOracle,
-    _block_rows,
     _check_pivots,
     _is_int,
-    _pair_gram,
-    _pair_rows,
     normalize_kappa,
+    pair_total_blocks,
     resistance_oracle,
     schur_columns,
 )
@@ -111,8 +110,7 @@ def _kappa_reciprocals(kappa, n: int, k: int) -> np.ndarray:
 
 class _Minimum:
     """The least of a stream of totals and every set whose value (half its
-    total) is within the tie window of the least value, in the order the
-    sets arrived."""
+    total) is within the tie window of the least value."""
 
     def __init__(self):
         self.total = math.inf
@@ -148,20 +146,25 @@ class _Minimum:
     def count(self) -> int:
         return sum(v.size for v in self._totals)
 
+    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
+        """The kept totals and sets, sets in lexicographic order."""
+        if not self._sets:
+            raise ValueError("no total was added")
+        totals = np.concatenate(self._totals)
+        sets = np.concatenate(self._sets)
+        order = np.lexsort(sets.T[::-1])
+        return totals[order], sets[order]
+
     def sets(self, cap: int) -> tuple[tuple[int, ...], ...]:
-        """The first ``cap`` sets within the tie window."""
-        out = []
-        for S in self._sets:
-            out += S[:cap - len(out)].tolist()
-        return tuple(tuple(S) for S in out)
+        """The first ``cap`` sets within the tie window, in lexicographic
+        order."""
+        return tuple(map(tuple, self._ordered()[1][:cap].tolist()))
 
     def first(self) -> tuple[int, ...]:
-        """The first set whose total is the least itself."""
-        for v, S in zip(self._totals, self._sets):
-            at = np.flatnonzero(v == self.total)
-            if at.size:
-                return tuple(S[at[0]].tolist())
-        raise ValueError("no total was added")
+        """The first set, in lexicographic order, whose total is the least
+        itself."""
+        totals, sets = self._ordered()
+        return tuple(sets[np.flatnonzero(totals == self.total)[0]].tolist())
 
 
 def _single_blocks(oracle: ResistanceOracle, recip):
@@ -173,25 +176,12 @@ def _single_blocks(oracle: ResistanceOracle, recip):
 
 
 def _pair_blocks(oracle: ResistanceOracle, recip):
-    """k = 2: the pair totals of ``electrical._pair_rows``, row block by
-    row block of the table's upper triangle, in place on its Gram matrix;
-    cells on or below the diagonal read +inf."""
-    R = oracle.table
-    n = R.shape[0]
-    col = oracle.column_sums()
-    T = _pair_gram(R)
-    q = np.diagonal(T).copy()
-    rows = _block_rows(n)
-    scratch = np.empty((rows, n))
-    bound = np.empty((rows, n))
-    lower = np.tri(rows, dtype=bool)
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _pair_rows(T, R, q, col, a, b, scratch, recip, bound)
-        t = T[a:b, a:]
-        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
-        wide = _too_wide(bound[:b - a, :n - a], t, scratch[:b - a, :n - a])
+    """k = 2: the pair totals of ``electrical.pair_total_blocks``, row
+    block by row block of the table's upper triangle; cells on or below
+    the diagonal read +inf."""
+    blocks = pair_total_blocks(oracle.table, oracle.column_sums(), recip)
+    for a, t, bound, scratch in blocks:
+        wide = _too_wide(bound, t, scratch)
 
         def sets_at(hits, a=a):
             return np.column_stack((a + hits[0], a + hits[1]))
@@ -228,10 +218,14 @@ def _group_blocks(oracle: ResistanceOracle, group: np.ndarray, recip):
     w = n - j0
     anchor = group[:, 0]
     inv_kappa = None if recip is None else recip[np.arange(depth), group]
-    tau = oracle.set_totals(group, inv_kappa)
-    # each later prefix leader takes A_P down by col col^T / pivot
+    # each later prefix leader takes A_P down by col col^T / pivot, and the
+    # total of P, the anchor's column sum (+ n/kappa), by |col|^2 / pivot
     cols, pivots = schur_columns(R, group, inv_kappa)
     cols /= np.sqrt(pivots)[:, :, None]
+    tau = oracle.column_sums()[anchor]
+    if recip is not None:
+        tau = tau + n * inv_kappa[:, 0]
+    tau = tau - np.einsum("mju,mju->m", cols, cols)
 
     def grounded_rows(lo, hi):
         """A_P[u, v] for lo <= u < hi and v >= j0, every prefix."""
@@ -361,6 +355,14 @@ def _search(oracle: ResistanceOracle, k: int, recip) -> _Minimum:
     for totals, sets_at in _total_blocks(oracle, k, recip):
         best.add(totals, sets_at)
     return best
+
+
+def least_pair(oracle: ResistanceOracle) -> tuple[tuple[int, int], float]:
+    """The noise-free two-leader set of least value on the oracle's graph
+    and that value; among exact ties, the first pair in lexicographic
+    order."""
+    best = _search(oracle, 2, None)
+    return best.first(), best.value
 
 
 def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,

@@ -23,7 +23,7 @@ from .closed_forms import tree_pair_geometry
 from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
 from .graphs import Graph, build_perfect_tree
-from .selection import _search
+from .selection import least_pair
 
 
 class GrowingTree:
@@ -192,14 +192,13 @@ def grow_trajectory(h0: int, steps: int | None = None,
                 d_xy=d_xy, value=0.5 * float(total),
             ))
         if include_global:
-            # the streamed pair search, whose first minimal set is the
-            # first pair in lexicographic order, as argmin would keep it
-            best = _search(oracle, 2, None)
-            x, y = best.first()
+            # the first pair in lexicographic order among exact ties, as
+            # argmin over the upper triangle would keep it
+            (x, y), value = least_pair(oracle)
             d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
             global_rows.append(TrajectoryRow(
                 step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,
-                d_xy=d_xy, value=best.value,
+                d_xy=d_xy, value=value,
             ))
 
     record(0)

@@ -420,6 +420,36 @@ def test_complete_graph_ties_every_triple_and_cap_keeps_the_first():
     assert capped.optimal_sets == triples[:10]
 
 
+def test_ties_spread_over_runs_come_out_in_lexicographic_order():
+    # K_32 at k = 3 is one group of 30 prefixes whose sets split into
+    # runs of rows s; cap keeps the first 1000 of the 4960 ties
+    g = cl.build_graph([(u, v, 1.0) for u, v in itertools.combinations(range(32), 2)])
+    result = cl.brute_force_select(g, 3)
+    assert result.co_optimal_count == 4960
+    assert result.optimal_sets == tuple(itertools.combinations(range(32), 3))[:1000]
+    # a star with its hub labelled last: every triple holding the hub ties
+    star = cl.build_graph([(leaf, 39, 1.0) for leaf in range(39)])
+    result = cl.brute_force_select(star, 3)
+    expected = tuple(S for S in itertools.combinations(range(40), 3) if 39 in S)
+    assert result.co_optimal_count == len(expected) == 741
+    assert result.optimal_sets == expected
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_short_runs_of_grouped_prefixes_keep_lexicographic_order(monkeypatch, k):
+    # groups of many prefixes, as at the default block size, scored five
+    # sets at a time
+    monkeypatch.setattr(selection, "_SETS_PER_BLOCK", 5)
+    g = cl.build_graph([(u, v, 1.0) for u, v in itertools.combinations(range(11), 2)])
+    sets = tuple(itertools.combinations(range(11), k))
+    result = cl.brute_force_select(g, k, cap=len(sets))
+    assert result.co_optimal_count == len(sets)
+    assert result.optimal_sets == sets
+    star = cl.build_graph([(leaf, 10, 1.0) for leaf in range(10)])
+    result = cl.brute_force_select(star, k, dynamics=cl.NOISE_CORRUPTED, kappa=2.0)
+    assert result.optimal_sets == tuple(S for S in sets if 10 in S)
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_block_sizes_change_no_set_or_count(rng, monkeypatch, k):
     graphs = [cl.build_cycle(14), random_connected_graph(rng, 13, extra_edges=6)]

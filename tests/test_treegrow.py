@@ -154,6 +154,5 @@ def test_trajectory_global_rows():
             assert row.pair_id == f"{best[0]}-{best[1]}"
             geometry = cl.tree_pair_geometry(tree, *best)[:3]
             assert (row.d_xr, row.d_yr, row.d_xy) == geometry
-            assert row.value == pytest.approx(0.5 * float(totals[best]),
-                                              rel=1e-12, abs=0.0)
+            assert row.value == 0.5 * float(totals[best])
             assert row.value <= minima[row.step] + 1e-12
