@@ -25,14 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherence import coherence_nc
-from .electrical import _is_int
 from .errors import (
     BadGapVectorError,
     BadGeometryError,
     BadParameterError,
     OddCycleLengthError,
 )
-from .graphs import PerfectTree, build_cycle
+from .graphs import PerfectTree, _is_int, _require_int, build_cycle
 
 # ---------------------------------------------------------------------------
 # cycles, noise-free
@@ -55,15 +54,20 @@ def _check_gaps(gaps, minimum: int, kind: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _check_cycle_gaps(gaps) -> tuple[int, ...]:
+    c = _check_gaps(gaps, 1, "cycle")
+    if not c:
+        raise BadGapVectorError("cycle gap vector is empty")
+    return c
+
+
 def cycle_nf_coherence(gaps, n: int | None = None) -> float:
     """Noise-free coherence of a unit cycle from its inter-leader gaps.
 
     For k leaders with consecutive distances c the value is
     (c.c - k) / 12; every node being a leader (all gaps 1) gives 0.
     """
-    c = _check_gaps(gaps, 1, "cycle")
-    if not c:
-        raise BadGapVectorError("cycle gap vector is empty")
+    c = _check_cycle_gaps(gaps)
     total = sum(c)
     if n is not None and total != n:
         raise BadGapVectorError(f"gaps sum to {total}, expected n={n}")
@@ -78,6 +82,8 @@ def cycle_nf_optimal(n: int, k: int) -> tuple[tuple[int, ...], float]:
     With n = k*l + q the optimum uses k - q gaps of l and q gaps of l + 1,
     in any rotation; the sorted multiset is the canonical representative.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 3:
         raise BadParameterError(f"cycle needs n >= 3, got {n}")
     if not (1 <= k <= n):
@@ -89,7 +95,7 @@ def cycle_nf_optimal(n: int, k: int) -> tuple[tuple[int, ...], float]:
 
 def cycle_leaders_from_gaps(gaps) -> tuple[int, ...]:
     """Realize a cycle gap vector as 0-based leader positions from node 0."""
-    c = _check_gaps(gaps, 1, "cycle")
+    c = _check_cycle_gaps(gaps)
     pos = [0]
     for ci in c[:-1]:
         pos.append(pos[-1] + ci)
@@ -106,6 +112,7 @@ def _leader_ids(leaders) -> list[int]:
 
 
 def gaps_from_cycle_leaders(n: int, leaders) -> tuple[int, ...]:
+    _require_int("n", n)
     S = _leader_ids(leaders)
     if not S or S[0] < 0 or S[-1] >= n:
         raise BadParameterError(f"leaders {leaders!r} invalid for an {n}-cycle")
@@ -116,7 +123,7 @@ def gaps_from_cycle_leaders(n: int, leaders) -> tuple[int, ...]:
 
 def canonical_gap_rotation(gaps) -> tuple[int, ...]:
     """Lexicographically smallest rotation, the emitted representative."""
-    c = tuple(int(x) for x in gaps)
+    c = _check_cycle_gaps(gaps)
     return min(tuple(c[i:] + c[:i]) for i in range(len(c)))
 
 
@@ -158,6 +165,7 @@ def path_leaders_from_gaps(gaps) -> tuple[int, ...]:
 
 
 def gaps_from_path_leaders(n: int, leaders) -> tuple[int, ...]:
+    _require_int("n", n)
     S = _leader_ids(leaders)
     if not S or S[0] < 0 or S[-1] >= n:
         raise BadParameterError(f"leaders {leaders!r} invalid for an {n}-path")
@@ -176,6 +184,8 @@ def path_nf_optimal(n: int, k: int) -> tuple[tuple[int, ...], float]:
     cost. Marginals are (c + 1) / 2 for an end at c and (2c + 1) / 12 for
     an interior at c; ties resolve to the lowest slot index.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 2:
         raise BadParameterError(f"path needs n >= 2, got {n}")
     if not (1 <= k <= n):
@@ -212,6 +222,8 @@ def path_nf_round_construction(n: int, k: int):
     must verify the result against :func:`path_nf_optimal`, since the
     conditions fail for many sizes.
     """
+    _require_int("n", n)
+    _require_int("k", k)
     if n < 2 or not (1 <= k <= n):
         raise BadParameterError(f"need n >= 2 and 1 <= k <= n, got n={n}, k={k}")
     q = _round_half_away((2 * (n - 1) - 3 * (k - 1)) / (6 * (k - 1) + 4))
@@ -381,6 +393,8 @@ def tree_optimal_two(branching: int, height: int) -> TreeOptimum:
     function falls back to exhaustive search over all node pairs and flags
     it.
     """
+    _require_int("branching", branching)
+    _require_int("height", height)
     if branching < 2:
         raise BadParameterError(f"branching must be >= 2, got {branching}")
     if height < 1:
@@ -415,6 +429,8 @@ def cycle_nc_two_coherence(n: int, i: int) -> float:
     Grounds the shifted Laplacian. The published series form, which
     disagrees with it, is :func:`cycle_nc_two_printed_series`.
     """
+    _require_int("n", n)
+    _require_int("i", i)
     if n < 3:
         raise BadParameterError(f"cycle needs n >= 3, got {n}")
     if not (1 <= i <= n):
@@ -447,6 +463,7 @@ def cycle_nc_two_printed_series(n: int, i: int) -> float:
 
 def cycle_nc_sweep(n: int) -> list[tuple[int, float]]:
     """Trace-based values for every distinct-leader separation i in [2, n]."""
+    _require_int("n", n)
     if n < 3:
         raise BadParameterError(f"cycle needs n >= 3, got {n}")
     g = build_cycle(n)
@@ -457,6 +474,7 @@ def cycle_nc_sweep(n: int) -> list[tuple[int, float]]:
 
 def cycle_nc_optimal_i(n: int) -> int:
     """Optimal 1-based second-leader position on an even cycle."""
+    _require_int("n", n)
     if n % 2 != 0:
         raise OddCycleLengthError(f"closed form needs even n, got {n}")
     if n < 4:

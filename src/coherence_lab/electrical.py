@@ -17,19 +17,15 @@ spanning tree, where the inverse is the resistance from node 0 to the
 nearest common ancestor, plus one rank-one update for the edge the tree
 leaves out. Every other graph is factored and inverted in place by
 LAPACK (about n^3 flops), as is a graph with m <= n whose exact
-condition bound fails. Either route holds at most two n x n arrays, and
-Foster's theorem checks every finished table. The pair sweep
-:func:`two_leader_totals` needs one Gram matrix of the table (BLAS
-``dsyrk``, n^3 flops) and likewise two n x n arrays; its rows
-(:func:`_pair_rows`) take both dynamics, and :func:`pair_total_blocks`
-streams them, with a rounding bound, for the exhaustive search in
-``selection``. Both the build and the sweep refuse, with
-``BudgetExceededError``, any n whose two arrays would pass a fixed byte
-budget (4 GiB, about n = 16k). Every dense Cholesky factor overwrites
-the matrix it factors and is followed by a LAPACK condition estimate, and
-a grounded matrix whose forward-error scale eps/rcond passes
-``_CONDITION_LIMIT`` raises ``SolverError``; the path-sum route computes
-that scale exactly, and a graph that fails it goes to the factored route.
+condition bound fails. Either route holds at most two n x n arrays,
+refuses with ``BudgetExceededError`` any n whose two arrays would pass a
+fixed byte budget (4 GiB, about n = 16k), and Foster's theorem checks
+every finished table. Every dense Cholesky factor overwrites the matrix
+it factors and is followed by a LAPACK condition estimate, and a grounded
+matrix whose forward-error scale eps/rcond passes ``_CONDITION_LIMIT``
+raises ``SolverError``. The path-sum route and forest elimination compute
+that scale exactly, as eps ||A||_1 ||A^-1||_1: a graph that fails it in
+the path sums goes to the factored route, and forest elimination raises.
 A query for given leader sets is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of them one leader at a time with the rank-one
 Schur steps of :func:`schur_columns`. A leader tied to a
@@ -45,11 +41,9 @@ scipy's calls would leave that pool's threads spinning against scipy's.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 from scipy.linalg import cho_solve
-from scipy.linalg.blas import dsyrk
 from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dtrtri
 
 from .errors import (
@@ -64,7 +58,14 @@ from .errors import (
     SameNodeError,
     SolverError,
 )
-from .graphs import Graph, _dense, _grounded_entries, is_connected, rooted_forest
+from .graphs import (
+    Graph,
+    _dense,
+    _grounded_entries,
+    _is_int,
+    is_connected,
+    rooted_forest,
+)
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
@@ -75,9 +76,9 @@ SOLVE_TOLERANCE = 1e-10
 #: assembly past any accuracy (eps/rcond >= 0.89)
 _CONDITION_LIMIT = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
-#: bytes of n x n float arrays that one table build or pair sweep may hold
+#: bytes of n x n float arrays that one table build may hold
 _TABLE_BUDGET = 4 << 30
-#: floats per row block when a table or the pair totals are formed
+#: floats per row block when a table is formed
 _BLOCK_FLOATS = 1 << 15
 
 
@@ -165,39 +166,61 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
     :func:`graphs.rooted_forest`: leaf-to-root elimination pivots, then
     root-to-leaf back-substitution. Exact in O(n), which keeps trace
     computations on large trees cheap.
+
+    The same passes solve A' x = 1, with A' the matrix A with every
+    off-diagonal entry made negative: a forest's entries change sign under
+    a diagonal +-1 similarity, which changes no pivot, so A'^-1 = |A^-1|
+    and the largest entry of x is ||A^-1||_1. SolverError is raised when
+    the forward-error scale eps ||A||_1 ||A^-1||_1 passes
+    ``_CONDITION_LIMIT``, the scale ``_check_condition`` estimates for a
+    dense factor.
     """
     n = node_count
     uvw = np.asarray(offdiag_edges, dtype=np.float64).reshape(-1, 3)
-    order, parent, edge = rooted_forest(n, uvw[:, :2].astype(np.intp))
+    ends = uvw[:, :2].astype(np.intp)
+    order, parent, edge = rooted_forest(n, ends)
     # a root's edge index -1 picks the padding
     coupling = np.append(uvw[:, 2], 0.0)[edge].tolist()
-    pivot = np.asarray(diagonal, dtype=np.float64).tolist()
+    diagonal = np.asarray(diagonal, dtype=np.float64)
+    pivot = diagonal.tolist()
     ratio = [0.0] * n
+    x = [1.0] * n
     for u in reversed(order):
         # u's children came first, so its pivot is final
-        if pivot[u] <= 0.0:
+        d = pivot[u]
+        if d <= 0.0:
             raise SolverError("forest elimination hit a non-positive pivot")
         p = parent[u]
         if p >= 0:
             # the update as a ratio: a pivot lost to cancellation reads 0,
             # where coupling^2 / pivot would overflow first
-            ratio[u] = coupling[u] / pivot[u]
-            pivot[p] -= ratio[u] * coupling[u]
-    out = (1.0 / np.array(pivot)).tolist()
+            c = coupling[u]
+            r = ratio[u] = c / d
+            pivot[p] -= r * c
+            x[p] += abs(r) * x[u]
+    inverse = 1.0 / np.array(pivot)
+    out = inverse.tolist()
+    x = (inverse * x).tolist()
     for u in order:
         p = parent[u]
         if p >= 0:
-            out[u] += ratio[u] * ratio[u] * out[p]
+            r = ratio[u]
+            out[u] += r * r * out[p]
+            x[u] += abs(r) * x[p]
+    if n:
+        anorm = _one_norm(diagonal, _edge_ends((ends[:, 0], ends[:, 1], uvw[:, 2])))
+        scale = _EPS * float(anorm) * max(x)
+        # written so that a NaN bound fails too
+        if not scale <= _CONDITION_LIMIT:
+            raise SolverError(
+                f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
+                f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
+            )
     return np.array(out)
 
 
 # ---------------------------------------------------------------------------
 # grounding helpers
-
-def _is_int(value) -> bool:
-    """True for Python and numpy integers, False for bools and the rest."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
 
 def _check_nodes(g: Graph, *nodes):
     for v in nodes:
@@ -361,10 +384,6 @@ class ResistanceOracle:
             totals -= np.einsum("cu,cu->c", cols[:, j], cols[:, j]) / pivots[:, j]
         return totals
 
-    def pair_totals(self) -> np.ndarray:
-        """sum_u r(u, {x, y}) for every pair, via :func:`two_leader_totals`."""
-        return two_leader_totals(self.table)
-
 
 def schur_columns(R: np.ndarray, sets: np.ndarray, inv_kappa=None):
     """Ground every row of ``sets`` on the table, one leader at a time.
@@ -414,136 +433,6 @@ def _check_pivots(pivots: np.ndarray) -> None:
                           "a Schur pivot is not positive")
 
 
-def two_leader_totals(R: np.ndarray) -> np.ndarray:
-    """Total two-leader resistance for every node pair.
-
-    Given the pairwise resistance table ``R``, returns the symmetric matrix
-    ``T`` with ``T[x, y] = sum_u r(u, {x, y})`` where
-
-        r(u, {x, y}) = R[u, x] - (R[u, x] + R[x, y] - R[u, y])^2 / (4 R[x, y]).
-
-    The leader terms themselves contribute zero, so the sum may run over all
-    nodes. Expanding the square turns the u-sum into one Gram matrix plus
-    column sums. The Gram matrix R R (R is symmetric) is one symmetric
-    rank-n update, BLAS ``dsyrk`` (n^3 flops): handed the Fortran-order
-    view ``R.T``, it copies nothing and its lower triangle, transposed, is
-    the upper triangle of ``T``. The rest of the formula,
-    :func:`_pair_rows`, is applied in place on that buffer, over the upper
-    triangle in row blocks, and mirrored. Peak memory is the table plus
-    ``T`` plus one row block. :func:`pair_total_blocks` streams the same
-    rows for both dynamics, with a rounding bound and without the mirror.
-    """
-    R = np.asarray(R, dtype=np.float64)
-    n = R.shape[0]
-    _check_table_budget(n, "the pair sweep")
-    col = R.sum(axis=0)
-    T = _pair_gram(R)
-    q = np.diagonal(T).copy()
-    rows = _block_rows(n)
-    scratch = np.empty((rows, n))
-    below = np.tri(rows, k=-1, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, n, rows):
-            b = min(a + rows, n)
-            _pair_rows(T, R, q, col, a, b, scratch)
-            _mirror_rows(T, a, b, below)
-    np.fill_diagonal(T, 0.0)
-    return T
-
-
-def pair_total_blocks(R: np.ndarray, col: np.ndarray, inv_kappa=None):
-    """Yield the pair totals sum_u r(u, {x, y}), x < y, of the table ``R``
-    (column sums ``col``) row block by row block, as ``(a, t, bound,
-    scratch)``: ``t[i, j]`` is the total of the pair (a + i, a + j), +inf
-    where j <= i (no pair), and ``bound`` holds a little more than the sum
-    of the absolute values of its terms (:func:`_pair_rows`). ``inv_kappa``
-    is the pair (1/kappa of every node as the first leader, as the
-    second) for noise-corrupted, None for noise-free. ``scratch`` is free
-    space of the same shape. Each block is overwritten by the next; beside
-    the table, the sweep holds one Gram matrix and three row blocks.
-    """
-    n = R.shape[0]
-    _check_table_budget(n, "the pair sweep")
-    T = _pair_gram(R)
-    q = np.diagonal(T).copy()
-    rows = _block_rows(n)
-    scratch = np.empty((rows, n))
-    bound = np.empty((rows, n))
-    lower = np.tri(rows, dtype=bool)
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _pair_rows(T, R, q, col, a, b, scratch, inv_kappa, bound)
-        t = T[a:b, a:]
-        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
-        yield a, t, bound[:b - a, :n - a], scratch[:b - a, :n - a]
-
-
-def _pair_gram(R: np.ndarray) -> np.ndarray:
-    """The Gram matrix R R of the symmetric table R, by one BLAS ``dsyrk``;
-    only its upper triangle (diagonal included) is written."""
-    return dsyrk(1.0, R.T, trans=1, lower=1).T
-
-
-def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
-               a: int, b: int, scratch: np.ndarray, inv_kappa=None,
-               bound=None) -> None:
-    """Overwrite rows a:b of ``T``'s upper triangle, from column a on, with
-    the pair totals sum_u r(u, {x, y}), x < y.
-
-    ``T`` holds the Gram matrix Q = R R there (:func:`_pair_gram`), ``q`` its
-    diagonal and ``col`` the table's column sums. Grounding x first (the
-    anchor) and then y by one Schur step gives
-
-        cs_x + n/kappa_x - [(q_x + q_y - 2 Q_xy) + 2 h (cs_x - cs_y) + n h^2]
-                           / (4 (r_xy + 1/kappa_x + 1/kappa_y)),
-
-    with h = r_xy + 2/kappa_x; ``inv_kappa`` is the pair (1/kappa of every
-    node as the first leader, as the second), and without it every leader
-    is pinned (the 1/kappa terms are 0). Scaling by 2 or 4 is exact, so
-    each entry rounds as the expression written out would. ``scratch``
-    has at least b - a rows of n columns. When given, ``bound`` (as large)
-    receives, in the same cells, a little more than the sum of the
-    absolute values of the terms, each bracketed term divided by 4 times
-    the pivot: the rounding error of a total is at most a few eps times
-    it.
-    """
-    n = R.shape[0]
-    t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
-    cx, cy = col[a:b, None], col[a:]
-    if inv_kappa is None:
-        h = pivot = r
-        lead = cx
-    else:
-        first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
-        h = r + 2.0 * first
-        pivot = (r + first) + second
-        lead = cx + n * first
-    if bound is not None:
-        # every term is positive but -2 Q_xy and -2 h cs_y, so the absolute
-        # values sum to the bracket plus 4 (Q_xy + h cs_y)
-        e = bound[:b - a, :n - a]
-        np.multiply(h, cy, out=e)
-        e += t
-    t *= 2.0
-    np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
-    np.subtract(cx, cy, out=s)
-    s *= h
-    s *= 2.0
-    t += s
-    np.multiply(h, float(n), out=s)
-    s *= h
-    t += s
-    t /= pivot
-    t *= 0.25
-    np.subtract(lead, t, out=t)
-    if bound is not None:
-        # lead + bracket / (4 pivot) + (Q_xy + h cs_y) / pivot, with the
-        # bracket's share, lead minus the total, taken as lead
-        e /= pivot
-        e += 2.0 * lead
-
-
 def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
@@ -560,7 +449,7 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
     n = g.node_count
-    _check_table_budget(n, "the resistance table")
+    _check_table_budget(n)
     if n == 1:
         return ResistanceOracle(g, np.zeros((1, 1)))
     _, diag, off = _grounded_entries(g, (0,))
@@ -832,17 +721,18 @@ def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
         )
 
 
-def _check_table_budget(n: int, what: str) -> None:
+def _check_table_budget(n: int) -> None:
     """Raise BudgetExceededError if two n x n float arrays pass the budget.
 
-    Building the table holds the table and the grounded inverse; the pair
-    sweep holds the table and the pair totals.
+    Building the table holds the table and the grounded inverse. The
+    k = 2 search in ``selection`` holds the table and its Gram matrix, as
+    many bytes, so the check made when the table is built covers it too.
     """
     need = 2 * 8 * n * n
     if need > _TABLE_BUDGET:
         raise BudgetExceededError(
-            f"{what} on {n} nodes needs {need / 2**20:.0f} MiB, over the "
-            f"budget of {_TABLE_BUDGET / 2**20:.0f} MiB"
+            f"the resistance table on {n} nodes needs {need / 2**20:.0f} MiB, "
+            f"over the budget of {_TABLE_BUDGET / 2**20:.0f} MiB"
         )
 
 

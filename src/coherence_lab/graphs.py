@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -34,6 +35,17 @@ from .errors import (
 Edge = tuple[int, int, float]
 
 
+def _is_int(value) -> bool:
+    """True for Python and numpy integers, False for bools and the rest."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value) -> None:
+    """Raise BadParameterError unless ``value`` is an integer (:func:`_is_int`)."""
+    if not _is_int(value):
+        raise BadParameterError(f"{name} must be an integer, got {value!r}")
+
+
 class Graph:
     """Immutable weighted undirected graph.
 
@@ -48,6 +60,7 @@ class Graph:
     __slots__ = ("node_count", "_uv", "_w", "_edges", "_connected")
 
     def __init__(self, node_count: int, edges):
+        _require_int("node_count", node_count)
         node_count = int(node_count)
         if node_count < 1:
             raise BadParameterError("a graph needs at least one node")
@@ -119,6 +132,8 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     The node count is ``1 + max id`` unless a larger explicit count is
     given; ids in range that appear in no edge become isolated nodes.
     """
+    if node_count is not None:
+        _require_int("node_count", node_count)
     edge_list = list(edge_list)
     ids = np.array(tuple(zip(*edge_list, strict=True))[:2] or ((), ()), dtype=float)
     flagged = (~(ids >= 0.0) | np.isinf(ids)).any(axis=0)
@@ -252,6 +267,8 @@ def rooted_forest(node_count: int, ends: np.ndarray):
 def graph_distance(g: Graph, u: int, v: int) -> float:
     """Shortest weighted path length between u and v (Dijkstra)."""
     n = g.node_count
+    _require_int("node id", u)
+    _require_int("node id", v)
     if not (0 <= u < n and 0 <= v < n):
         raise BadParameterError(f"node out of range: ({u},{v}) with n={n}")
     if u == v:
@@ -282,6 +299,7 @@ def graph_distance(g: Graph, u: int, v: int) -> float:
 
 def build_cycle(n: int) -> Graph:
     """Unit-weight cycle on n >= 3 nodes."""
+    _require_int("n", n)
     if n < 3:
         raise BadParameterError(f"a cycle needs n >= 3, got {n}")
     return Graph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
@@ -289,6 +307,7 @@ def build_cycle(n: int) -> Graph:
 
 def build_path(n: int) -> Graph:
     """Unit-weight path on n >= 2 nodes."""
+    _require_int("n", n)
     if n < 2:
         raise BadParameterError(f"a path needs n >= 2, got {n}")
     return Graph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
@@ -325,6 +344,8 @@ def perfect_tree_size(branching: int, height: int) -> int:
 
 def build_perfect_tree(branching: int, height: int) -> PerfectTree:
     """Unit-weight perfect M-ary tree of the given height (root at level 0)."""
+    _require_int("branching factor", branching)
+    _require_int("height", height)
     if branching < 2:
         raise BadParameterError(f"branching factor must be >= 2, got {branching}")
     if height < 0:

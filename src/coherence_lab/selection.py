@@ -16,9 +16,10 @@ scores every trailing pair by two closed Schur steps:
 
 with tau_P the total of P, p_s = A_ss + 1/kappa_s, c = A_st / p_s and
 p_t = A_tt - c A_st + 1/kappa_t. For k = 2, P is empty and the table
-itself plays A (``electrical.pair_total_blocks``, the rows of
-``two_leader_totals``); for k = 1 a total is a column sum plus n/kappa.
-Prefixes are taken in groups whose grounded rows fit one block of
+itself plays A: :func:`_pair_blocks` forms the table's Gram matrix once
+and overwrites its upper triangle with the pair totals, row block by row
+block; for k = 1 a total is a column sum plus n/kappa. Prefixes are
+taken in groups whose grounded rows fit one block of
 ``electrical._BLOCK_FLOATS`` floats, so small graphs pay Python once per
 group, not per prefix. The Gram expansion cancels where a set's value is
 small beside its terms (stiff weights), so every total carries the sum
@@ -52,15 +53,14 @@ from .electrical import (
     _EPS,
     SOLVE_TOLERANCE,
     ResistanceOracle,
+    _block_rows,
     _check_pivots,
-    _is_int,
     normalize_kappa,
-    pair_total_blocks,
     resistance_oracle,
     schur_columns,
 )
 from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
-from .graphs import Graph, is_connected
+from .graphs import Graph, _is_int, is_connected
 
 DEFAULT_BUDGET = 10_000_000
 CO_OPTIMAL_CAP = 1000
@@ -176,17 +176,97 @@ def _single_blocks(oracle: ResistanceOracle, recip):
 
 
 def _pair_blocks(oracle: ResistanceOracle, recip):
-    """k = 2: the pair totals of ``electrical.pair_total_blocks``, row
-    block by row block of the table's upper triangle; cells on or below
-    the diagonal read +inf."""
-    blocks = pair_total_blocks(oracle.table, oracle.column_sums(), recip)
-    for a, t, bound, scratch in blocks:
-        wide = _too_wide(bound, t, scratch)
+    """k = 2: the pair totals sum_u r(u, {x, y}), x < y, row block by row
+    block of the table's upper triangle: in the block of rows a:b, cell
+    (i, j) holds the pair (a + i, a + j), and cells on or below the
+    diagonal read +inf.
+
+    The Gram matrix Q = R R of the symmetric table R is one BLAS ``dsyrk``
+    (n^3 flops): handed the Fortran-order view ``R.T``, it copies nothing,
+    and its lower triangle, transposed, is the upper triangle that
+    :func:`_pair_rows` overwrites with each block's totals. Each block is
+    overwritten by the next; beside the table, the sweep holds Q and three
+    row blocks, and the byte budget that ``resistance_oracle`` checked for
+    the table build (two n x n arrays) covers the table and Q.
+    """
+    R = oracle.table
+    n = R.shape[0]
+    col = oracle.column_sums()
+    T = dsyrk(1.0, R.T, trans=1, lower=1).T
+    q = np.diagonal(T).copy()
+    rows = _block_rows(n)
+    scratch = np.empty((rows, n))
+    bound = np.empty((rows, n))
+    lower = np.tri(rows, dtype=bool)
+    for a in range(0, n - 1, rows):
+        b = min(a + rows, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _pair_rows(T, R, q, col, a, b, scratch, recip, bound)
+        t = T[a:b, a:]
+        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
+        wide = _too_wide(bound[:b - a, :n - a], t, scratch[:b - a, :n - a])
 
         def sets_at(hits, a=a):
             return np.column_stack((a + hits[0], a + hits[1]))
 
         yield t, wide, sets_at
+
+
+def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
+               a: int, b: int, scratch: np.ndarray, inv_kappa,
+               bound: np.ndarray) -> None:
+    """Overwrite rows a:b of ``T``'s upper triangle, from column a on, with
+    the pair totals sum_u r(u, {x, y}), x < y, and the same cells of
+    ``bound`` with their rounding bounds.
+
+    ``T`` holds the Gram matrix Q = R R there, ``q`` its diagonal and
+    ``col`` the table's column sums. Grounding x first (the anchor) and
+    then y by one Schur step gives
+
+        cs_x + n/kappa_x - [(q_x + q_y - 2 Q_xy) + 2 h (cs_x - cs_y) + n h^2]
+                           / (4 (r_xy + 1/kappa_x + 1/kappa_y)),
+
+    with h = r_xy + 2/kappa_x; ``inv_kappa`` is the pair (1/kappa of every
+    node as the first leader, as the second), and without it every leader
+    is pinned (the 1/kappa terms are 0). Scaling by 2 or 4 is exact, so
+    each entry rounds as the expression written out would. ``scratch``
+    and ``bound`` have at least b - a rows of n columns; ``bound``
+    receives a little more than the sum of the absolute values of the
+    terms, each bracketed term divided by 4 times the pivot: the rounding
+    error of a total is at most a few eps times it.
+    """
+    n = R.shape[0]
+    t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
+    cx, cy = col[a:b, None], col[a:]
+    if inv_kappa is None:
+        h = pivot = r
+        lead = cx
+    else:
+        first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
+        h = r + 2.0 * first
+        pivot = (r + first) + second
+        lead = cx + n * first
+    # every term is positive but -2 Q_xy and -2 h cs_y, so the absolute
+    # values sum to the bracket plus 4 (Q_xy + h cs_y)
+    e = bound[:b - a, :n - a]
+    np.multiply(h, cy, out=e)
+    e += t
+    t *= 2.0
+    np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
+    np.subtract(cx, cy, out=s)
+    s *= h
+    s *= 2.0
+    t += s
+    np.multiply(h, float(n), out=s)
+    s *= h
+    t += s
+    t /= pivot
+    t *= 0.25
+    np.subtract(lead, t, out=t)
+    # lead + bracket / (4 pivot) + (Q_xy + h cs_y) / pivot, with the
+    # bracket's share, lead minus the total, taken as lead
+    e /= pivot
+    e += 2.0 * lead
 
 
 def _prefix_blocks(oracle: ResistanceOracle, k: int, recip):

@@ -37,14 +37,14 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dsyevd, dtbtrs
 
-from .electrical import _is_int, leaders_with_kappa, normalize_leaders
+from .electrical import leaders_with_kappa, normalize_leaders
 from .errors import (
     BadParameterError,
     DisconnectedGraphError,
     SolverError,
     UnstableStepError,
 )
-from .graphs import Graph, _dense, _grounded_entries, is_connected
+from .graphs import Graph, _dense, _grounded_entries, _is_int, is_connected
 
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000

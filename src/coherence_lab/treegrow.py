@@ -22,7 +22,7 @@ import numpy as np
 from .closed_forms import tree_pair_geometry
 from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
-from .graphs import Graph, build_perfect_tree
+from .graphs import Graph, _require_int, build_perfect_tree
 from .selection import least_pair
 
 
@@ -34,6 +34,7 @@ class GrowingTree:
     """
 
     def __init__(self, h0: int):
+        _require_int("h0", h0)
         if h0 < 4:
             raise HeightTooSmallError(
                 f"the designated leader placement needs height >= 4, got {h0}"
@@ -169,6 +170,7 @@ def grow_trajectory(h0: int, steps: int | None = None,
     tree = init_growing_tree(h0)
     if steps is None:
         steps = 2 ** (h0 + 1)
+    _require_int("steps", steps)
     if steps < 0:
         raise BadParameterError(f"steps must be >= 0, got {steps}")
     family_nodes = [v for v in range(tree.node_count) if tree.levels[v] <= 3]

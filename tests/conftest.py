@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from coherence_lab import Graph, build_graph
+from coherence_lab.selection import _total_blocks
 
 
 def dense_laplacian(g: Graph) -> np.ndarray:
@@ -100,6 +101,19 @@ def naive_two_leader_totals(R: np.ndarray) -> np.ndarray:
         rxy = R[x, others]
         num = R[:, x, None] + rxy[None, :] - R[:, others]
         T[x, others] = (R[:, x, None] - num * num / (4.0 * rxy[None, :])).sum(axis=0)
+    return T
+
+
+def sweep_pair_totals(oracle, recip=None) -> np.ndarray:
+    """The k = 2 search's pair totals sum_u r(u, {x, y}) in the upper
+    triangle, x < y, and +inf elsewhere; ``recip`` is the search's (2, n)
+    array of 1/kappa per position, or None for noise-free."""
+    n = oracle.table.shape[0]
+    T = np.full((n, n), np.inf)
+    for totals, sets_at in _total_blocks(oracle, 2, recip):
+        held = np.nonzero(np.isfinite(totals))
+        x, y = sets_at(held).T
+        T[x, y] = totals[held]
     return T
 
 

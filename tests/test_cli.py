@@ -154,6 +154,20 @@ def test_ill_conditioned_resistance_exit_code(tmp_path, w):
     assert "ill-conditioned" in err
 
 
+@pytest.mark.parametrize("dynamics", ["nf", "nc"])
+def test_ill_conditioned_tree_exit_code(tmp_path, dynamics):
+    # a tree's trace route is forest elimination, whose condition bound
+    # eps ||A||_1 ||A^-1||_1 is ~2.8e-5 here
+    path = tmp_path / "weak_tree.txt"
+    path.write_text("0 1 0.1\n1 2 3.14159e9\n")
+    code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0",
+                          "--dynamics", dynamics])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "ill-conditioned" in err
+
+
 def test_forest_elimination_failure_exit_code(tmp_path):
     path = tmp_path / "stiff_tree.txt"
     path.write_text("0 1 1.0\n1 2 1e200\n")

@@ -13,6 +13,31 @@ from coherence_lab.errors import (
 from conftest import naive_nf_value
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda: cl.cycle_nf_optimal(10, 2.0), BadParameterError),
+    (lambda: cl.cycle_nf_optimal(10.0, 2), BadParameterError),
+    (lambda: cl.path_nf_optimal(10, 2.5), BadParameterError),
+    (lambda: cl.path_nf_optimal(10.5, 2), BadParameterError),
+    (lambda: cl.path_nf_round_construction(10.5, 2), BadParameterError),
+    (lambda: cl.tree_optimal_two(2.5, 4), BadParameterError),
+    (lambda: cl.tree_optimal_two(2, 4.0), BadParameterError),
+    (lambda: cl.cycle_nc_sweep(6.5), BadParameterError),
+    (lambda: cl.cycle_nc_two_coherence(6, 3.0), BadParameterError),
+    (lambda: cl.cycle_nc_optimal_i(6.0), BadParameterError),
+    (lambda: cl.gaps_from_cycle_leaders(5.5, [0, 2]), BadParameterError),
+    (lambda: cl.gaps_from_path_leaders(5.5, [1]), BadParameterError),
+    (lambda: cl.cycle_leaders_from_gaps([]), BadGapVectorError),
+    (lambda: cl.canonical_gap_rotation([]), BadGapVectorError),
+    (lambda: cl.canonical_gap_rotation([1.5, 2]), BadGapVectorError),
+])
+def test_sizes_must_be_integers(call, error):
+    # floats raised a bare TypeError or were truncated: path_nf_optimal
+    # (10.5, 2) gave the 11-node optimum and gaps_from_cycle_leaders a gap
+    # of 3.5; an empty gap vector gave leaders (0,) or a bare ValueError
+    with pytest.raises(error):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # cycles
 

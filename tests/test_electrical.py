@@ -8,7 +8,7 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 import coherence_lab as cl
 from coherence_lab import electrical, selection
-from coherence_lab.electrical import forest_inverse_diagonal, two_leader_totals
+from coherence_lab.electrical import forest_inverse_diagonal
 from coherence_lab.errors import (
     BadKappaError,
     BadParameterError,
@@ -28,7 +28,6 @@ from conftest import (
     naive_resistance,
     naive_resistance_table,
     naive_resistance_to_set,
-    naive_two_leader_totals,
     random_connected_graph,
     random_tree,
     stiff_graph,
@@ -225,39 +224,6 @@ def test_redundant_far_leader_is_exactly_invisible():
         assert cl.resistance_to_set(g, i, (a, b, c)) == cl.resistance_to_set(g, i, (a, b))
 
 
-def test_two_leader_totals_against_profile_sums(rng):
-    # the stiff family spreads weights over 10^+-3
-    for g in (random_connected_graph(rng, 14, extra_edges=7), stiff_graph(rng, 14, 7)):
-        oracle = cl.resistance_oracle(g)
-        T = two_leader_totals(oracle.table)
-        assert np.array_equal(T, T.T)
-        for x in range(14):
-            assert T[x, x] == 0.0
-            for y in range(x + 1, 14):
-                expected = oracle.set_totals([[x, y]])[0]
-                assert T[x, y] == pytest.approx(expected, rel=1e-10)
-
-
-def test_pair_sweep_row_blocks_change_no_bit(rng, monkeypatch):
-    g = stiff_graph(rng, 23, 12)
-    R = cl.resistance_oracle(g).table
-    whole = two_leader_totals(R)
-    # 4-row blocks of 23 columns: the last block is ragged (3 rows)
-    monkeypatch.setattr(electrical, "_BLOCK_FLOATS", 4 * 23)
-    assert np.array_equal(two_leader_totals(R), whole)
-
-
-@pytest.mark.parametrize("n", [3, 14, 200])
-def test_pair_sweep_is_symmetric_and_matches_the_formula(rng, n):
-    # stiff weights over 10^+-3; at n = 200 the sweep runs in two row blocks
-    R = cl.resistance_oracle(stiff_graph(rng, n, chords=n)).table
-    T = two_leader_totals(R)
-    assert electrical._block_rows(200) < 200
-    assert np.array_equal(T, T.T)
-    assert np.all(np.diagonal(T) == 0.0)
-    np.testing.assert_allclose(T, naive_two_leader_totals(R), rtol=1e-9)
-
-
 def _assert_matches_pseudoinverse(g):
     R = cl.resistance_oracle(g).table
     expected = naive_resistance_table(g)
@@ -323,10 +289,74 @@ def test_ill_conditioned_systems_raise(w):
         cl.resistance_to_set(g, 0, (2,))
     with pytest.raises(SolverError, match="ill-conditioned"):
         cl.coherence_nf(g, (0,), method="resistance")
-    # a cycle takes the dense trace route, not forest elimination
+    # a cycle takes the dense trace route
     ring = cl.build_graph([(0, 1, 1.0), (1, 2, w), (2, 3, 1.0), (3, 0, 1.0)])
     with pytest.raises(SolverError, match="ill-conditioned"):
         cl.coherence_nf(ring, (0,), method="trace")
+    # the path itself takes forest elimination; from w = 1e17 on, 1 + w
+    # rounds to w at assembly and the elimination stops at a zero pivot
+    # before the condition bound is formed
+    tree_error = "ill-conditioned" if w < 1e16 else "non-positive pivot"
+    with pytest.raises(SolverError, match=tree_error):
+        cl.coherence_nf(g, (0,), method="trace")
+    with pytest.raises(SolverError, match=tree_error):
+        cl.coherence_nc(g, (0,), kappa=1.0, method="trace")
+
+
+def _weak_tree(w):
+    return cl.build_graph([(0, 1, 0.1), (1, 2, w)])
+
+
+def _weak_tree_values(w):
+    """Exact coherence of the path 0-1-2 with weights (0.1, w) and leader
+    0: noise-free (10 + (10 + 1/w)) / 2, noise-corrupted with kappa = 1
+    (1 + 11 + (11 + 1/w)) / 2."""
+    return 10.0 + 0.5 / w, 11.5 + 0.5 / w
+
+
+@pytest.mark.parametrize("w", [3.14159e9, 3.14159e12, 3.14159e14])
+def test_forest_elimination_raises_on_stiff_trees(w):
+    # without the guard the trace route missed the exact noise-free value
+    # by 9.5e-7, 9.8e-4 and 0.20
+    g = _weak_tree(w)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(g, (0,), method="trace")
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nc(g, (0,), kappa=1.0, method="trace")
+    # the resistance route refuses the same graph
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(g, (0,), method="resistance")
+
+
+def test_forest_guard_bound_is_the_exact_norm_product(rng, monkeypatch):
+    # couplings of either sign: the bound is eps ||A||_1 ||A^-1||_1 exactly,
+    # so a limit a hair on either side of the dense product decides it
+    for signs in ("negative", "mixed"):
+        n = 25
+        g = random_tree(rng, n)
+        A = dense_laplacian(g) + np.diag(rng.uniform(0.1, 1.0, n))
+        edges = [(u, v, -w) for u, v, w in g.edges]
+        if signs == "mixed":
+            edges = [(u, v, -c if rng.random() < 0.5 else c) for u, v, c in edges]
+            for u, v, c in edges:
+                A[u, v] = A[v, u] = c
+        scale = electrical._EPS * np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+        monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 + 1e-9))
+        forest_inverse_diagonal(n, np.diag(A).copy(), edges)
+        monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 - 1e-9))
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            forest_inverse_diagonal(n, np.diag(A).copy(), edges)
+
+
+def test_forest_guard_spares_moderate_spreads():
+    # eps ||A||_1 ||A^-1||_1 ~ 2.8e-8 here; the error stays within it
+    w = 3.14159e6
+    g = _weak_tree(w)
+    nf, nc = _weak_tree_values(w)
+    for method in ("trace", "resistance"):
+        assert cl.coherence_nf(g, (0,), method=method).value == pytest.approx(nf, rel=3e-8)
+        assert cl.coherence_nc(g, (0,), kappa=1.0, method=method).value == \
+            pytest.approx(nc, rel=3e-8)
 
 
 def test_condition_guard_runs_and_spares_moderate_spreads(rng, monkeypatch):
@@ -355,13 +385,10 @@ def test_oracle_table_is_read_only():
 
 def test_table_budget_guard(monkeypatch):
     g = cl.build_cycle(10)
-    R = cl.resistance_oracle(g).table
     # two n x n float arrays at n = 10 are 1600 bytes
     monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1599)
     with pytest.raises(BudgetExceededError, match="budget"):
         cl.resistance_oracle(g)
-    with pytest.raises(BudgetExceededError, match="budget"):
-        two_leader_totals(R)
     with pytest.raises(BudgetExceededError):
         cl.brute_force_select(g, 2)
     with pytest.raises(BudgetExceededError):

@@ -19,6 +19,30 @@ from coherence_lab.graphs import _dense, _grounded_entries
 from conftest import dense_laplacian, random_connected_graph, stiff_graph
 
 
+@pytest.mark.parametrize("call", [
+    lambda: cl.build_cycle(5.5),
+    lambda: cl.build_path(2.5),
+    lambda: cl.build_perfect_tree(2, 3.5),
+    lambda: cl.build_perfect_tree(2.0, 3),
+    lambda: cl.graph_distance(cl.build_path(3), 0.5, 1),
+    lambda: cl.graph_distance(cl.build_path(3), 0, True),
+    lambda: cl.Graph(2.5, [(0, 1, 1.0)]),
+    lambda: cl.Graph(True, []),
+    lambda: cl.build_graph([(0, 1, 1.0)], 2.7),
+], ids=["cycle", "path", "tree-height", "tree-branching", "distance", "distance-bool",
+        "graph", "graph-bool", "build-graph"])
+def test_sizes_and_ids_must_be_integers(call):
+    # floats were truncated or raised a bare TypeError
+    with pytest.raises(BadParameterError, match="must be an integer"):
+        call()
+
+
+def test_numpy_integer_sizes_are_accepted():
+    assert cl.build_cycle(np.int64(5)) == cl.build_cycle(5)
+    assert cl.build_graph([(0, 1, 1.0)], np.int32(3)).node_count == 3
+    assert cl.graph_distance(cl.build_path(3), np.int64(0), np.int16(2)) == 2.0
+
+
 def test_build_graph_path():
     g = cl.build_graph([(0, 1, 1), (1, 2, 1)])
     assert g.node_count == 3

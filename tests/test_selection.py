@@ -14,7 +14,14 @@ from coherence_lab.errors import (
 )
 from coherence_lab.selection import _kappa_reciprocals, _total_blocks
 
-from conftest import naive_nc_value, naive_nf_value, random_connected_graph, stiff_graph
+from conftest import (
+    naive_nc_value,
+    naive_nf_value,
+    naive_two_leader_totals,
+    random_connected_graph,
+    stiff_graph,
+    sweep_pair_totals,
+)
 
 
 def test_cycle_six_two_leaders_antipodal():
@@ -189,6 +196,53 @@ def test_two_leader_fast_path_matches_direct_solves(rng):
         S: naive_nf_value(g, S) for S in itertools.combinations(range(12), 2)
     }
     assert result.value == pytest.approx(min(direct.values()), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the k = 2 pair sweep
+
+def test_two_leader_totals_against_profile_sums(rng):
+    # the stiff family spreads weights over 10^+-3
+    for g in (random_connected_graph(rng, 14, extra_edges=7), stiff_graph(rng, 14, 7)):
+        oracle = cl.resistance_oracle(g)
+        T = sweep_pair_totals(oracle)
+        for x in range(14):
+            for y in range(x + 1, 14):
+                expected = oracle.set_totals([[x, y]])[0]
+                assert T[x, y] == pytest.approx(expected, rel=1e-10)
+    # noise-corrupted: a mapping gives each node its own kappa, 1 if unset
+    kappa = {v: float(10.0 ** rng.uniform(-2.0, 2.0)) for v in range(0, 14, 2)}
+    recip = _kappa_reciprocals(kappa, 14, 2)
+    T = sweep_pair_totals(oracle, recip)
+    for x in range(14):
+        for y in range(x + 1, 14):
+            inv_kappa = recip[[0, 1], [x, y]][None]
+            expected = oracle.set_totals([[x, y]], inv_kappa)[0]
+            assert T[x, y] == pytest.approx(expected, rel=1e-10)
+            assert 0.5 * T[x, y] == pytest.approx(naive_nc_value(g, (x, y), kappa),
+                                                  rel=1e-9)
+
+
+def test_pair_sweep_row_blocks_change_no_bit(rng, monkeypatch):
+    oracle = cl.resistance_oracle(stiff_graph(rng, 23, 12))
+    recip = _kappa_reciprocals(0.3, 23, 2)
+    whole = [sweep_pair_totals(oracle), sweep_pair_totals(oracle, recip)]
+    # 4-row blocks of 23 columns: the last block is ragged (3 rows)
+    monkeypatch.setattr(electrical, "_BLOCK_FLOATS", 4 * 23)
+    assert np.array_equal(sweep_pair_totals(oracle), whole[0])
+    assert np.array_equal(sweep_pair_totals(oracle, recip), whole[1])
+
+
+@pytest.mark.parametrize("n", [3, 14, 200])
+def test_pair_sweep_matches_the_formula(rng, n):
+    # stiff weights over 10^+-3; at n = 200 the sweep runs in two row blocks
+    oracle = cl.resistance_oracle(stiff_graph(rng, n, chords=n))
+    T = sweep_pair_totals(oracle)
+    assert electrical._block_rows(200) < 200
+    assert np.all(np.isinf(T[np.tril_indices(n)]))
+    upper = np.triu_indices(n, 1)
+    expected = naive_two_leader_totals(oracle.table)[upper]
+    np.testing.assert_allclose(T[upper], expected, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------

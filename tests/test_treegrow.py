@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab.errors import HeightTooSmallError
+from coherence_lab.errors import BadParameterError, HeightTooSmallError
 
-from conftest import naive_nf_value
+from conftest import naive_nf_value, sweep_pair_totals
 
 
 def _ancestor_at_level(tree, node, level):
@@ -145,7 +146,7 @@ def test_trajectory_global_rows():
         for row in result.global_rows:
             if row.step:
                 tree.grow_step()
-            totals = cl.resistance_oracle(tree.to_graph()).pair_totals()
+            totals = sweep_pair_totals(cl.resistance_oracle(tree.to_graph()))
             best = None
             for x in range(tree.node_count):
                 for y in range(x + 1, tree.node_count):
@@ -156,3 +157,14 @@ def test_trajectory_global_rows():
             assert (row.d_xr, row.d_yr, row.d_xy) == geometry
             assert row.value == 0.5 * float(totals[best])
             assert row.value <= minima[row.step] + 1e-12
+
+
+@pytest.mark.parametrize("h0, steps", [(4.5, 2), (4, 2.5), (4, True), (4.0, 1)])
+def test_heights_and_steps_must_be_integers(h0, steps):
+    # floats raised a bare TypeError, and steps=True ran one step
+    with pytest.raises(BadParameterError, match="must be an integer"):
+        cl.grow_trajectory(h0, steps=steps)
+
+
+def test_numpy_integer_steps_are_accepted():
+    assert cl.grow_trajectory(np.int64(4), steps=np.int64(1)) == cl.grow_trajectory(4, 1)
