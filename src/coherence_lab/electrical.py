@@ -4,8 +4,8 @@ The network view: every edge of weight w is a resistor of 1/w. Pairwise
 resistance r(i, j) is defined through the grounded Laplacian: it equals
 the (i, i) entry of the inverse of the Laplacian with row and column j
 removed. Node-to-set resistance r(i, S) generalizes this by grounding all
-of S at once. Every grounded matrix here is :func:`grounded_laplacian`,
-assembled from the graph's edge arrays by ``graphs._grounded_entries``.
+of S at once. Every grounded matrix here is assembled from the graph's
+edge arrays by ``graphs._grounded_entries``.
 
 :func:`resistance_to_set` evaluates the grounded definition directly and
 serves as the reference (:func:`resistance` is its one-node case);
@@ -280,12 +280,6 @@ def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.nd
         raise BadKappaError("a kappa list needs distinct leaders")
     vec = normalize_kappa(given, kappa)
     return S, vec[np.argsort(given)]
-
-
-def grounded_laplacian(g: Graph, leaders) -> tuple[np.ndarray, list[int]]:
-    """Laplacian with leader rows/columns removed, plus the follower ids."""
-    followers, diag, off = _grounded_entries(g, normalize_leaders(g, leaders))
-    return _dense(diag, off), followers
 
 
 # ---------------------------------------------------------------------------

@@ -46,12 +46,26 @@ def _require_int(name: str, value) -> None:
         raise BadParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _first_non_integer(u, v) -> int | None:
+    """Index of the first edge whose ids ``u[i]``, ``v[i]`` are not both
+    integers (:func:`_is_int`), or None. The set of id types is checked
+    first, so all-integer input makes no call per id."""
+    types = {*map(type, u), *map(type, v)}
+    if all(issubclass(t, numbers.Integral) and t is not bool for t in types):
+        return None
+    return next(i for i, ends in enumerate(zip(u, v)) if not all(map(_is_int, ends)))
+
+
+def _non_integer_error(u, v) -> BadParameterError:
+    return BadParameterError(f"edge ({u!r},{v!r}) has a node id that is not an integer")
+
+
 class Graph:
     """Immutable weighted undirected graph.
 
     Invariants enforced at construction: no self-loops, at most one edge
-    per unordered pair, strictly positive finite weights, all endpoints in
-    ``[0, node_count)``. The edges are held, in input order, as two
+    per unordered pair, strictly positive finite weights, all endpoints
+    integers (numpy's too, never bools or floats) in ``[0, node_count)``. The edges are held, in input order, as two
     read-only arrays: ``_uv`` (m, 2) with u < v in each row and ``_w`` (m,)
     their weights. Every matrix is assembled from these arrays;
     connectivity is computed once, on the first query.
@@ -64,10 +78,16 @@ class Graph:
         node_count = int(node_count)
         if node_count < 1:
             raise BadParameterError("a graph needs at least one node")
-        # every edge must be a triple; the ids are read as floats, exact
-        # below 2**53, and truncated as int() would
+        # every edge must be a triple with integer ids; the edges before the
+        # first other id are checked first, as a scan in input order would
         u, v, w = tuple(zip(*edges, strict=True)) or ((), (), ())
-        ids = np.trunc(np.array((u, v), dtype=np.float64))
+        odd = _first_non_integer(u, v)
+        if odd is not None:
+            Graph(node_count, tuple(zip(u, v, w))[:odd])
+            raise _non_integer_error(u[odd], v[odd])
+        # the ids are read as floats, exact below 2**53, so that an id of
+        # any size compares with the node range without overflow
+        ids = np.array((u, v), dtype=np.float64)
         w = np.array(w, dtype=np.float64)
         lo, hi = ids.min(axis=0), ids.max(axis=0)
         inside = (0.0 <= lo) & (hi < node_count)
@@ -135,14 +155,16 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     if node_count is not None:
         _require_int("node_count", node_count)
     edge_list = list(edge_list)
-    ids = np.array(tuple(zip(*edge_list, strict=True))[:2] or ((), ()), dtype=float)
-    flagged = (~(ids >= 0.0) | np.isinf(ids)).any(axis=0)
-    if flagged.any():
-        # a negative id, or one that int() rejects: NaN or infinite
-        u, v, _ = edge_list[int(flagged.argmax())]
-        if u < 0 or v < 0:
-            raise BadParameterError(f"negative node id in edge ({u},{v})")
-        int(u), int(v)
+    u, v = tuple(zip(*edge_list, strict=True))[:2] or ((), ())
+    # the first edge with a negative id or one that is not an integer
+    odd = _first_non_integer(u, v)
+    ids = np.array((u[:odd], v[:odd]), dtype=float)
+    negative = (ids < 0.0).any(axis=0)
+    if negative.any():
+        i = int(negative.argmax())
+        raise BadParameterError(f"negative node id in edge ({u[i]},{v[i]})")
+    if odd is not None:
+        raise _non_integer_error(u[odd], v[odd])
     inferred = int(ids.max()) + 1 if ids.size else 0
     n = max(inferred, int(node_count) if node_count is not None else 0)
     if n < 1:
@@ -417,10 +439,18 @@ def parse_graph_json(text: str) -> Graph:
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise GraphSpecError('JSON graph must be {"n": int, "edges": [[u,v,w],...]}')
     try:
-        edges = [(int(u), int(v), float(w)) for u, v, w in doc["edges"]]
+        edges = [_json_edge(u, v, w) for u, v, w in doc["edges"]]
     except (TypeError, ValueError) as exc:
         raise GraphSpecError(f"invalid JSON edge entry: {exc}") from exc
-    return build_graph(edges, node_count=int(doc["n"]))
+    if not _is_int(doc["n"]):
+        raise GraphSpecError(f'JSON graph "n" must be an integer, got {doc["n"]!r}')
+    return build_graph(edges, node_count=doc["n"])
+
+
+def _json_edge(u, v, w) -> Edge:
+    if not (_is_int(u) and _is_int(v)):
+        raise ValueError(f"node ids must be integers, got {u!r} and {v!r}")
+    return u, v, float(w)
 
 
 def read_graph_file(path: str) -> Graph:

@@ -41,13 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dsyrk
 
-from .coherence import (
-    NOISE_CORRUPTED,
-    NOISE_FREE,
-    CoherenceReport,
-    coherence_nc,
-    coherence_nf,
-)
+from .coherence import NOISE_CORRUPTED, NOISE_FREE
 from .electrical import (
     _BLOCK_FLOATS,
     _EPS,
@@ -485,18 +479,3 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
         evaluated_count=int(total),
         elapsed_seconds=elapsed,
     )
-
-
-def best_single_leader(g: Graph, dynamics: str = NOISE_FREE,
-                       kappa=None) -> tuple[int, CoherenceReport]:
-    """Exhaustive best single leader; ties go to the smallest node id.
-
-    The search is ``brute_force_select(g, 1, ...)``, so both name the same
-    leader; the report is recomputed by the grounded-trace route.
-    """
-    best = brute_force_select(g, 1, dynamics, kappa, cap=1).optimal_sets[0][0]
-    if dynamics == NOISE_FREE:
-        report = coherence_nf(g, (best,))
-    else:
-        report = coherence_nc(g, (best,), kappa=kappa)
-    return best, report

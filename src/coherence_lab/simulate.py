@@ -18,14 +18,15 @@ do not depend on the number of trials.
 The iterate is Euler-Maruyama's ``X <- (I - dt A) X + sqrt(dt) xi``, run
 in the eigenbasis of the symmetric A = V diag(lambda) V^T. There
 Y = V^T X obeys n independent scalar recursions
-``y_i <- (1 - dt lambda_i) y_i + sqrt(dt) (V^T xi)_i``, the rotated noise
-is still white, and |X| = |Y|. Over a chunk of pre-drawn noise each
+``y_i <- (1 - dt lambda_i) y_i + sqrt(dt) eta_i`` with eta = V^T xi, and
+|X| = |Y|. V is orthogonal, so eta is again white, iid N(0, I): the
+recursions take their standard normal draws as eta directly, and only the
+eigenvalues are needed, never V. Over a chunk of pre-drawn noise each
 mode's recursion is one unit lower-bidiagonal triangular solve with one
 right-hand side per trial, so no Python loop runs over steps. The
-eigendecomposition (LAPACK ``dsyevd``, as in ``numpy.linalg.eigh``), the
-noise rotation (BLAS ``dgemm``) and the mode solves (``dtbtrs``) all run
-on scipy's LAPACK/BLAS, so numpy's own BLAS thread pool is never woken to
-spin against scipy's.
+eigenvalues (LAPACK ``dsyevd``, as in ``numpy.linalg.eigvalsh``) and the
+mode solves (``dtbtrs``) run on scipy's LAPACK, so numpy's own BLAS
+thread pool is never woken to spin against scipy's.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dsyevd, dtbtrs
 
 from .electrical import leaders_with_kappa, normalize_leaders
@@ -48,14 +48,6 @@ from .graphs import Graph, _dense, _grounded_entries, _is_int, is_connected
 
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000
-
-# cap on one noise-rotation product (scipy's dgemm), in multiply-adds.
-# scipy's OpenBLAS runs products up to 65536 * 4 on the calling thread and
-# wakes a second thread of its pool above that, which at these sizes costs
-# more than it saves: on a busy 2-CPU host, a pass over 15 simulations of
-# 2 to 64 states took 678 ms wall and 721 ms CPU in blocks against 719 ms
-# and 1304 ms with one product per trial (medians of 10 alternating passes)
-_ROTATE_MACS = 2**18
 
 
 @dataclass(frozen=True)
@@ -96,7 +88,7 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     n = A.shape[0]
     if n == 0:
         return SimResult(0.0, 0.0, 0, 0, cfg.trials)
-    lam, V, info = dsyevd(A, lower=1)
+    lam, _, info = dsyevd(A, compute_v=0, lower=1)
     if info != 0:
         raise SolverError(f"LAPACK eigendecomposition failed (info={info})")
     lam_max = float(lam[-1])
@@ -110,10 +102,8 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
     m = cfg.trials
     gens = [np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(m)]
     decay = 1.0 - cfg.dt * lam
-    # Fortran order, like V: dgemm reads it and each draw[lo:hi].T in place
-    rotate = math.sqrt(cfg.dt) * V
+    scale = math.sqrt(cfg.dt)
     chunk = max(1, min(16384, _NOISE_BUDGET // max(1, n * m)))
-    block = max(1, _ROTATE_MACS // (n * n))
     # Z[i, t, s]: mode i of trial t at step s of the chunk; each Z[i].T is
     # the Fortran-ordered right-hand side block of that mode's solve, whose
     # band holds the (ignored) unit diagonal and the sub-diagonal -decay[i]
@@ -127,10 +117,7 @@ def _run(A: np.ndarray, cfg: SimConfig) -> SimResult:
         span = min(chunk, steps - done)
         Z = buffer[: n * m * span].reshape(n, m, span)
         for t, g in enumerate(gens):
-            draw = g.standard_normal((span, n))
-            for lo in range(0, span, block):
-                Z[:, t, lo:lo + block] = dgemm(1.0, rotate, draw[lo:lo + block].T,
-                                               trans_a=1)
+            np.multiply(g.standard_normal((span, n)).T, scale, out=Z[:, t])
         # carry each mode's last state into step 0 of this chunk
         Z[:, :, 0] += decay[:, None] * state
         for i in range(n):

@@ -2,8 +2,12 @@
 
 The oracles deliberately use plain numpy inverses and pseudoinverses on
 matrices assembled from scratch, so they share no code path with the
-package's Cholesky / triangular / forest-elimination routes.
+package's Cholesky / triangular / forest-elimination routes. The exact
+referee (:func:`exact_table`, :func:`exact_total`) works in stdlib
+rationals, so it has no rounding at all.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,19 +59,22 @@ def naive_nc_value(g: Graph, S, kappa=1.0) -> float:
 
 
 def naive_em(A: np.ndarray, cfg):
-    """Euler-Maruyama one step at a time on the simulator's noise streams.
+    """Euler-Maruyama one step at a time in state space, on the simulator's
+    noise streams.
 
-    Trial t draws its whole (steps, n) noise block from the t-th child of
-    ``SeedSequence(cfg.seed)`` and advances X <- X - dt A X + sqrt(dt) xi,
-    adding |X|^2 after every step past the burn-in. Returns
-    (value, stderr, steps, kept_steps).
+    Trial t draws its whole (steps, n) block of modal noise from the t-th
+    child of ``SeedSequence(cfg.seed)`` and maps it into state space as
+    xi = V eta, with V from its own ``np.linalg.eigh(A)``; it advances
+    X <- X - dt A X + sqrt(dt) xi, adding |X|^2 after every step past the
+    burn-in. Returns (value, stderr, steps, kept_steps).
     """
     n = A.shape[0]
     steps = max(1, int(round(cfg.horizon / cfg.dt)))
     burn = int(cfg.burn_in * steps)
     m = cfg.trials
+    V = np.linalg.eigh(A)[1]
     seeds = np.random.SeedSequence(cfg.seed).spawn(m)
-    noise = np.stack([np.random.default_rng(s).standard_normal((steps, n))
+    noise = np.stack([np.random.default_rng(s).standard_normal((steps, n)) @ V.T
                       for s in seeds], axis=2)
     X = np.zeros((n, m))
     acc = np.zeros(m)
@@ -79,6 +86,65 @@ def naive_em(A: np.ndarray, cfg):
     per_trial = acc / (steps - burn)
     stderr = float(per_trial.std(ddof=1) / np.sqrt(m)) if m > 1 else 0.0
     return float(per_trial.mean()), stderr, steps, steps - burn
+
+
+def exact_table(g: Graph) -> list[list[Fraction]]:
+    """Exact pairwise resistances of a connected graph, in rationals.
+
+    Every weight is a binary float, which ``Fraction`` reads exactly. The
+    Laplacian grounded at node 0 is inverted once by Gauss-Jordan
+    elimination (it is positive definite, so no pivot is zero); with P that
+    inverse padded by a zero row and column at node 0,
+    r(u, v) = P_uu + P_vv - 2 P_uv.
+    """
+    n = g.node_count
+    L = [[Fraction(0)] * n for _ in range(n)]
+    for u, v, w in g.edges:
+        w = Fraction(w)
+        L[u][u] += w
+        L[v][v] += w
+        L[u][v] -= w
+        L[v][u] -= w
+    m = n - 1
+    # [L0 | I] reduced to [I | L0^-1]
+    M = [L[i + 1][1:] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for c in range(m):
+        pivot = M[c][c]
+        M[c] = [x / pivot for x in M[c]]
+        for r in range(m):
+            f = M[r][c]
+            if r != c and f:
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    P = [[Fraction(0)] * n] + [[Fraction(0)] + row[m:] for row in M]
+    return [[P[u][u] + P[v][v] - 2 * P[u][v] for v in range(n)] for u in range(n)]
+
+
+def exact_total(table, S, inv_kappa=0) -> Fraction:
+    """Exact sum_u r(u, S): the trace of the inverse system matrix, twice the
+    coherence, for the sorted leader set ``S`` on :func:`exact_table`'s
+    ``table``. ``inv_kappa`` is every leader's 1/kappa: 0 pins the leaders
+    (noise-free), otherwise each is tied to the ground by the conductance
+    kappa (noise-corrupted).
+
+    The first leader s grounds the table, G_uv = (R_us + R_vs - R_uv) / 2 +
+    1/kappa, whose trace is sum_u R_us + n/kappa; each further leader t is
+    one exact Schur step G <- G - G_t G_t^T / (G_tt + 1/kappa), of which
+    only the trace and the columns of the leaders still to come are kept.
+    """
+    R = table
+    n = len(R)
+    s, rest = S[0], list(S[1:])
+    total = sum(R[u][s] for u in range(n)) + n * inv_kappa
+    cols = [[(R[u][s] + R[t][s] - R[u][t]) / 2 + inv_kappa for u in range(n)]
+            for t in rest]
+    for i, t in enumerate(rest):
+        c = cols[i]
+        p = c[t] + inv_kappa
+        total -= sum(x * x for x in c) / p
+        for j in range(i + 1, len(rest)):
+            f = c[rest[j]] / p
+            cols[j] = [a - f * b for a, b in zip(cols[j], c)]
+    return total
 
 
 def naive_resistance_table(g: Graph) -> np.ndarray:

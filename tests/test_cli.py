@@ -252,6 +252,21 @@ def test_graph_file_ingestion(tmp_path):
     assert doc["value"] == pytest.approx(cl.cycle_nf_coherence((3, 3), n=6))
 
 
+@pytest.mark.parametrize("doc", [
+    '{"n": 3, "edges": [[0, 1.5, 1.0], [1, 2, 1.0]]}',
+    '{"n": 3, "edges": [[0, true, 1.0], [1, 2, 1.0]]}',
+    '{"n": 3.5, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+], ids=["float-id", "bool-id", "float-n"])
+def test_json_graph_file_with_non_integer_ids_exits_two(tmp_path, doc):
+    # the edge-list format rejects "0 1.5 1.0", so the same graph in JSON must too
+    path = tmp_path / "graph.json"
+    path.write_text(doc)
+    code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0"])
+    assert code == 2
+    assert out == ""
+    assert "integer" in err
+
+
 def test_validation_failures_exit_two():
     cases = [
         ["coherence", "--graph", "cycle:2", "--leaders", "0"],

@@ -153,32 +153,35 @@ def test_leader_free_quadratic_scaling_on_cycles():
     assert abs(v200 / v50 / 16.0 - 1.0) <= 0.1
 
 
+def _best_single_leader(g, dynamics=cl.NOISE_FREE, kappa=None):
+    """The search's first optimal single leader (ties go to the smallest id)."""
+    return cl.brute_force_select(g, 1, dynamics, kappa, cap=1).optimal_sets[0][0]
+
+
 def test_best_single_leader_star_center():
     star = cl.build_graph([(0, i, 1.0) for i in range(1, 5)])
-    best, report = cl.best_single_leader(star)
+    best = _best_single_leader(star)
     assert best == 0
-    assert report.value == pytest.approx(naive_nf_value(star, (0,)))
+    assert cl.coherence_nf(star, (best,)).value == pytest.approx(naive_nf_value(star, (0,)))
 
 
 def test_best_single_leader_path_middle():
-    best, _ = cl.best_single_leader(cl.build_path(5))
-    assert best == 2
+    assert _best_single_leader(cl.build_path(5)) == 2
 
 
 def test_best_single_leader_tie_breaks_to_smallest_id():
-    best, _ = cl.best_single_leader(cl.build_cycle(6))
-    assert best == 0
+    assert _best_single_leader(cl.build_cycle(6)) == 0
 
 
 def test_best_single_leader_nc_differs_with_heterogeneous_kappa():
     g = cl.build_path(3)
     kappa = {0: 100.0, 1: 1.0, 2: 100.0}
-    nf_best, _ = cl.best_single_leader(g, dynamics=cl.NOISE_FREE)
-    nc_best, nc_report = cl.best_single_leader(g, dynamics=cl.NOISE_CORRUPTED,
-                                               kappa=kappa)
+    nf_best = _best_single_leader(g, cl.NOISE_FREE)
+    nc_best = _best_single_leader(g, cl.NOISE_CORRUPTED, kappa)
     assert nf_best == 1
     assert nc_best == 0
-    assert nc_report.value == pytest.approx(naive_nc_value(g, (0,), kappa))
+    nc_value = cl.coherence_nc(g, (nc_best,), kappa=kappa).value
+    assert nc_value == pytest.approx(naive_nc_value(g, (0,), kappa))
 
 
 def test_report_serialization():

