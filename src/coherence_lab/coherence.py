@@ -6,17 +6,23 @@
 * noise-corrupted: the same with each leader tied to the reference node
   by its stubbornness weight kappa (a 1/kappa resistor), equal to half the
   sum over all nodes of their resistances to that node;
-* leader-free: half the sum of reciprocal nonzero Laplacian eigenvalues
-  (the variance of deviations from the network average).
+* leader-free: half the trace of the Laplacian pseudoinverse, the sum of
+  reciprocal nonzero Laplacian eigenvalues (the variance of deviations
+  from the network average).
 
-Every functional is exposed through two independent computational routes
-("trace" and "resistance") that the test suite holds to 1e-9 agreement.
-Noise-free is the pinned (kappa -> infinity) case of noise-corrupted, so
-the two share one body that takes the leaders with their weights, or
-with none when they are pinned. Its trace route reads the grounded
-entries from ``graphs._grounded_entries`` and hands them, on trees, to
-an exact O(n) forest elimination, otherwise to a dense Cholesky; its
-resistance route is one ``ResistanceOracle.set_totals`` query.
+Every value is one grounded solve, ``electrical.grounded_solve``: on
+trees an exact O(n) forest elimination, otherwise a dense Cholesky and a
+triangular inverse. No resistance table and no eigensolve is formed.
+Noise-free and noise-corrupted are exposed through two independent
+routes ("trace" and "resistance") that the test suite holds to 1e-9
+agreement. Noise-free is the pinned (kappa -> infinity) case of
+noise-corrupted, so the two share one body that takes the leaders with
+their weights, or with none when they are pinned. The trace route solves
+for the diagonal of the system the leaders ground. The resistance route
+grounds node 0 instead, forms the leaders' rows of the resistance table
+from the diagonal and the leaders' columns of that inverse, and grounds
+the leaders by the Schur steps of ``electrical.schur_totals``, which the
+table's ``ResistanceOracle.set_totals`` also takes.
 """
 
 from __future__ import annotations
@@ -24,17 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dsyevd
 
 from .electrical import (
-    forest_inverse_diagonal,
+    grounded_solve,
     leaders_with_kappa,
     normalize_leaders,
-    resistance_oracle,
-    spd_trace_inverse,
+    schur_totals,
 )
-from .errors import BadParameterError, DisconnectedGraphError, SolverError
-from .graphs import Graph, _grounded_entries, is_connected, is_tree, laplacian
+from .errors import BadParameterError, DisconnectedGraphError
+from .graphs import Graph, _grounded_entries, is_connected, is_tree
 
 NOISE_FREE = "noise_free"
 NOISE_CORRUPTED = "noise_corrupted"
@@ -82,14 +86,30 @@ def _default_label(g: Graph) -> str:
 def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     """Trace of the inverse of the Laplacian grounded at a reference node,
     with the leaders pinned to it (noise-free) or, given ``kvec``, tied to
-    it by their stubbornness weights (noise-corrupted). Trees take the
-    O(n) forest elimination on the same entries, other graphs Cholesky.
+    it by their stubbornness weights (noise-corrupted)."""
+    _, diag, off = _grounded_entries(g, leaders, kvec)
+    return float(grounded_solve(diag, off, forest=is_tree(g))[0].sum())
+
+
+def _resistance_total(g: Graph, leaders, inv_kappa=None) -> float:
+    """sum_u r(u, S), twice the coherence, from the leaders' resistance rows.
+
+    With G0 the inverse of the Laplacian grounded at node 0 and d its
+    diagonal (0 at node 0), leader s's row is r(u, s) = (d_u + d_s) -
+    2 G0[u, s], as the table forms it; one grounded solve gives d and the
+    leaders' columns of G0. ``inv_kappa`` is the (1, k) array of 1/kappa
+    per leader, or None when the leaders are pinned.
     """
-    nodes, diag, off = _grounded_entries(g, leaders, kvec)
-    if is_tree(g):
-        inverse = forest_inverse_diagonal(len(nodes), diag, np.column_stack(off))
-        return float(inverse.sum())
-    return spd_trace_inverse(diag, off)
+    _, diag, off = _grounded_entries(g, (0,))
+    S = np.array(leaders, dtype=np.intp)
+    grounded = S > 0
+    d, X = grounded_solve(diag, off, S[grounded] - 1, forest=is_tree(g))
+    d = np.concatenate(([0.0], d))
+    G = np.zeros((S.size, d.size))
+    G[grounded, 1:] = X
+    rows = (d + d[S, None]) - 2.0 * G
+    rows[np.arange(S.size), S] = 0.0
+    return float(schur_totals(rows[:1].sum(axis=1), rows[None], S[None], inv_kappa)[0])
 
 
 def _coherence(g: Graph, S, kvec, method: str,
@@ -103,7 +123,7 @@ def _coherence(g: Graph, S, kvec, method: str,
         value = 0.5 * _grounded_trace(g, S, kvec)
     elif method == "resistance":
         inv_kappa = 1.0 / kvec[None, :] if tied else None
-        value = 0.5 * float(resistance_oracle(g).set_totals([S], inv_kappa)[0])
+        value = 0.5 * _resistance_total(g, S, inv_kappa)
     else:
         raise BadParameterError(f"unknown method {method!r}")
     return CoherenceReport(
@@ -121,11 +141,11 @@ def coherence_nf(g: Graph, leaders, method: str = "trace",
     """Noise-free coherence of the leader set.
 
     ``method="trace"`` grounds the leaders and sums the inverse diagonal;
-    ``method="resistance"`` sums every node's resistance to the leader set
-    from the pairwise table, via
-    :meth:`~coherence_lab.electrical.ResistanceOracle.set_totals`. Leaders
-    pinned to the reference contribute nothing, so the value is 0 when
-    every node leads.
+    ``method="resistance"`` sums every node's resistance to the leader set:
+    one solve grounded at node 0 gives the leaders' resistance rows, and
+    rank-one Schur steps ground the leaders one at a time
+    (:func:`~coherence_lab.electrical.schur_totals`). Leaders pinned to the
+    reference contribute nothing, so the value is 0 when every node leads.
     """
     return _coherence(g, normalize_leaders(g, leaders), None, method, graph_label)
 
@@ -137,8 +157,9 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
     The trace route inverts the Laplacian shifted by the stubbornness
     weights on the leader diagonal. The resistance route sums, over all n
     nodes, their resistance to a reference node tied to each leader by a
-    1/kappa_i resistor, grounded on the base graph's pairwise table by
-    :meth:`~coherence_lab.electrical.ResistanceOracle.set_totals`.
+    1/kappa_i resistor: the leaders' resistance rows of the base graph
+    come from one solve grounded at node 0, and the Schur steps of
+    :func:`~coherence_lab.electrical.schur_totals` tie the leaders on.
     A kappa list follows ``leaders`` in the order given (see
     :func:`~coherence_lab.electrical.leaders_with_kappa`).
     """
@@ -149,18 +170,23 @@ def coherence_nc(g: Graph, leaders, kappa=None, method: str = "trace",
 def leader_free_coherence(g: Graph, graph_label: str | None = None) -> CoherenceReport:
     """Steady-state variance of deviations from the average, no leaders.
 
-    Half the trace of the Laplacian pseudoinverse, evaluated as the sum of
-    reciprocals of the n - 1 nonzero eigenvalues (LAPACK ``dsyevd``).
+    Half the trace of the Laplacian pseudoinverse, the sum of reciprocals
+    of the n - 1 nonzero eigenvalues. With s the largest weighted degree,
+    L + (s/n) 11^T has those eigenvalues and s, so the trace is that of its
+    inverse, one grounded solve, less 1/s (Ghosh, Boyd & Saberi, SIAM
+    Review 50(1), 2008). The trace is at least (n - 1) / (2 s), so the
+    subtraction loses at most two bits.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("leader-free coherence requires connectivity")
-    if g.node_count == 1:
+    n = g.node_count
+    if n == 1:
         value = 0.0
     else:
-        eig, _, info = dsyevd(laplacian(g), compute_v=0, lower=1)
-        if info != 0:
-            raise SolverError(f"LAPACK eigendecomposition failed (info={info})")
-        value = 0.5 * float(np.sum(1.0 / eig[1:]))
+        _, diag, off = _grounded_entries(g)
+        s = float(diag.max())
+        trace = float(grounded_solve(diag, off, shift=s / n)[0].sum())
+        value = 0.5 * (trace - 1.0 / s)
     return CoherenceReport(
         value=value,
         dynamics=LEADER_FREE,

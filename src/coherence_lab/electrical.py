@@ -28,10 +28,20 @@ that scale exactly, as eps ||A||_1 ||A^-1||_1: a graph that fails it in
 the path sums goes to the factored route, and forest elimination raises.
 A query for given leader sets is :meth:`ResistanceOracle.set_totals`,
 which grounds a batch of them one leader at a time with the rank-one
-Schur steps of :func:`schur_columns`. A leader tied to a
-reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
-leader (noise-free) as kappa grows without bound, so both dynamics take
-the same steps, the pinned ones without the 1/kappa terms.
+Schur steps of :func:`schur_totals`; those steps read only the leaders'
+rows of the table. A leader tied to a reference node by a 1/kappa
+resistor (noise-corrupted) becomes a pinned leader (noise-free) as kappa
+grows without bound, so both dynamics take the same steps, the pinned
+ones without the 1/kappa terms.
+
+A coherence value needs no table. :func:`grounded_solve` returns the
+diagonal of a grounded inverse and a few of its columns: on a tree by
+an exact O(n) forest elimination, otherwise by a dense Cholesky factor
+under the condition guard and its triangular inverse, with the residual
+of every solved column checked. The trace route sums that diagonal; the
+resistance route grounds node 0, forms the leaders' rows
+r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
+columns, and hands them to :func:`schur_totals`.
 
 Every dense kernel runs on scipy's BLAS/LAPACK (``scipy.linalg``). numpy
 links its own OpenBLAS with its own thread pool, and a call there between
@@ -44,6 +54,7 @@ import math
 
 import numpy as np
 from scipy.linalg import cho_solve
+from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dtrtri
 
 from .errors import (
@@ -85,31 +96,32 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(A: np.ndarray, edges, lower: bool):
-    """Cholesky-factor the SPD matrix A in place; return the factor, A's
-    1-norm (:func:`_one_norm`, from the diagonal and the off-diagonal
-    entries ``edges`` of :func:`_edge_ends`) and eps/rcond.
+def _factor(A: np.ndarray, anorm: float, lower: bool):
+    """Cholesky-factor the SPD matrix A, whose 1-norm is ``anorm``
+    (:func:`_one_norm`), in place; return the factor and eps/rcond.
 
     dpotrf overwrites A.T, the Fortran-order view of symmetric A, without a
     copy; ``lower`` picks that view's triangle, and the other keeps A's
     entries.
     """
-    anorm = _one_norm(np.diagonal(A), edges)
     c, info = dpotrf(A.T, lower=lower, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
     if info != 0:
         raise SolverError(f"LAPACK Cholesky factorization failed (info={info})")
-    return c, anorm, _check_condition(c, anorm, lower)
+    return c, _check_condition(c, anorm, lower)
 
 
-def _one_norm(diag: np.ndarray, edges) -> float:
+def _one_norm(diag: np.ndarray, edges, shift: float = 0.0) -> float:
     """1-norm of the symmetric matrix with diagonal ``diag`` and the
-    off-diagonal entries ``edges`` of :func:`_edge_ends`: its largest
-    absolute row sum, in O(m)."""
+    off-diagonal entries ``edges`` of :func:`_edge_ends`, plus ``shift``
+    in every entry: its largest absolute row sum, in O(m)."""
     ends, _, values = edges
-    rows = np.abs(diag) + np.bincount(ends, np.abs(values), minlength=len(diag))
+    n = len(diag)
+    # a row's entries off its edges are all ``shift``
+    rows = (np.abs(diag + shift) + (n - 1) * abs(shift)
+            + np.bincount(ends, np.abs(values + shift) - abs(shift), minlength=n))
     return rows.max()
 
 
@@ -135,37 +147,73 @@ def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> float:
     return _EPS / rcond
 
 
-def spd_trace_inverse(diag: np.ndarray, off) -> float:
-    """Trace of the inverse of the SPD matrix A with diagonal ``diag`` and
-    off-diagonal entries ``off = (rows, cols, values)``.
+def grounded_solve(diag: np.ndarray, off, columns=(), forest: bool = False,
+                   shift: float = 0.0):
+    """The diagonal of A^-1 and the columns ``columns`` of A^-1, for the SPD
+    matrix A with diagonal ``diag``, off-diagonal entries ``off = (rows,
+    cols, values)`` and, given ``shift``, shift added to every entry.
 
-    A is assembled here and overwritten: factored in place as A = U^T U,
-    then U inverted in place by LAPACK ``dtrtri``. Neither touches the other
-    triangle, which still holds A's off-diagonal entries; zeroing just
-    those, O(m), clears it without the n^2 / 2 writes of zeroing all of it.
-    The trace of A^-1 = U^-1 U^-T is the sum of the squares of U^-1, taken
-    in place too, so A is the only n x n array; its 1-norm comes from the
-    entries.
+    Returns ``(d, X)``: d the diagonal and X, of shape (len(columns), n),
+    the columns as rows. ``forest`` says that the graph of A's entries is a
+    forest, so that :func:`_forest_solve` eliminates it exactly in O(n)
+    unless A is shifted; otherwise :func:`_dense_solve` factors it. Either
+    route bounds A's condition, and every solved column is checked by its
+    residual (:func:`_check_residual`).
     """
-    if diag.size == 0:
-        return 0.0
-    c = _factor(_dense(diag, off), _edge_ends(off), lower=False)[0]
+    n = diag.size
+    columns = np.asarray(columns, dtype=np.intp)
+    if n == 0:
+        return np.zeros(0), np.zeros((columns.size, 0))
+    edges = _edge_ends(off)
+    anorm = _one_norm(diag, edges, shift)
+    if forest and not shift:
+        d, X = _forest_solve(diag, off, columns, anorm)
+    else:
+        d, X = _dense_solve(diag, off, columns, anorm, shift)
+    if columns.size:
+        _check_residual(X, columns, diag, edges, anorm, shift)
+    return d, X
+
+
+def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
+                 shift: float):
+    """:func:`grounded_solve` by a dense factor: A = U^T U, then U inverted
+    in place by LAPACK ``dtrtri``.
+
+    A is assembled in its lower triangle only, the one that ``dpotrf``
+    (upper, on the Fortran-order view) and ``dtrtri`` read and overwrite,
+    so the other stays zero and A is the only n x n array. With V = U^-1,
+    A^-1 = V V^T: its diagonal is the sum of the squares of each row of V,
+    taken in place, and column s is V times row s of V (BLAS ``dtrmm``).
+    """
+    n = diag.size
+    rows, cols, values = off
+    if shift:
+        A = np.tri(n)
+        A *= shift
+    else:
+        A = np.zeros((n, n))
+    A.flat[::n + 1] += diag
+    A[np.maximum(rows, cols), np.minimum(rows, cols)] += values
+    c = _factor(A, anorm, lower=False)[0]
     inv, info = dtrtri(c, lower=0, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
-    rows, cols, _ = off
-    inv[np.maximum(rows, cols), np.minimum(rows, cols)] = 0.0
-    return float(np.square(inv, out=inv).sum())
+    Y = np.zeros((n, columns.size), order="F")
+    for j, s in enumerate(columns.tolist()):
+        Y[s:, j] = inv[s, s:]
+    X = dtrmm(1.0, inv, Y, overwrite_b=1).T if columns.size else Y.T
+    # row i of V is column i of A's lower triangle
+    return np.square(A, out=A).sum(axis=0), X
 
 
-def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
-    """Diagonal of the inverse of an SPD matrix whose graph is a forest.
+def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
+    """:func:`grounded_solve` by forest elimination, for an unshifted A.
 
-    ``offdiag_edges`` holds (u, v, value) rows with value = A[u, v], as an
-    (m, 3) array or a sequence of triples. Two passes over the preorder of
-    :func:`graphs.rooted_forest`: leaf-to-root elimination pivots, then
-    root-to-leaf back-substitution. Exact in O(n), which keeps trace
-    computations on large trees cheap.
+    Two passes over the preorder of :func:`graphs.rooted_forest`:
+    leaf-to-root elimination pivots, then root-to-leaf back-substitution,
+    each carrying the unit right-hand sides of ``columns``. Exact in O(n)
+    per column, which keeps large trees cheap.
 
     The same passes solve A' x = 1, with A' the matrix A with every
     off-diagonal entry made negative: a forest's entries change sign under
@@ -175,16 +223,17 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
     ``_CONDITION_LIMIT``, the scale ``_check_condition`` estimates for a
     dense factor.
     """
-    n = node_count
-    uvw = np.asarray(offdiag_edges, dtype=np.float64).reshape(-1, 3)
-    ends = uvw[:, :2].astype(np.intp)
-    order, parent, edge = rooted_forest(n, ends)
+    n = diag.size
+    rows, cols, values = off
+    order, parent, edge = rooted_forest(n, np.column_stack((rows, cols)))
     # a root's edge index -1 picks the padding
-    coupling = np.append(uvw[:, 2], 0.0)[edge].tolist()
-    diagonal = np.asarray(diagonal, dtype=np.float64)
-    pivot = diagonal.tolist()
+    coupling = np.append(values, 0.0)[edge].tolist()
+    pivot = diag.tolist()
     ratio = [0.0] * n
     x = [1.0] * n
+    rhs = [[0.0] * n for _ in range(columns.size)]
+    for b, s in zip(rhs, columns.tolist()):
+        b[s] = 1.0
     for u in reversed(order):
         # u's children came first, so its pivot is final
         d = pivot[u]
@@ -198,25 +247,28 @@ def forest_inverse_diagonal(node_count, diagonal, offdiag_edges) -> np.ndarray:
             r = ratio[u] = c / d
             pivot[p] -= r * c
             x[p] += abs(r) * x[u]
+            for b in rhs:
+                b[p] -= r * b[u]
     inverse = 1.0 / np.array(pivot)
     out = inverse.tolist()
     x = (inverse * x).tolist()
+    rhs = [(inverse * b).tolist() for b in rhs]
     for u in order:
         p = parent[u]
         if p >= 0:
             r = ratio[u]
             out[u] += r * r * out[p]
             x[u] += abs(r) * x[p]
-    if n:
-        anorm = _one_norm(diagonal, _edge_ends((ends[:, 0], ends[:, 1], uvw[:, 2])))
-        scale = _EPS * float(anorm) * max(x)
-        # written so that a NaN bound fails too
-        if not scale <= _CONDITION_LIMIT:
-            raise SolverError(
-                f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
-                f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
-            )
-    return np.array(out)
+            for b in rhs:
+                b[u] -= r * b[p]
+    scale = _EPS * float(anorm) * max(x)
+    # written so that a NaN bound fails too
+    if not scale <= _CONDITION_LIMIT:
+        raise SolverError(
+            f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
+            f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
+        )
+    return np.array(out), np.array(rhs).reshape(columns.size, n)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +361,8 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
     pos = followers.index(i)
     e = np.zeros(len(followers))
     e[pos] = 1.0
-    c = _factor(_dense(diag, off), _edge_ends(off), lower=False)[0]
+    edges = _edge_ends(off)
+    c = _factor(_dense(diag, off), _one_norm(diag, edges), lower=False)[0]
     return float(cho_solve((c, False), e, check_finite=False)[pos])
 
 
@@ -360,27 +413,40 @@ class ResistanceOracle:
 
         ``sets`` is an (m, k) array of distinct leaders per row;
         ``inv_kappa`` an optional (m, k) array of 1/kappa per position.
-        The value is twice the coherence of that leader set. The anchor
-        s1 contributes column sum s1 (plus n/kappa_s1), and each later
-        leader's Schur step lowers it by |column|^2 / pivot. With every
-        node pinned the total is exactly 0, where the Schur steps would
-        leave a rounding residue of either sign.
+        The value is twice the coherence of that leader set
+        (:func:`schur_totals` on the leaders' rows of the table).
         """
         sets = np.asarray(sets, dtype=np.intp)
-        n = self.table.shape[0]
-        if inv_kappa is None and sets.shape[1] == n:
-            return np.zeros(sets.shape[0])
-        totals = self.column_sums()[sets[:, 0]]
-        if inv_kappa is not None:
-            totals = totals + n * inv_kappa[:, 0]
-        cols, pivots = schur_columns(self.table, sets, inv_kappa)
-        for j in range(sets.shape[1] - 1):
-            totals -= np.einsum("cu,cu->c", cols[:, j], cols[:, j]) / pivots[:, j]
-        return totals
+        return schur_totals(self.column_sums()[sets[:, 0]], self.table[sets], sets,
+                            inv_kappa)
 
 
-def schur_columns(R: np.ndarray, sets: np.ndarray, inv_kappa=None):
-    """Ground every row of ``sets`` on the table, one leader at a time.
+def schur_totals(sums: np.ndarray, rows: np.ndarray, sets: np.ndarray,
+                 inv_kappa=None) -> np.ndarray:
+    """sum_u r(u, S) for every row S of ``sets``, to a reference node tied
+    to each leader by 1/kappa when ``inv_kappa`` is given.
+
+    ``rows[c, j]`` is the resistance row r(sets[c, j], .) of the leader at
+    position j, ``sums[c]`` the sum of the anchor's row and ``inv_kappa``
+    an optional (m, k) array of 1/kappa per position. The anchor s1
+    contributes its row sum (plus n/kappa_s1), and each later leader's
+    Schur step (:func:`schur_columns`) lowers it by |column|^2 / pivot.
+    With every node pinned the total is exactly 0, where the Schur steps
+    would leave a rounding residue of either sign.
+    """
+    n = rows.shape[2]
+    if inv_kappa is None and sets.shape[1] == n:
+        return np.zeros(sets.shape[0])
+    totals = sums if inv_kappa is None else sums + n * inv_kappa[:, 0]
+    cols, pivots = schur_columns(rows, sets, inv_kappa)
+    for j in range(sets.shape[1] - 1):
+        totals = totals - np.einsum("cu,cu->c", cols[:, j], cols[:, j]) / pivots[:, j]
+    return totals
+
+
+def schur_columns(rows: np.ndarray, sets: np.ndarray, inv_kappa=None):
+    """Ground every row of ``sets`` one leader at a time, from the leaders'
+    resistance rows: ``rows[c, j]`` is r(sets[c, j], .), a row of the table.
 
     Grounding the anchor s1 turns the table into the grounded-inverse
     entries A[u, a] = (r(u, s1) + r(a, s1) - r(u, a)) / 2 (plus 1/kappa_s1
@@ -388,27 +454,28 @@ def schur_columns(R: np.ndarray, sets: np.ndarray, inv_kappa=None):
     Each later leader t is then grounded by a rank-one Schur step with
     pivot A[t, t] (plus 1/kappa_t): the diagonal drops by A[:, t]^2 / pivot
     and the columns of the leaders after t lose A[:, t] A[t, :] / pivot.
-    Only those k - 1 columns are ever formed.
+    Only those k - 1 columns are ever formed, so only the leaders' rows
+    are read.
 
     Returns ``(cols, pivots)`` of shapes (m, k - 1, n) and (m, k - 1):
     ``cols[c, j]`` is the column of leader ``sets[c, j + 1]`` at its own
     step and ``pivots[c, j]`` its pivot. Raises SolverError on a pivot
     that is not positive.
     """
-    rows = np.arange(sets.shape[0])
-    anchor, rest = sets[:, 0], sets[:, 1:]
+    at = np.arange(sets.shape[0])
+    rest = sets[:, 1:]
     if rest.shape[1] == 0:
-        return np.empty((rows.size, 0, R.shape[0])), np.empty((rows.size, 0))
-    R_anchor = R[anchor]
-    cols = R_anchor[:, None, :] + R_anchor[rows[:, None], rest][:, :, None]
-    cols -= R[rest]
+        return np.empty((at.size, 0, rows.shape[2])), np.empty((at.size, 0))
+    R_anchor = rows[:, 0]
+    cols = R_anchor[:, None, :] + R_anchor[at[:, None], rest][:, :, None]
+    cols -= rows[:, 1:]
     cols *= 0.5
     if inv_kappa is not None:
         cols += inv_kappa[:, :1, None]
     pivots = np.empty(rest.shape)
     for j in range(rest.shape[1]):
         col = cols[:, j]
-        pivot = col[rows, rest[:, j]]
+        pivot = col[at, rest[:, j]]
         if inv_kappa is not None:
             pivot = pivot + inv_kappa[:, j + 1]
         _check_pivots(pivot)
@@ -469,7 +536,8 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     """
     n = g.node_count
     G0 = _dense(diag, off)
-    c, anorm, scale = _factor(G0, edges, lower=True)
+    anorm = _one_norm(diag, edges)
+    c, scale = _factor(G0, anorm, lower=True)
     _, info = dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK inversion failed (info={info})")
@@ -664,16 +732,16 @@ def _residual_columns(m: int) -> np.ndarray:
 
 
 def _check_residual(X: np.ndarray, cols: np.ndarray, diag: np.ndarray, edges,
-                    anorm: float) -> None:
+                    anorm: float, shift: float = 0.0) -> None:
     """Raise SolverError unless L0 X is the identity's columns ``cols``.
 
     ``X`` holds, as rows, the columns ``cols`` (from
-    :func:`_residual_columns`) of the computed inverse of L0. L0 has
-    diagonal ``diag``, the off-diagonal entries ``edges`` (from
-    :func:`_edge_ends`) and the 1-norm (equal to its infinity norm)
-    ``anorm``; it is applied to each column from those entries, O(m) per
-    column. The residual is scaled by ``anorm`` times the largest entry of
-    the checked columns.
+    :func:`_residual_columns`, or any others) of the computed inverse of
+    L0. L0 has diagonal ``diag``, the off-diagonal entries ``edges`` (from
+    :func:`_edge_ends`), ``shift`` added to every entry and the 1-norm
+    (equal to its infinity norm) ``anorm``; it is applied to each column
+    from those entries, O(m) per column. The residual is scaled by
+    ``anorm`` times the largest entry of the checked columns.
     """
     k, m = X.shape
     ends, others, weights = edges
@@ -683,6 +751,8 @@ def _check_residual(X: np.ndarray, cols: np.ndarray, diag: np.ndarray, edges,
     LX = X * diag
     LX += np.bincount(np.add.outer(m * np.arange(k), ends).ravel(), terms.ravel(),
                       minlength=k * m).reshape(k, m)
+    if shift:
+        LX += shift * X.sum(axis=1, keepdims=True)
     for c, col in enumerate(cols.tolist()):
         LX[c, col] -= 1.0
     res = np.abs(LX).max()

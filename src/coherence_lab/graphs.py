@@ -7,8 +7,10 @@ functions.
 Two interchange formats are supported:
 
 * edge-list text, one edge per line as ``u v w`` (whitespace separated,
-  ``#`` starts a comment). The writer emits a structured ``# n=<count>``
-  comment so that trailing isolated nodes survive a round trip.
+  ``#`` starts a comment): ids in ASCII digits, weights in plain decimal
+  or exponent notation, as JSON numbers are written. The writer emits a
+  structured ``# n=<count>`` comment so that trailing isolated nodes
+  survive a round trip.
 * JSON, ``{"n": int, "edges": [[u, v, w], ...]}``.
 """
 
@@ -85,9 +87,13 @@ class Graph:
         if odd is not None:
             Graph(node_count, tuple(zip(u, v, w))[:odd])
             raise _non_integer_error(u[odd], v[odd])
-        # the ids are read as floats, exact below 2**53, so that an id of
-        # any size compares with the node range without overflow
-        ids = np.array((u, v), dtype=np.float64)
+        self._set_edges(node_count, np.array((u, v), dtype=np.float64), w)
+
+    def _set_edges(self, node_count: int, ids: np.ndarray, w) -> None:
+        """Check and hold the edges: ``ids`` is the (2, m) array of their
+        integer ids, read as floats, and ``w`` their weights."""
+        # floats are exact below 2**53, so that an id of any size compares
+        # with the node range without overflow
         w = np.array(w, dtype=np.float64)
         lo, hi = ids.min(axis=0), ids.max(axis=0)
         inside = (0.0 <= lo) & (hi < node_count)
@@ -154,11 +160,11 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     """
     if node_count is not None:
         _require_int("node_count", node_count)
-    edge_list = list(edge_list)
-    u, v = tuple(zip(*edge_list, strict=True))[:2] or ((), ())
+    columns = tuple(zip(*edge_list, strict=True))
+    u, v = columns[:2] or ((), ())
     # the first edge with a negative id or one that is not an integer
     odd = _first_non_integer(u, v)
-    ids = np.array((u[:odd], v[:odd]), dtype=float)
+    ids = np.array((u[:odd], v[:odd]), dtype=np.float64)
     negative = (ids < 0.0).any(axis=0)
     if negative.any():
         i = int(negative.argmax())
@@ -169,7 +175,11 @@ def build_graph(edge_list, node_count: int | None = None) -> Graph:
     n = max(inferred, int(node_count) if node_count is not None else 0)
     if n < 1:
         raise BadParameterError("empty edge list needs an explicit node_count")
-    return Graph(n, edge_list)
+    # the edges are converted and their ids checked once, here
+    _, _, w = columns or ((), (), ())
+    g = Graph.__new__(Graph)
+    g._set_edges(n, ids, w)
+    return g
 
 
 def _grounded_entries(g: Graph, leaders=(), kvec=None):
@@ -395,7 +405,11 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-_NODE_COUNT_HEADER = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$")
+# re.ASCII: \d would match any script's digits, which int() reads too
+_NODE_COUNT_HEADER = re.compile(r"^#\s*n\s*=\s*(\d+)\s*$", re.ASCII)
+_NODE_ID = re.compile(r"[0-9]+")
+# float() also reads "1_0", "inf", "nan" and other scripts' digits
+_WEIGHT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -414,12 +428,14 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphSpecError(
                 f"line {lineno}: expected 'u v w', got {len(parts)} fields"
             )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2])
-        except ValueError as exc:
-            raise GraphSpecError(f"line {lineno}: {exc}") from exc
-        edges.append((u, v, w))
+        for token in parts[:2]:
+            if not _NODE_ID.fullmatch(token):
+                raise GraphSpecError(f"line {lineno}: node id {token!r} is not "
+                                     f"a nonnegative integer in ASCII digits")
+        if not _WEIGHT.fullmatch(parts[2]):
+            raise GraphSpecError(f"line {lineno}: weight {parts[2]!r} is not a "
+                                 f"decimal number")
+        edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
     if not edges and node_count is None:
         raise GraphSpecError("no edges and no '# n=' header in edge-list input")
     return build_graph(edges, node_count=node_count)

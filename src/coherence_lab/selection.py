@@ -294,7 +294,7 @@ def _group_blocks(oracle: ResistanceOracle, group: np.ndarray, recip):
     inv_kappa = None if recip is None else recip[np.arange(depth), group]
     # each later prefix leader takes A_P down by col col^T / pivot, and the
     # total of P, the anchor's column sum (+ n/kappa), by |col|^2 / pivot
-    cols, pivots = schur_columns(R, group, inv_kappa)
+    cols, pivots = schur_columns(R[group], group, inv_kappa)
     cols /= np.sqrt(pivots)[:, :, None]
     tau = oracle.column_sums()[anchor]
     if recip is not None:

@@ -122,24 +122,27 @@ def exact_table(g: Graph) -> list[list[Fraction]]:
 def exact_total(table, S, inv_kappa=0) -> Fraction:
     """Exact sum_u r(u, S): the trace of the inverse system matrix, twice the
     coherence, for the sorted leader set ``S`` on :func:`exact_table`'s
-    ``table``. ``inv_kappa`` is every leader's 1/kappa: 0 pins the leaders
-    (noise-free), otherwise each is tied to the ground by the conductance
-    kappa (noise-corrupted).
+    ``table``. ``inv_kappa`` is 1/kappa, one for every leader or a sequence
+    with one per leader of ``S``: 0 pins the leaders (noise-free),
+    otherwise each is tied to the ground by its conductance kappa
+    (noise-corrupted).
 
     The first leader s grounds the table, G_uv = (R_us + R_vs - R_uv) / 2 +
-    1/kappa, whose trace is sum_u R_us + n/kappa; each further leader t is
-    one exact Schur step G <- G - G_t G_t^T / (G_tt + 1/kappa), of which
-    only the trace and the columns of the leaders still to come are kept.
+    1/kappa_s, whose trace is sum_u R_us + n/kappa_s; each further leader t
+    is one exact Schur step G <- G - G_t G_t^T / (G_tt + 1/kappa_t), of
+    which only the trace and the columns of the leaders still to come are
+    kept.
     """
     R = table
     n = len(R)
+    recip = list(inv_kappa) if hasattr(inv_kappa, "__len__") else [inv_kappa] * len(S)
     s, rest = S[0], list(S[1:])
-    total = sum(R[u][s] for u in range(n)) + n * inv_kappa
-    cols = [[(R[u][s] + R[t][s] - R[u][t]) / 2 + inv_kappa for u in range(n)]
+    total = sum(R[u][s] for u in range(n)) + n * recip[0]
+    cols = [[(R[u][s] + R[t][s] - R[u][t]) / 2 + recip[0] for u in range(n)]
             for t in rest]
     for i, t in enumerate(rest):
         c = cols[i]
-        p = c[t] + inv_kappa
+        p = c[t] + recip[i + 1]
         total -= sum(x * x for x in c) / p
         for j in range(i + 1, len(rest)):
             f = c[rest[j]] / p

@@ -267,6 +267,19 @@ def test_json_graph_file_with_non_integer_ids_exits_two(tmp_path, doc):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("text", ["0 1_0 1.0\n", "0 \u0661 1.0\n", "0 1 1_0\n"],
+                         ids=["id-underscore", "id-arabic-indic", "weight-underscore"])
+def test_edge_list_file_with_non_json_numbers_exits_two(tmp_path, text):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit as 1; JSON reads
+    # neither, so the edge-list format must not either
+    path = tmp_path / "graph.txt"
+    path.write_text("0 1 1.0\n" + text, encoding="utf-8")
+    code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0"])
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err
+
+
 def test_validation_failures_exit_two():
     cases = [
         ["coherence", "--graph", "cycle:2", "--leaders", "0"],

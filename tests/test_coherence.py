@@ -147,6 +147,21 @@ def test_leader_free_matches_pseudoinverse(rng):
         assert cl.leader_free_coherence(g).value == pytest.approx(expected, rel=1e-9, abs=1e-15)
 
 
+def test_coherence_builds_no_table(rng, monkeypatch):
+    # every coherence value is one grounded solve; the pairwise table is
+    # left to the searches, edge updates and tree growth
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a resistance table was built")
+
+    monkeypatch.setattr(cl.ResistanceOracle, "__init__", refuse)
+    for g in (random_tree(rng, 14), cl.build_cycle(9),
+              random_connected_graph(rng, 15, extra_edges=8)):
+        for method in ("trace", "resistance"):
+            cl.coherence_nf(g, (0, 4, 7), method=method)
+            cl.coherence_nc(g, (0, 4, 7), kappa=[0.5, 2.0, 3.0], method=method)
+        cl.leader_free_coherence(g)
+
+
 def test_leader_free_quadratic_scaling_on_cycles():
     v50 = cl.leader_free_coherence(cl.build_cycle(50)).value
     v200 = cl.leader_free_coherence(cl.build_cycle(200)).value

@@ -8,7 +8,6 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 import coherence_lab as cl
 from coherence_lab import electrical, selection
-from coherence_lab.electrical import forest_inverse_diagonal
 from coherence_lab.errors import (
     BadKappaError,
     BadParameterError,
@@ -272,6 +271,17 @@ def test_oracle_factor_failure_is_a_solver_error():
         cl.resistance_oracle(g)
 
 
+def _off(triples):
+    """(u, v, value) triples as the ``(rows, cols, values)`` entries that
+    ``electrical.grounded_solve`` takes."""
+    uvc = np.array(triples, dtype=np.float64).reshape(-1, 3)
+    return uvc[:, 0].astype(np.intp), uvc[:, 1].astype(np.intp), uvc[:, 2]
+
+
+def _forest_diagonal(diag, triples):
+    return electrical.grounded_solve(diag, _off(triples), forest=True)[0]
+
+
 def _stiff_path(w):
     return cl.build_graph([(0, 1, 1.0), (1, 2, w)])
 
@@ -287,16 +297,16 @@ def test_ill_conditioned_systems_raise(w):
         cl.resistance(g, 0, 1)
     with pytest.raises(SolverError, match="ill-conditioned"):
         cl.resistance_to_set(g, 0, (2,))
-    with pytest.raises(SolverError, match="ill-conditioned"):
-        cl.coherence_nf(g, (0,), method="resistance")
     # a cycle takes the dense trace route
     ring = cl.build_graph([(0, 1, 1.0), (1, 2, w), (2, 3, 1.0), (3, 0, 1.0)])
     with pytest.raises(SolverError, match="ill-conditioned"):
         cl.coherence_nf(ring, (0,), method="trace")
-    # the path itself takes forest elimination; from w = 1e17 on, 1 + w
-    # rounds to w at assembly and the elimination stops at a zero pivot
-    # before the condition bound is formed
+    # the path itself takes forest elimination on both coherence routes;
+    # from w = 1e17 on, 1 + w rounds to w at assembly and the elimination
+    # stops at a zero pivot before the condition bound is formed
     tree_error = "ill-conditioned" if w < 1e16 else "non-positive pivot"
+    with pytest.raises(SolverError, match=tree_error):
+        cl.coherence_nf(g, (0,), method="resistance")
     with pytest.raises(SolverError, match=tree_error):
         cl.coherence_nf(g, (0,), method="trace")
     with pytest.raises(SolverError, match=tree_error):
@@ -342,10 +352,10 @@ def test_forest_guard_bound_is_the_exact_norm_product(rng, monkeypatch):
                 A[u, v] = A[v, u] = c
         scale = electrical._EPS * np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
         monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 + 1e-9))
-        forest_inverse_diagonal(n, np.diag(A).copy(), edges)
+        _forest_diagonal(np.diag(A).copy(), edges)
         monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 - 1e-9))
         with pytest.raises(SolverError, match="ill-conditioned"):
-            forest_inverse_diagonal(n, np.diag(A).copy(), edges)
+            _forest_diagonal(np.diag(A).copy(), edges)
 
 
 def test_forest_guard_spares_moderate_spreads():
@@ -391,8 +401,10 @@ def test_table_budget_guard(monkeypatch):
         cl.resistance_oracle(g)
     with pytest.raises(BudgetExceededError):
         cl.brute_force_select(g, 2)
-    with pytest.raises(BudgetExceededError):
-        cl.coherence_nf(g, (0,), method="resistance")
+    # the resistance route of coherence forms no table, so the table
+    # budget does not bind it
+    assert cl.coherence_nf(g, (0,), method="resistance").value == \
+        pytest.approx(cl.coherence_nf(g, (0,)).value, rel=1e-12)
     cl.resistance_oracle(cl.build_cycle(9))
 
 
@@ -727,6 +739,20 @@ def test_forest_elimination_raises_before_overflowing():
             cl.coherence_nf(g, (0,))
 
 
+def test_grounded_solve_matches_the_dense_inverse(rng):
+    # the diagonal and the solved columns, on both routes, and shifted
+    for n, extra in ((1, 0), (2, 0), (9, 0), (30, 0), (9, 5), (30, 20)):
+        g = random_connected_graph(rng, n, extra_edges=extra)
+        _, diag, off = _grounded_entries(g, (0,), kvec=np.ones(1))
+        A = dense_laplacian(g) + np.diag(np.eye(n)[0])
+        columns = [n - 1, 0, n // 2]
+        for forest, shift in ((cl.is_tree(g), 0.0), (False, 0.0), (False, 0.7)):
+            d, X = electrical.grounded_solve(diag, off, columns, forest, shift)
+            inverse = np.linalg.inv(A + shift)
+            assert np.allclose(d, np.diag(inverse), rtol=1e-12, atol=0.0)
+            assert np.allclose(X, inverse[columns], rtol=1e-10, atol=1e-13)
+
+
 def test_forest_inverse_diagonal_matches_dense(rng):
     for _ in range(6):
         n = int(rng.integers(3, 40))
@@ -737,5 +763,5 @@ def test_forest_inverse_diagonal_matches_dense(rng):
         idx = {v: k for k, v in enumerate(keep)}
         edges = [(idx[u], idx[v], -w) for u, v, w in g.edges
                  if u in idx and v in idx]
-        fast = forest_inverse_diagonal(len(keep), np.diag(Lff).copy(), edges)
+        fast = _forest_diagonal(np.diag(Lff).copy(), edges)
         assert np.allclose(fast, np.diag(np.linalg.inv(Lff)), atol=1e-11)

@@ -11,6 +11,7 @@ import functools
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import coherence_lab as cl
@@ -21,6 +22,7 @@ from conftest import (
     naive_nc_value,
     naive_nf_value,
     random_connected_graph,
+    stiff_graph,
 )
 
 
@@ -100,6 +102,45 @@ def test_the_exact_total_matches_the_dense_inverse(rng):
             nc = float(exact_total(table, S, Fraction(2)) / 2)
             assert nf == pytest.approx(naive_nf_value(g, S), rel=1e-12)
             assert nc == pytest.approx(naive_nc_value(g, S, 0.5), rel=1e-12)
+
+
+def _stiff_cycle(rng, n):
+    perm = rng.permutation(n).tolist()
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    return cl.build_graph([(perm[i], perm[(i + 1) % n], float(weights[i])) for i in range(n)])
+
+
+STIFF_FAMILIES = {
+    "tree": lambda rng, n: stiff_graph(rng, n, chords=0),
+    "cycle": _stiff_cycle,
+    "random": lambda rng, n: stiff_graph(rng, n, chords=n // 2 + 1),
+}
+
+
+def _assert_exact(value, exact):
+    assert abs(Fraction(value) - exact) <= Fraction(1e-9) * exact, (value, float(exact))
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("family", list(STIFF_FAMILIES))
+def test_every_coherence_route_matches_the_exact_value(family, seed):
+    # weights 10^-3 .. 10^3 and one kappa per leader; the seeds were fixed
+    # before the first run
+    rng = np.random.default_rng([18, list(STIFF_FAMILIES).index(family), seed])
+    n = int(rng.integers(3, 11))
+    g = STIFF_FAMILIES[family](rng, n)
+    table = exact_table(g)
+    k = int(rng.integers(1, 4))
+    S = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    kappa = [float(10.0 ** rng.uniform(-1.0, 1.0)) for _ in S]
+    nf = exact_total(table, S) / 2
+    nc = exact_total(table, S, [1 / Fraction(x) for x in kappa]) / 2
+    for method in ("trace", "resistance"):
+        _assert_exact(cl.coherence_nf(g, S, method=method).value, nf)
+        _assert_exact(cl.coherence_nc(g, S, kappa=kappa, method=method).value, nc)
+    # half the trace of L^+ is the Kirchhoff index over 2n
+    free = sum(table[u][v] for u in range(n) for v in range(u + 1, n)) / (2 * n)
+    _assert_exact(cl.leader_free_coherence(g).value, free)
 
 
 def test_height4_binary_tree_pairs_tie_exactly():

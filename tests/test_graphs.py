@@ -311,6 +311,32 @@ def test_edge_list_parse_reports_line_numbers():
         cl.parse_edge_list("# fine\n0 1 1.0\n0 1\n")
 
 
+@pytest.mark.parametrize("text", [
+    "0 1 1.0\n0 1_0 1.0\n",
+    "0 1 1.0\n0 \u0661 1.0\n",
+    "0 1 1.0\n-1 2 1.0\n",
+    "0 1 1.0\n+1 2 1.0\n",
+    "0 1 1.0\n1 2 1_0\n",
+    "0 1 1.0\n1 2 inf\n",
+    "0 1 1.0\n1 2 nan\n",
+    "0 1 1.0\n1 2 0x1p0\n",
+], ids=["id-underscore", "id-arabic-indic", "id-minus", "id-plus", "weight-underscore",
+        "weight-inf", "weight-nan", "weight-hex"])
+def test_edge_list_reads_ids_and_weights_as_json_numbers(text):
+    # int() and float() read all of these; JSON reads none of them
+    with pytest.raises(GraphSpecError, match="line 2"):
+        cl.parse_edge_list(text)
+
+
+def test_edge_list_accepts_decimal_and_exponent_weights():
+    g = cl.parse_edge_list("0 1 2\n1 2 .5\n2 3 3.\n3 4 +1.5e-3\n4 5 2E+1\n")
+    assert [w for _, _, w in g.edges] == [2.0, 0.5, 3.0, 1.5e-3, 20.0]
+    with pytest.raises(BadWeightError):
+        cl.parse_edge_list("0 1 -2E+1\n")
+    # the header's digits are ASCII too; another script's is a comment
+    assert cl.parse_edge_list("# n=\u0661\u0660\n0 1 1.0\n").node_count == 2
+
+
 def test_edge_list_comments_and_whitespace():
     g = cl.parse_edge_list("# header\n 0 1 1.0  # inline\n\n1 2 0.5\n")
     assert g.edge_count == 2
