@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -29,6 +30,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _WEIGHT,
     build_cycle,
     build_path,
     build_perfect_tree,
@@ -41,22 +43,42 @@ FORMATS = ("json", "csv")
 # ---------------------------------------------------------------------------
 # parsing helpers
 
+# int() and float() also read "1_0" and other scripts' digits, which the
+# graph files reject; [0-9] is ASCII only
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer in ASCII digits with an optional sign, as in graph files."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer in ASCII digits")
+    return int(text)
+
+
+def _number(text: str) -> float:
+    """A number in decimal or exponent notation, as edge-list weights are."""
+    if not _WEIGHT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal number")
+    return float(text)
+
+
 def parse_graph_spec(spec: str):
     """Resolve a graph spec string to (graph, label, perfect-tree-or-None)."""
     parts = spec.split(":")
     kind = parts[0].strip().lower()
     try:
         if kind == "cycle" and len(parts) == 2:
-            return build_cycle(int(parts[1])), spec, None
+            return build_cycle(_integer(parts[1])), spec, None
         if kind == "path" and len(parts) == 2:
-            return build_path(int(parts[1])), spec, None
+            return build_path(_integer(parts[1])), spec, None
         if kind == "tree" and len(parts) == 3:
-            ptree = build_perfect_tree(int(parts[1]), int(parts[2]))
+            ptree = build_perfect_tree(_integer(parts[1]), _integer(parts[2]))
             return ptree.graph, spec, ptree
         if kind == "file" and len(parts) >= 2:
             path = spec.split(":", 1)[1]
             return read_graph_file(path), spec, None
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise GraphSpecError(f"bad graph spec {spec!r}: {exc}") from exc
     raise GraphSpecError(
         f"bad graph spec {spec!r} (expected cycle:n, path:n, tree:M:h or file:PATH)"
@@ -65,8 +87,8 @@ def parse_graph_spec(spec: str):
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
-    except ValueError as exc:
+        return [_integer(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
+    except argparse.ArgumentTypeError as exc:
         raise ValidationError(f"bad {what} list {text!r}: {exc}") from exc
 
 
@@ -75,8 +97,8 @@ def _parse_kappa(text: str | None):
         return None
     toks = [t for t in text.replace(" ", "").split(",") if t != ""]
     try:
-        values = [float(t) for t in toks]
-    except ValueError as exc:
+        values = [_number(t) for t in toks]
+    except argparse.ArgumentTypeError as exc:
         raise ValidationError(f"bad kappa {text!r}: {exc}") from exc
     return values[0] if len(values) == 1 else values
 
@@ -185,7 +207,7 @@ def _cmd_resistance(args, out) -> int:
         doc = {"resistance": value, "graph": label,
                "pair": _shift_out(pair, args.one_based)}
     elif args.node is not None and args.to is not None:
-        node = _shift_in([int(args.node)], args.one_based)[0]
+        node = _shift_in([args.node], args.one_based)[0]
         leaders = _shift_in(_parse_int_list(args.to, "leader"), args.one_based)
         value = electrical.resistance_to_set(g, node, leaders)
         doc = {
@@ -394,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resistance", help="pairwise or node-to-set resistance")
     p.add_argument("--graph", required=True)
     p.add_argument("--pair", help="two node ids: u,v")
-    p.add_argument("--node", type=int, help="query node")
+    p.add_argument("--node", type=_integer, help="query node")
     p.add_argument("--to", help="grounded node set")
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--one-based", action="store_true")
@@ -402,31 +424,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="exhaustive k-leader selection")
     p.add_argument("--graph", required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--dynamics", choices=("nf", "nc"), default="nf")
     p.add_argument("--kappa")
-    p.add_argument("--budget", type=int, default=selection.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_integer, default=selection.DEFAULT_BUDGET)
     p.add_argument("--format", choices=FORMATS, default="json")
     p.add_argument("--one-based", action="store_true")
     p.set_defaults(handler=_cmd_select)
 
     p = sub.add_parser("closed-form", help="analytic coherence formulas")
     p.add_argument("form", choices=("cycle-nf", "path-nf", "tree", "cycle-nc"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
+    p.add_argument("--n", type=_integer)
+    p.add_argument("--k", type=_integer)
     p.add_argument("--gaps", help="comma-separated gap vector")
-    p.add_argument("--m", type=int, help="tree branching factor")
-    p.add_argument("--height", type=int)
-    p.add_argument("--dxr", type=int)
-    p.add_argument("--dxy", type=int)
-    p.add_argument("--i", type=int, help="second leader position (1-based)")
+    p.add_argument("--m", type=_integer, help="tree branching factor")
+    p.add_argument("--height", type=_integer)
+    p.add_argument("--dxr", type=_integer)
+    p.add_argument("--dxy", type=_integer)
+    p.add_argument("--i", type=_integer, help="second leader position (1-based)")
     p.add_argument("--format", choices=FORMATS, default="json")
     p.set_defaults(handler=_cmd_closed_form)
 
     p = sub.add_parser("grow-tree", help="grow a binary tree, tracking the "
                                          "designated leader pair")
-    p.add_argument("--h0", type=int, default=5, help="initial perfect height")
-    p.add_argument("--steps", type=int, default=None,
+    p.add_argument("--h0", type=_integer, default=5, help="initial perfect height")
+    p.add_argument("--steps", type=_integer, default=None,
                    help="nodes to add (default: grow one full level)")
     p.add_argument("--global-optima", action="store_true",
                    help="also report the global best pair per step")
@@ -436,18 +458,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Euler-Maruyama validation run")
     common(p)
     p.add_argument("--dynamics", choices=("nf", "nc"), default="nf")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=200.0)
-    p.add_argument("--burn-in", type=float, default=0.25)
-    p.add_argument("--trials", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--dt", type=_number, default=1e-3)
+    p.add_argument("--horizon", type=_number, default=200.0)
+    p.add_argument("--burn-in", type=_number, default=0.25)
+    p.add_argument("--trials", type=_integer, default=8)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="family sweeps for scaling studies")
     p.add_argument("--family", required=True,
                    choices=("cycle-nf", "cycle-nc", "cycle-free", "path-nf"))
     p.add_argument("--n-values", required=True, help="comma-separated sizes")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=_integer)
     p.add_argument("--format", choices=FORMATS, default="csv")
     p.set_defaults(handler=_cmd_sweep)
     return parser

@@ -22,8 +22,6 @@ import heapq
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .coherence import coherence_nc
 from .errors import (
     BadGapVectorError,
@@ -38,20 +36,13 @@ from .graphs import PerfectTree, _is_int, _require_int, build_cycle
 
 
 def _check_gaps(gaps, minimum: int, kind: str) -> tuple[int, ...]:
-    out = []
+    gaps = tuple(gaps)
     for c in gaps:
-        if isinstance(c, (bool, np.bool_)):
-            raise BadGapVectorError(f"{kind} gap {c!r} is a bool, not an integer")
-        try:
-            ci = int(c)
-        except (OverflowError, ValueError) as exc:
-            raise BadGapVectorError(f"{kind} gap {c!r} is not finite") from exc
-        if ci != c:
+        if not _is_int(c):
             raise BadGapVectorError(f"{kind} gap {c!r} is not an integer")
-        if ci < minimum:
-            raise BadGapVectorError(f"{kind} gap {ci} below minimum {minimum}")
-        out.append(ci)
-    return tuple(out)
+        if c < minimum:
+            raise BadGapVectorError(f"{kind} gap {c} below minimum {minimum}")
+    return tuple(map(int, gaps))
 
 
 def _check_cycle_gaps(gaps) -> tuple[int, ...]:

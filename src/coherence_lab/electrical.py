@@ -7,43 +7,39 @@ removed. Node-to-set resistance r(i, S) generalizes this by grounding all
 of S at once. Every grounded matrix here is assembled from the graph's
 edge arrays by ``graphs._grounded_entries``.
 
-:func:`resistance_to_set` evaluates the grounded definition directly and
-serves as the reference (:func:`resistance` is its one-node case);
-:func:`resistance_oracle` precomputes the full pairwise table from the
-inverse of the Laplacian grounded at node 0, by one of two routes chosen
-from the edge count. A connected graph with at most one cycle (m <= n:
-trees, paths, cycles, unicyclic graphs) takes O(n^2) path sums over a
-spanning tree, where the inverse is the resistance from node 0 to the
-nearest common ancestor, plus one rank-one update for the edge the tree
-leaves out. Every other graph is factored and inverted in place by
-LAPACK (about n^3 flops), as is a graph with m <= n whose exact
-condition bound fails. Either route holds at most two n x n arrays,
-refuses with ``BudgetExceededError`` any n whose two arrays would pass a
-fixed byte budget (4 GiB, about n = 16k), and Foster's theorem checks
-every finished table. Every dense Cholesky factor overwrites the matrix
-it factors and is followed by a LAPACK condition estimate, and a grounded
-matrix whose forward-error scale eps/rcond passes ``_CONDITION_LIMIT``
-raises ``SolverError``. The path-sum route and forest elimination compute
-that scale exactly, as eps ||A||_1 ||A^-1||_1: a graph that fails it in
-the path sums goes to the factored route, and forest elimination raises.
-A query for given leader sets is :meth:`ResistanceOracle.set_totals`,
-which grounds a batch of them one leader at a time with the rank-one
-Schur steps of :func:`schur_totals`; those steps read only the leaders'
-rows of the table. A leader tied to a reference node by a 1/kappa
-resistor (noise-corrupted) becomes a pinned leader (noise-free) as kappa
-grows without bound, so both dynamics take the same steps, the pinned
-ones without the 1/kappa terms.
+:func:`resistance_to_set` is one column of :func:`grounded_solve`
+(:func:`resistance` is its one-node case). :func:`resistance_oracle`
+precomputes the full pairwise table from the inverse of the Laplacian
+grounded at node 0, by one of two routes chosen from the edge count. A
+connected graph with at most one cycle (m <= n: trees, paths, cycles,
+unicyclic graphs) takes O(n^2) path sums over a spanning tree, where the
+inverse is the resistance from node 0 to the nearest common ancestor, plus
+one rank-one update for the edge the tree leaves out. Every other graph,
+and one with m <= n whose exact condition bound fails, is factored and
+inverted by LAPACK (about n^3 flops). Either route holds at most two
+n x n arrays, refuses with ``BudgetExceededError`` any n whose two arrays
+would pass a fixed byte budget (4 GiB, about n = 16k), and Foster's
+theorem checks every finished table. A query for given leader sets is
+:meth:`ResistanceOracle.set_totals`, which grounds a batch of them one
+leader at a time with the rank-one Schur steps of :func:`schur_totals`;
+those steps read only the leaders' rows of the table. A leader tied to a
+reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
+leader (noise-free) as kappa grows without bound, so both dynamics take
+the same steps, the pinned ones without the 1/kappa terms.
 
-A coherence value needs no table. :func:`grounded_solve` returns the
-diagonal of a grounded inverse and a few of its columns: on a tree by
-an exact O(n) forest elimination, otherwise by a dense Cholesky factor
-under the condition guard and its triangular inverse, with the residual
-of every solved column checked. The trace route sums that diagonal; the
-resistance route grounds node 0, forms the leaders' rows
-r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
-columns, and hands them to :func:`schur_totals`.
+:func:`grounded_solve` returns the diagonal of a grounded inverse and a
+few of its columns, each checked by its residual: on a tree by an exact
+O(n) forest elimination, otherwise from :func:`_factor_inverse`, the one
+dense kernel, which also serves the factored table. It factors the
+matrix (``dpotrf``), raises ``SolverError`` when the forward-error scale
+eps/rcond of the ``dpocon`` estimate passes ``_CONDITION_LIMIT`` (forest
+elimination and the path sums compute that scale exactly, as
+eps ||A||_1 ||A^-1||_1), and inverts the factor (``dtrtri``). The trace
+route sums the diagonal; the resistance route grounds node 0, forms the
+leaders' rows r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and
+the leaders' columns, and hands them to :func:`schur_totals`.
 
-Every dense kernel runs on scipy's BLAS/LAPACK (``scipy.linalg``). numpy
+Every dense BLAS/LAPACK call goes through scipy (``scipy.linalg``). numpy
 links its own OpenBLAS with its own thread pool, and a call there between
 scipy's calls would leave that pool's threads spinning against scipy's.
 """
@@ -53,9 +49,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpocon, dpotrf, dpotri, dtrtri
+from scipy.linalg.lapack import dlauum, dpocon, dpotrf, dtrtri
 
 from .errors import (
     BadKappaError,
@@ -71,10 +66,10 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    _dense,
     _grounded_entries,
     _is_int,
     is_connected,
+    is_tree,
     rooted_forest,
 )
 
@@ -96,21 +91,38 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(A: np.ndarray, anorm: float, lower: bool):
-    """Cholesky-factor the SPD matrix A, whose 1-norm is ``anorm``
-    (:func:`_one_norm`), in place; return the factor and eps/rcond.
+def _factor_inverse(diag: np.ndarray, off, anorm: float, shift: float = 0.0):
+    """Invert the Cholesky factor of the SPD matrix A with diagonal ``diag``,
+    off-diagonal entries ``off = (rows, cols, values)``, ``shift`` added to
+    every entry and 1-norm ``anorm`` (:func:`_one_norm`).
 
-    dpotrf overwrites A.T, the Fortran-order view of symmetric A, without a
-    copy; ``lower`` picks that view's triangle, and the other keeps A's
-    entries.
+    A is assembled in the upper triangle of a C-order array, the lower
+    triangle of its Fortran-order view, which LAPACK ``dpotrf`` factors in
+    place as A = L L^T and ``dtrtri`` overwrites with V = L^-1; the other
+    triangle stays zero. Returns that view, with V in its lower triangle
+    (A^-1 = V^T V), and the eps/rcond of :func:`_check_condition`.
     """
-    c, info = dpotrf(A.T, lower=lower, clean=0, overwrite_a=1)
+    n = diag.size
+    rows, cols, values = off
+    if shift:
+        i = np.arange(n)
+        A = np.less_equal.outer(i, i).astype(np.float64)
+        A *= shift
+    else:
+        A = np.zeros((n, n))
+    A.flat[::n + 1] += diag
+    A[np.minimum(rows, cols), np.maximum(rows, cols)] += values
+    c, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
     if info != 0:
         raise SolverError(f"LAPACK Cholesky factorization failed (info={info})")
-    return c, _check_condition(c, anorm, lower)
+    scale = _check_condition(c, anorm)
+    _, info = dtrtri(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"triangular inversion failed (info={info})")
+    return c, scale
 
 
 def _one_norm(diag: np.ndarray, edges, shift: float = 0.0) -> float:
@@ -125,16 +137,16 @@ def _one_norm(diag: np.ndarray, edges, shift: float = 0.0) -> float:
     return rows.max()
 
 
-def _check_condition(c: np.ndarray, anorm: float, lower: bool) -> float:
+def _check_condition(c: np.ndarray, anorm: float) -> float:
     """Return eps/rcond, raising SolverError if it passes ``_CONDITION_LIMIT``.
 
-    ``c`` is the Cholesky factor (in its ``lower`` or upper triangle) of a
-    matrix whose 1-norm is ``anorm``; LAPACK ``dpocon`` estimates the
-    reciprocal condition number rcond from it in O(n^2). eps/rcond scales
-    the relative forward error of every solve with that factor (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10).
+    ``c`` is the Cholesky factor, in its lower triangle, of a matrix whose
+    1-norm is ``anorm``; LAPACK ``dpocon`` estimates the reciprocal
+    condition number rcond from it in O(n^2). eps/rcond scales the relative
+    forward error of every solve with that factor (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 10).
     """
-    rcond, info = dpocon(c, anorm, uplo="L" if lower else "U")
+    rcond, info = dpocon(c, anorm, uplo="L")
     if info != 0:
         raise SolverError(f"LAPACK condition estimate failed (info={info})")
     # written so that a NaN estimate fails too
@@ -177,34 +189,17 @@ def grounded_solve(diag: np.ndarray, off, columns=(), forest: bool = False,
 
 def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
                  shift: float):
-    """:func:`grounded_solve` by a dense factor: A = U^T U, then U inverted
-    in place by LAPACK ``dtrtri``.
-
-    A is assembled in its lower triangle only, the one that ``dpotrf``
-    (upper, on the Fortran-order view) and ``dtrtri`` read and overwrite,
-    so the other stays zero and A is the only n x n array. With V = U^-1,
-    A^-1 = V V^T: its diagonal is the sum of the squares of each row of V,
-    taken in place, and column s is V times row s of V (BLAS ``dtrmm``).
+    """:func:`grounded_solve` by :func:`_factor_inverse`: with A^-1 = V^T V,
+    the diagonal is the sum of the squares of each column of V, taken in
+    place, and column s is V^T times column s of V (BLAS ``dtrmm``).
     """
     n = diag.size
-    rows, cols, values = off
-    if shift:
-        A = np.tri(n)
-        A *= shift
-    else:
-        A = np.zeros((n, n))
-    A.flat[::n + 1] += diag
-    A[np.maximum(rows, cols), np.minimum(rows, cols)] += values
-    c = _factor(A, anorm, lower=False)[0]
-    inv, info = dtrtri(c, lower=0, overwrite_c=1)
-    if info != 0:
-        raise SolverError(f"triangular inversion failed (info={info})")
+    V = _factor_inverse(diag, off, anorm, shift)[0]
     Y = np.zeros((n, columns.size), order="F")
     for j, s in enumerate(columns.tolist()):
-        Y[s:, j] = inv[s, s:]
-    X = dtrmm(1.0, inv, Y, overwrite_b=1).T if columns.size else Y.T
-    # row i of V is column i of A's lower triangle
-    return np.square(A, out=A).sum(axis=0), X
+        Y[s:, j] = V[s:, s]
+    X = dtrmm(1.0, V, Y, lower=1, trans_a=1, overwrite_b=1).T if columns.size else Y.T
+    return np.square(V, out=V).sum(axis=0), X
 
 
 def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
@@ -359,11 +354,7 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
         raise DisconnectedGraphError("resistance_to_set requires a connected graph")
     followers, diag, off = _grounded_entries(g, S)
     pos = followers.index(i)
-    e = np.zeros(len(followers))
-    e[pos] = 1.0
-    edges = _edge_ends(off)
-    c = _factor(_dense(diag, off), _one_norm(diag, edges), lower=False)[0]
-    return float(cho_solve((c, False), e, check_finite=False)[pos])
+    return float(grounded_solve(diag, off, [pos], forest=is_tree(g))[1][0, pos])
 
 
 def path_two_point_resistance(d_ux: float, d_xy: float) -> float:
@@ -525,22 +516,20 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     """The table from L0 (diagonal ``diag``, off-diagonal entries ``off``
     and their :func:`_edge_ends` ``edges``), factored and inverted by LAPACK.
 
-    L0 is factored and inverted in place (``dpotrf`` then ``dpotri``, about
-    n^3 flops) into G0, the inverse's upper triangle; between the two,
-    ``dpocon`` estimates L0's condition (``_check_condition``). The
-    residual is checked on that triangle, with L0 applied from its entries
-    since the factor overwrote it. Row block by row block, the upper
+    LAPACK ``dlauum`` completes :func:`_factor_inverse`'s V^T V in place
+    (the two make ``dpotri``, about n^3 flops) into G0, the inverse's upper
+    triangle, where the residual is checked. Row block by row block, the upper
     triangle of the table is then written as
     r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0 padded by a zero
     row/column at node 0, and mirrored within the table.
     """
     n = g.node_count
-    G0 = _dense(diag, off)
     anorm = _one_norm(diag, edges)
-    c, scale = _factor(G0, anorm, lower=True)
-    _, info = dpotri(c, lower=1, overwrite_c=1)
+    c, scale = _factor_inverse(diag, off, anorm)
+    _, info = dlauum(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK inversion failed (info={info})")
+    G0 = c.T
     m = n - 1
     cols = _residual_columns(m)
     # the checked columns, stored as rows: G0 is symmetric
@@ -556,11 +545,9 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     below = np.tri(rows, k=-1, dtype=bool)
     for a in range(0, m, rows):
         b = min(a + rows, m)
-        # below the diagonal, G0's own block still holds L0: clear it, then
         # scale the rows by -2 in place, which is exact, so each entry
         # rounds as (d_i + d_j) - 2 G_ij written out would; that is exactly
         # 0 on the diagonal
-        G0[a:b, a:b][below[:b - a, :b - a]] = 0.0
         g0, t = G0[a:b, a:], T[a:b, a:]
         g0 *= -2.0
         np.add(d[a:b, None], d[a:], out=t)

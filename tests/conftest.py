@@ -150,6 +150,11 @@ def exact_total(table, S, inv_kappa=0) -> Fraction:
     return total
 
 
+def assert_exact(value: float, exact: Fraction, rtol: float = 1e-9) -> None:
+    """``value`` within ``rtol`` relative of the exact rational ``exact``."""
+    assert abs(Fraction(value) - exact) <= Fraction(rtol) * exact, (value, float(exact))
+
+
 def naive_resistance_table(g: Graph) -> np.ndarray:
     """Pairwise resistances from the Laplacian pseudoinverse."""
     P = np.linalg.pinv(dense_laplacian(g))

@@ -5,11 +5,13 @@ import warnings
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coherence_lab as cl
-from coherence_lab import electrical
+from coherence_lab import electrical, selection
 from coherence_lab.cli import parse_graph_spec, run_cli
-from coherence_lab.errors import GraphSpecError
+from coherence_lab.errors import CoherenceLabError, GraphSpecError, ValidationError
 
 from conftest import naive_nc_value
 
@@ -295,12 +297,189 @@ def test_validation_failures_exit_two():
          "--horizon", "1", "--trials", "0"],
         ["coherence", "--graph", "cycle:6", "--leaders", "1,1", "--dynamics", "nc",
          "--kappa", "1,2"],
+        ["coherence", "--graph", "cycle:6", "--leaders", "1", "--dynamics", "nc",
+         "--kappa", "-1"],
     ]
     for argv in cases:
         code, out, err = run(argv)
         assert code == 2, (argv, err)
         assert out == ""
         assert len(err.strip().splitlines()) == 1, (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["coherence", "--graph", "cycle:12", "--leaders", "1_0"],
+    ["coherence", "--graph", "cycle:12", "--leaders", "\u0661"],
+    ["coherence", "--graph", "cycle:12", "--leaders", "1", "--dynamics", "nc",
+     "--kappa", "1_0"],
+    ["coherence", "--graph", "cycle:12", "--leaders", "1", "--dynamics", "nc",
+     "--kappa", "inf"],
+    ["select", "--graph", "cycle:1_2", "--k", "2"],
+    ["select", "--graph", "tree:2:\u0663", "--k", "2"],
+    ["select", "--graph", "cycle:12", "--k", "0_2"],
+    ["closed-form", "cycle-nf", "--gaps", "2_0,3"],
+    ["closed-form", "cycle-nc", "--n", "\u0661\u0660"],
+    ["resistance", "--graph", "path:4", "--node", "\u0661", "--to", "0,3"],
+    ["simulate", "--graph", "path:2", "--leaders", "0", "--dt", "1_0e-3"],
+    ["simulate", "--graph", "path:2", "--leaders", "0", "--seed", "1_0"],
+], ids=["leader-underscore", "leader-arabic-indic", "kappa-underscore", "kappa-inf",
+        "spec-underscore", "spec-arabic-indic", "k-underscore", "gap-underscore",
+        "n-arabic-indic", "node-arabic-indic", "dt-underscore", "seed-underscore"])
+def test_cli_numbers_are_read_as_graph_files_read_them(argv, capsys):
+    # int() and float() read all of these; the edge-list format reads none
+    code, out, err = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert out == "" and captured.out == ""
+    # argparse reports its own options, with its usage line, on stderr
+    message = err + captured.err
+    assert "ASCII digits" in message or "decimal number" in message
+
+
+_exponents = st.floats(min_value=-2.0, max_value=2.0)
+CORRUPTIONS = ("leader", "kappa", "stiff", "isolated", "same-pair", "queried", "budget")
+
+
+@st.composite
+def _cli_cases(draw, corruption=None):
+    """A connected graph on 3 to 7 nodes with weights over 10^-2 .. 10^2,
+    leaders with one kappa each, a node pair, a follower and the search
+    budget, with the ``corruption`` (one of ``CORRUPTIONS``) that some
+    library call must refuse."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    edges = {}
+    for v in range(1, n):
+        edges[(draw(st.integers(0, v - 1)), v)] = 10.0 ** draw(_exponents)
+    chords = [(u, v) for v in range(n) for u in range(v) if (u, v) not in edges]
+    for pair in draw(st.lists(st.sampled_from(chords), unique=True, max_size=n)):
+        edges[pair] = 10.0 ** draw(_exponents)
+    edges = [(u, v, w) for (u, v), w in edges.items()]
+    leaders = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1,
+                            unique=True))
+    kappa = [10.0 ** draw(_exponents) for _ in leaders]
+    u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    node = draw(st.sampled_from([x for x in range(n) if x not in leaders]))
+    budget = selection.DEFAULT_BUDGET
+    if corruption == "leader":
+        leaders.append(n)
+        kappa.append(1.0)
+    elif corruption == "kappa":
+        kappa[-1] = -kappa[-1]
+    elif corruption == "stiff":
+        # eps/rcond passes the condition limit on every grounding
+        edges[0] = edges[0][:2] + (1e15,)
+    elif corruption == "isolated":
+        n += 1
+    elif corruption == "same-pair":
+        v = u
+    elif corruption == "queried":
+        node = leaders[0]
+    elif corruption == "budget":
+        budget = 1
+    return cl.build_graph(edges, node_count=n), leaders, kappa, (u, v), node, budget
+
+
+def _cli_matches(argv, call, expected_doc) -> bool:
+    """Run ``argv`` in process: its JSON must equal ``expected_doc`` of the
+    library's result, bit for bit, or, where ``call`` raises, its exit code
+    must be the error's class (2 validation, 1 computation) with no stdout.
+    Returns whether the library raised."""
+    try:
+        result = call()
+    except CoherenceLabError as exc:
+        code, out, err = run(argv)
+        assert code == (2 if isinstance(exc, ValidationError) else 1), (argv, err)
+        assert out == ""
+        return True
+    # no schema check here: jsonschema would take most of the test's time
+    code, out, err = run(argv)
+    assert code == 0, (argv, err)
+    doc = json.loads(out)
+    doc.pop("elapsed_seconds", None)
+    assert doc == json.loads(json.dumps(expected_doc(result))), argv
+    return False
+
+
+def _cli_agrees(case, path, shift) -> list[bool]:
+    """Every command on the graph file ``path``, with ids shifted by
+    ``shift`` (``--one-based`` when 1), against the library: coherence by
+    both methods and both dynamics, both resistance queries, and the search
+    for both dynamics. Returns whether each library call raised."""
+    g, leaders, kappa, (u, v), node, budget = case
+    label = f"file:{path}"
+    k = len(leaders)
+
+    def ids(nodes):
+        return ",".join(str(x + shift) for x in nodes)
+
+    def shifted(doc):
+        if doc.get("leaders") is not None:
+            doc["leaders"] = [x + shift for x in doc["leaders"]]
+        if doc.get("kappa"):
+            doc["kappa"] = {str(int(x) + shift): y for x, y in doc["kappa"].items()}
+        return doc
+
+    # every value as --option=value, so that argparse reads "-1" as a value
+    common = [f"--graph={label}"] + ["--one-based"] * shift
+    raised = []
+    for method in ("trace", "resistance"):
+        raised.append(_cli_matches(
+            ["coherence", f"--leaders={ids(leaders)}", f"--method={method}", *common],
+            lambda: cl.coherence_nf(g, leaders, method=method, graph_label=label),
+            lambda r: shifted(r.to_dict())))
+        raised.append(_cli_matches(
+            ["coherence", f"--leaders={ids(leaders)}", "--dynamics=nc",
+             f"--kappa={','.join(map(repr, kappa))}", f"--method={method}", *common],
+            lambda: cl.coherence_nc(g, leaders, kappa=kappa, method=method,
+                                    graph_label=label),
+            lambda r: shifted(r.to_dict())))
+    raised.append(_cli_matches(
+        ["resistance", f"--pair={ids((u, v))}", *common],
+        lambda: cl.resistance(g, u, v),
+        lambda r: {"resistance": r, "graph": label, "pair": [u + shift, v + shift]}))
+    raised.append(_cli_matches(
+        ["resistance", f"--node={node + shift}", f"--to={ids(leaders)}", *common],
+        lambda: cl.resistance_to_set(g, node, leaders),
+        lambda r: shifted({"resistance": r, "graph": label, "node": node + shift,
+                           "leaders": sorted(set(leaders))})))
+    for flag, dynamics, scalar in (("nf", cl.NOISE_FREE, None),
+                                   ("nc", cl.NOISE_CORRUPTED, kappa[0])):
+        raised.append(_cli_matches(
+            ["select", f"--k={k}", f"--dynamics={flag}", f"--budget={budget}", *common]
+            + ([] if scalar is None else [f"--kappa={scalar!r}"]),
+            lambda: cl.brute_force_select(g, k, dynamics, kappa=scalar, budget=budget),
+            lambda r: {"dynamics": r.dynamics, "k": r.k, "value": r.value,
+                       "optimal_sets": [[x + shift for x in S] for S in r.optimal_sets],
+                       "co_optimal_count": r.co_optimal_count,
+                       "evaluated_count": r.evaluated_count, "graph": label}))
+    return raised
+
+
+def _written(folder, g, fmt):
+    path = folder / ("graph.txt" if fmt == "edges" else "graph.json")
+    path.write_text(cl.write_edge_list(g) if fmt == "edges" else cl.write_graph_json(g))
+    return path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(_cli_cases())
+def test_cli_and_library_agree_on_written_graphs(tmp_path_factory, case):
+    folder = tmp_path_factory.mktemp("graphs")
+    for fmt in ("edges", "json"):
+        path = _written(folder, case[0], fmt)
+        for shift in (0, 1):
+            assert not any(_cli_agrees(case, path, shift))
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+def test_cli_exit_codes_follow_the_library_error_class(tmp_path_factory, corruption):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=3)
+    @given(_cli_cases(corruption), st.sampled_from(["edges", "json"]), st.integers(0, 1))
+    def check(case, fmt, shift):
+        path = _written(tmp_path_factory.mktemp("graphs"), case[0], fmt)
+        assert any(_cli_agrees(case, path, shift))
+
+    check()
 
 
 def test_kappa_list_follows_leader_order_in_library_and_cli():

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import coherence_lab as cl
@@ -177,12 +178,20 @@ def test_path_gap_round_trips():
     (lambda: cl.cycle_nf_coherence([True, 2]), BadGapVectorError),
     (lambda: cl.path_leaders_from_gaps([0, True, 0]), BadGapVectorError),
     (lambda: cl.path_nf_coherence([False, 1, True]), BadGapVectorError),
+    (lambda: cl.cycle_nf_coherence((2.0, 2.0)), BadGapVectorError),
+    (lambda: cl.path_nf_coherence((1.0, 2.0, 1.0)), BadGapVectorError),
 ], ids=["negative-end", "zero-interior", "fractional-gap", "one-node",
         "fractional-leader", "bool-leader", "infinite-gap", "nan-gap",
-        "bool-cycle-gap", "bool-path-interior", "bool-path-ends"])
+        "bool-cycle-gap", "bool-path-interior", "bool-path-ends",
+        "float-cycle-gaps", "float-path-gaps"])
 def test_gap_and_leader_helpers_reject_bad_input(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_gap_vectors_take_numpy_integers():
+    assert cl.cycle_nf_coherence(np.array([4, 4])) == cl.cycle_nf_coherence((4, 4))
+    assert cl.path_nf_coherence(np.array([1, 2, 1])) == cl.path_nf_coherence((1, 2, 1))
 
 
 def test_path_optimal_three_one():

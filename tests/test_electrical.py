@@ -23,7 +23,9 @@ from coherence_lab.errors import (
 from coherence_lab.graphs import _dense, _grounded_entries, rooted_forest
 
 from conftest import (
+    assert_exact,
     dense_laplacian,
+    exact_table,
     naive_resistance,
     naive_resistance_table,
     naive_resistance_to_set,
@@ -231,6 +233,14 @@ def _assert_matches_pseudoinverse(g):
     np.testing.assert_allclose(R, expected, rtol=1e-9, atol=1e-12 * expected.max())
 
 
+def _assert_matches_exact(R, g):
+    """Every entry of the table R within 1e-9 relative of the exact one: on
+    stiff graphs the pseudoinverse is less accurate than the tables."""
+    for row, exact_row in zip(R.tolist(), exact_table(g)):
+        for value, r in zip(row, exact_row):
+            assert_exact(value, r)
+
+
 @pytest.mark.parametrize("family", ["stiff", "tree", "cycle", "tiny"])
 def test_oracle_matches_pseudoinverse_table(rng, family):
     if family == "stiff":
@@ -244,6 +254,8 @@ def test_oracle_matches_pseudoinverse_table(rng, family):
                   cl.build_path(3), cl.build_cycle(3)]
     for g in graphs:
         _assert_matches_pseudoinverse(g)
+        if family == "stiff" and g.node_count <= 10:
+            _assert_matches_exact(cl.resistance_oracle(g).table, g)
 
 
 def test_oracle_row_blocks_change_no_bit(rng, monkeypatch):
@@ -261,6 +273,17 @@ def test_oracle_residual_check_runs(rng, monkeypatch):
     monkeypatch.setattr(electrical, "SOLVE_TOLERANCE", 0.0)
     with pytest.raises(SolverError, match="residual"):
         cl.resistance_oracle(g)
+
+
+def test_resistance_checks_its_residual(rng, monkeypatch):
+    # a tree takes forest elimination, a graph with chords the dense kernel
+    graphs = [random_tree(rng, 12), random_connected_graph(rng, 12, extra_edges=8)]
+    monkeypatch.setattr(electrical, "SOLVE_TOLERANCE", 0.0)
+    for g in graphs:
+        with pytest.raises(SolverError, match="residual"):
+            cl.resistance(g, 0, 11)
+        with pytest.raises(SolverError, match="residual"):
+            cl.resistance_to_set(g, 1, (0, 5, 11))
 
 
 def test_oracle_factor_failure_is_a_solver_error():
@@ -519,6 +542,9 @@ def test_one_cycle_tables_match_pseudoinverse_and_factored_build(rng, chords):
         _assert_matches_pseudoinverse(g)
         R, factored = cl.resistance_oracle(g).table, _factored_table(g)
         assert np.abs(R - factored).max() <= 1e-9 * factored.max()
+        if n <= 10:
+            _assert_matches_exact(R, g)
+            _assert_matches_exact(factored, g)
 
 
 def test_cycle_closed_by_its_heaviest_edge(rng):

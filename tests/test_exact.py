@@ -17,6 +17,7 @@ import pytest
 import coherence_lab as cl
 
 from conftest import (
+    assert_exact,
     exact_table,
     exact_total,
     naive_nc_value,
@@ -117,10 +118,6 @@ STIFF_FAMILIES = {
 }
 
 
-def _assert_exact(value, exact):
-    assert abs(Fraction(value) - exact) <= Fraction(1e-9) * exact, (value, float(exact))
-
-
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("family", list(STIFF_FAMILIES))
 def test_every_coherence_route_matches_the_exact_value(family, seed):
@@ -136,11 +133,24 @@ def test_every_coherence_route_matches_the_exact_value(family, seed):
     nf = exact_total(table, S) / 2
     nc = exact_total(table, S, [1 / Fraction(x) for x in kappa]) / 2
     for method in ("trace", "resistance"):
-        _assert_exact(cl.coherence_nf(g, S, method=method).value, nf)
-        _assert_exact(cl.coherence_nc(g, S, kappa=kappa, method=method).value, nc)
+        assert_exact(cl.coherence_nf(g, S, method=method).value, nf)
+        assert_exact(cl.coherence_nc(g, S, kappa=kappa, method=method).value, nc)
     # half the trace of L^+ is the Kirchhoff index over 2n
     free = sum(table[u][v] for u in range(n) for v in range(u + 1, n)) / (2 * n)
-    _assert_exact(cl.leader_free_coherence(g).value, free)
+    assert_exact(cl.leader_free_coherence(g).value, free)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", list(STIFF_FAMILIES))
+def test_resistance_matches_the_exact_table(family, seed):
+    # forest elimination on trees, the dense kernel otherwise; weights
+    # 10^-3 .. 10^3, seeds fixed before the first run
+    rng = np.random.default_rng([19, list(STIFF_FAMILIES).index(family), seed])
+    n = int(rng.integers(3, 11))
+    g = STIFF_FAMILIES[family](rng, n)
+    table = exact_table(g)
+    for i, j in itertools.combinations(range(n), 2):
+        assert_exact(cl.resistance(g, i, j), table[i][j])
 
 
 def test_height4_binary_tree_pairs_tie_exactly():
