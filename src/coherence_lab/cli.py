@@ -14,6 +14,7 @@ that scripts can match 1-based labelling conventions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -480,8 +481,11 @@ def run_cli(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    # argparse prints its usage, --help and its errors to sys.stdout and
+    # sys.stderr, so send them to this call's streams
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

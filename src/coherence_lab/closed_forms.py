@@ -60,8 +60,10 @@ def cycle_nf_coherence(gaps, n: int | None = None) -> float:
     """
     c = _check_cycle_gaps(gaps)
     total = sum(c)
-    if n is not None and total != n:
-        raise BadGapVectorError(f"gaps sum to {total}, expected n={n}")
+    if n is not None:
+        _require_int("n", n)
+        if total != n:
+            raise BadGapVectorError(f"gaps sum to {total}, expected n={n}")
     if total < 3:
         raise BadGapVectorError(f"gaps sum to {total}, a cycle needs n >= 3")
     return (sum(ci * ci for ci in c) - len(c)) / 12.0
@@ -247,6 +249,10 @@ class TreeGeometry:
 
     def __post_init__(self):
         M, h, dxr, dxy = self.branching, self.height, self.d_xr, self.d_xy
+        for name in ("branching", "height", "d_xr", "d_xy"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise BadGeometryError(f"{name} must be an integer, got {value!r}")
         if M < 2:
             raise BadGeometryError(f"branching must be >= 2, got {M}")
         if h < 1:
@@ -292,9 +298,10 @@ def tree_two_leader_coherence(branching: int, height: int, d_xr: int,
 def valid_tree_geometries(branching: int, height: int):
     """All (d_xr, d_xy) placements with the lowest common ancestor at the
     root, including mirror-image duplicates."""
-    for d_xy in range(1, 2 * height + 1):
-        for d_xr in range(max(0, d_xy - height), min(height, d_xy) + 1):
-            yield d_xr, d_xy
+    _require_int("branching", branching)
+    _require_int("height", height)
+    return ((d_xr, d_xy) for d_xy in range(1, 2 * height + 1)
+            for d_xr in range(max(0, d_xy - height), min(height, d_xy) + 1))
 
 
 def tree_pair_for_geometry(ptree: PerfectTree, d_xr: int, d_xy: int) -> tuple[int, int]:
@@ -438,6 +445,8 @@ def cycle_nc_two_printed_series(n: int, i: int) -> float:
     negative); kept only so the disagreement stays measurable. Use
     :func:`cycle_nc_two_coherence` for real values.
     """
+    _require_int("n", n)
+    _require_int("i", i)
     lead = (n * n + 6.0 * n - 1.0) / 12.0
     poly = (
         2.0 * i**4

@@ -10,9 +10,10 @@
   reciprocal nonzero Laplacian eigenvalues (the variance of deviations
   from the network average).
 
-Every value is one grounded solve, ``electrical.grounded_solve``: on
-trees an exact O(n) forest elimination, otherwise a dense Cholesky and a
-triangular inverse. No resistance table and no eigensolve is formed.
+Every value is one grounded solve, ``electrical.grounded_solve``:
+whenever the grounded entries form a forest an exact O(n) forest
+elimination, otherwise a dense Cholesky and a triangular inverse. No
+resistance table and no eigensolve is formed.
 Noise-free and noise-corrupted are exposed through two independent
 routes ("trace" and "resistance") that the test suite holds to 1e-9
 agreement. Noise-free is the pinned (kappa -> infinity) case of
@@ -38,7 +39,7 @@ from .electrical import (
     schur_totals,
 )
 from .errors import BadParameterError, DisconnectedGraphError
-from .graphs import Graph, _grounded_entries, is_connected, is_tree
+from .graphs import Graph, _grounded_entries, is_connected
 
 NOISE_FREE = "noise_free"
 NOISE_CORRUPTED = "noise_corrupted"
@@ -88,7 +89,7 @@ def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     with the leaders pinned to it (noise-free) or, given ``kvec``, tied to
     it by their stubbornness weights (noise-corrupted)."""
     _, diag, off = _grounded_entries(g, leaders, kvec)
-    return float(grounded_solve(diag, off, forest=is_tree(g))[0].sum())
+    return float(grounded_solve(diag, off)[0].sum())
 
 
 def _resistance_total(g: Graph, leaders, inv_kappa=None) -> float:
@@ -103,7 +104,7 @@ def _resistance_total(g: Graph, leaders, inv_kappa=None) -> float:
     _, diag, off = _grounded_entries(g, (0,))
     S = np.array(leaders, dtype=np.intp)
     grounded = S > 0
-    d, X = grounded_solve(diag, off, S[grounded] - 1, forest=is_tree(g))
+    d, X = grounded_solve(diag, off, S[grounded] - 1)
     d = np.concatenate(([0.0], d))
     G = np.zeros((S.size, d.size))
     G[grounded, 1:] = X

@@ -28,16 +28,18 @@ leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
 
 :func:`grounded_solve` returns the diagonal of a grounded inverse and a
-few of its columns, each checked by its residual: on a tree by an exact
-O(n) forest elimination, otherwise from :func:`_factor_inverse`, the one
-dense kernel, which also serves the factored table. It factors the
-matrix (``dpotrf``), raises ``SolverError`` when the forward-error scale
-eps/rcond of the ``dpocon`` estimate passes ``_CONDITION_LIMIT`` (forest
-elimination and the path sums compute that scale exactly, as
-eps ||A||_1 ||A^-1||_1), and inverts the factor (``dtrtri``). The trace
-route sums the diagonal; the resistance route grounds node 0, forms the
-leaders' rows r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and
-the leaders' columns, and hands them to :func:`schur_totals`.
+few of its columns, each checked by its residual. It reads its route
+from the grounded entries: whenever they form a forest (a tree, or a
+cycle with a pinned leader) by an exact O(n) forest elimination,
+otherwise from :func:`_factor_inverse`, the one dense kernel, which also
+serves the factored table. It factors the matrix (``dpotrf``), raises
+``SolverError`` when the forward-error scale eps/rcond of the ``dpocon``
+estimate passes ``_CONDITION_LIMIT`` (forest elimination and the path
+sums compute that scale exactly, as eps ||A||_1 ||A^-1||_1), and inverts
+the factor (``dtrtri``). The trace route sums the diagonal; the
+resistance route grounds node 0, forms the leaders' rows
+r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
+columns, and hands them to :func:`schur_totals`.
 
 Every dense BLAS/LAPACK call goes through scipy (``scipy.linalg``). numpy
 links its own OpenBLAS with its own thread pool, and a call there between
@@ -69,7 +71,6 @@ from .graphs import (
     _grounded_entries,
     _is_int,
     is_connected,
-    is_tree,
     rooted_forest,
 )
 
@@ -149,28 +150,36 @@ def _check_condition(c: np.ndarray, anorm: float) -> float:
     rcond, info = dpocon(c, anorm, uplo="L")
     if info != 0:
         raise SolverError(f"LAPACK condition estimate failed (info={info})")
-    # written so that a NaN estimate fails too
-    if not rcond * _CONDITION_LIMIT >= _EPS:
-        scale = _EPS / rcond if rcond > 0.0 else math.inf
+    return _check_scale(_EPS / rcond if rcond > 0.0 else math.inf, "eps/rcond")
+
+
+def _check_scale(scale: float, name: str) -> float:
+    """Return the forward-error scale ``scale``, formed as ``name`` says,
+    raising SolverError if it passes ``_CONDITION_LIMIT``."""
+    # written so that a NaN scale fails too
+    if not scale <= _CONDITION_LIMIT:
         raise SolverError(
-            f"grounded system is too ill-conditioned: eps/rcond {scale:.1e} "
+            f"grounded system is too ill-conditioned: {name} {scale:.1e} "
             f"exceeds {_CONDITION_LIMIT:.0e}"
         )
-    return _EPS / rcond
+    return scale
 
 
-def grounded_solve(diag: np.ndarray, off, columns=(), forest: bool = False,
-                   shift: float = 0.0):
+def grounded_solve(diag: np.ndarray, off, columns=(), shift: float = 0.0):
     """The diagonal of A^-1 and the columns ``columns`` of A^-1, for the SPD
     matrix A with diagonal ``diag``, off-diagonal entries ``off = (rows,
     cols, values)`` and, given ``shift``, shift added to every entry.
 
     Returns ``(d, X)``: d the diagonal and X, of shape (len(columns), n),
-    the columns as rows. ``forest`` says that the graph of A's entries is a
-    forest, so that :func:`_forest_solve` eliminates it exactly in O(n)
-    unless A is shifted; otherwise :func:`_dense_solve` factors it. Either
-    route bounds A's condition, and every solved column is checked by its
-    residual (:func:`_check_residual`).
+    the columns as rows. The route is read from the entries. Whenever the
+    graph of the off-diagonal entries is a forest and A is not shifted,
+    :func:`_forest_solve` eliminates it exactly in O(n); otherwise
+    :func:`_dense_solve` factors it. At least n entries cannot form a
+    forest, so they go to the factor with no traversal; fewer take one
+    :func:`graphs.rooted_forest` pass, and form a forest exactly when the
+    entries and the roots together number n. Either route bounds A's
+    condition, and every solved column is checked by its residual
+    (:func:`_check_residual`).
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
@@ -178,8 +187,14 @@ def grounded_solve(diag: np.ndarray, off, columns=(), forest: bool = False,
         return np.zeros(0), np.zeros((columns.size, 0))
     edges = _edge_ends(off)
     anorm = _one_norm(diag, edges, shift)
-    if forest and not shift:
-        d, X = _forest_solve(diag, off, columns, anorm)
+    rows, cols, _ = off
+    forest = None
+    if not shift and rows.size < n:
+        forest = rooted_forest(n, np.column_stack((rows, cols)))
+        if rows.size + forest[1].count(-1) != n:
+            forest = None
+    if forest is not None:
+        d, X = _forest_solve(diag, off, columns, anorm, forest)
     else:
         d, X = _dense_solve(diag, off, columns, anorm, shift)
     if columns.size:
@@ -202,13 +217,15 @@ def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
     return np.square(V, out=V).sum(axis=0), X
 
 
-def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
-    """:func:`grounded_solve` by forest elimination, for an unshifted A.
+def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
+                  forest):
+    """:func:`grounded_solve` by forest elimination, for an unshifted A
+    whose entries form the ``forest`` of :func:`graphs.rooted_forest`.
 
-    Two passes over the preorder of :func:`graphs.rooted_forest`:
-    leaf-to-root elimination pivots, then root-to-leaf back-substitution,
-    each carrying the unit right-hand sides of ``columns``. Exact in O(n)
-    per column, which keeps large trees cheap.
+    Two passes over its preorder: leaf-to-root elimination pivots, then
+    root-to-leaf back-substitution, each carrying the unit right-hand sides
+    of ``columns``. Exact in O(n) per column, which keeps large forests
+    cheap.
 
     The same passes solve A' x = 1, with A' the matrix A with every
     off-diagonal entry made negative: a forest's entries change sign under
@@ -219,10 +236,9 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
     dense factor.
     """
     n = diag.size
-    rows, cols, values = off
-    order, parent, edge = rooted_forest(n, np.column_stack((rows, cols)))
+    order, parent, edge = forest
     # a root's edge index -1 picks the padding
-    coupling = np.append(values, 0.0)[edge].tolist()
+    coupling = np.append(off[2], 0.0)[edge].tolist()
     pivot = diag.tolist()
     ratio = [0.0] * n
     x = [1.0] * n
@@ -256,13 +272,7 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
             x[u] += abs(r) * x[p]
             for b in rhs:
                 b[u] -= r * b[p]
-    scale = _EPS * float(anorm) * max(x)
-    # written so that a NaN bound fails too
-    if not scale <= _CONDITION_LIMIT:
-        raise SolverError(
-            f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
-            f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
-        )
+    _check_scale(_EPS * float(anorm) * max(x), "eps ||A||_1 ||A^-1||_1")
     return np.array(out), np.array(rhs).reshape(columns.size, n)
 
 
@@ -354,7 +364,7 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
         raise DisconnectedGraphError("resistance_to_set requires a connected graph")
     followers, diag, off = _grounded_entries(g, S)
     pos = followers.index(i)
-    return float(grounded_solve(diag, off, [pos], forest=is_tree(g))[1][0, pos])
+    return float(grounded_solve(diag, off, [pos])[1][0, pos])
 
 
 def path_two_point_resistance(d_ux: float, d_xy: float) -> float:

@@ -330,10 +330,18 @@ def test_cli_numbers_are_read_as_graph_files_read_them(argv, capsys):
     code, out, err = run(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert out == "" and captured.out == ""
-    # argparse reports its own options, with its usage line, on stderr
-    message = err + captured.err
-    assert "ASCII digits" in message or "decimal number" in message
+    assert out == ""
+    # argparse reports its own options, with its usage line, on the err
+    # stream it was given, and nothing reaches the process's own streams
+    assert captured.out == "" and captured.err == ""
+    assert "ASCII digits" in err or "decimal number" in err
+
+
+def test_cli_help_goes_to_the_given_out_stream(capsys):
+    code, out, err = run(["select", "--help"])
+    assert code == 0
+    assert out.startswith("usage: ") and err == ""
+    assert capsys.readouterr() == ("", "")
 
 
 _exponents = st.floats(min_value=-2.0, max_value=2.0)

@@ -30,11 +30,21 @@ from conftest import naive_nf_value
     (lambda: cl.cycle_leaders_from_gaps([]), BadGapVectorError),
     (lambda: cl.canonical_gap_rotation([]), BadGapVectorError),
     (lambda: cl.canonical_gap_rotation([1.5, 2]), BadGapVectorError),
+    (lambda: cl.tree_omega(2, 4.5, 2, 4), BadGeometryError),
+    (lambda: cl.TreeGeometry(2, 5, 2.5, 4), BadGeometryError),
+    (lambda: cl.cycle_nf_coherence((6, 6), n=12.0), BadParameterError),
+    (lambda: cl.cycle_nc_two_printed_series(10.5, 3), BadParameterError),
+    (lambda: cl.valid_tree_geometries(2, 2.5), BadParameterError),
+    (lambda: cl.tree_pair_for_geometry(cl.build_perfect_tree(2, 4), 2.0, 4.0),
+     BadGeometryError),
 ])
 def test_sizes_must_be_integers(call, error):
     # floats raised a bare TypeError or were truncated: path_nf_optimal
     # (10.5, 2) gave the 11-node optimum and gaps_from_cycle_leaders a gap
-    # of 3.5; an empty gap vector gave leaders (0,) or a bare ValueError
+    # of 3.5; an empty gap vector gave leaders (0,) or a bare ValueError.
+    # Others returned a value: tree_omega(2, 4.5, 2, 4) gave 114.48,
+    # cycle_nf_coherence((6, 6), n=12.0) 5.83 and
+    # cycle_nc_two_printed_series(10.5, 3) -2.375
     with pytest.raises(error):
         call()
 

@@ -302,7 +302,7 @@ def _off(triples):
 
 
 def _forest_diagonal(diag, triples):
-    return electrical.grounded_solve(diag, _off(triples), forest=True)[0]
+    return electrical.grounded_solve(diag, _off(triples))[0]
 
 
 def _stiff_path(w):
@@ -320,14 +320,17 @@ def test_ill_conditioned_systems_raise(w):
         cl.resistance(g, 0, 1)
     with pytest.raises(SolverError, match="ill-conditioned"):
         cl.resistance_to_set(g, 0, (2,))
-    # a cycle takes the dense trace route
-    ring = cl.build_graph([(0, 1, 1.0), (1, 2, w), (2, 3, 1.0), (3, 0, 1.0)])
+    # a ring pinned off the ring keeps its cycle: the dense trace route
+    ring = [(0, 1, 1.0), (1, 2, w), (2, 3, 1.0), (3, 0, 1.0)]
     with pytest.raises(SolverError, match="ill-conditioned"):
-        cl.coherence_nf(ring, (0,), method="trace")
-    # the path itself takes forest elimination on both coherence routes;
-    # from w = 1e17 on, 1 + w rounds to w at assembly and the elimination
-    # stops at a zero pivot before the condition bound is formed
+        cl.coherence_nf(cl.build_graph(ring + [(0, 4, 1.0)]), (4,), method="trace")
+    # the path itself, and the ring pinned on the ring, which leaves a
+    # path, take forest elimination; from w = 1e17 on, 1 + w rounds to w
+    # at assembly and the elimination stops at a zero pivot before the
+    # condition bound is formed
     tree_error = "ill-conditioned" if w < 1e16 else "non-positive pivot"
+    with pytest.raises(SolverError, match=tree_error):
+        cl.coherence_nf(cl.build_graph(ring), (0,), method="trace")
     with pytest.raises(SolverError, match=tree_error):
         cl.coherence_nf(g, (0,), method="resistance")
     with pytest.raises(SolverError, match=tree_error):
@@ -766,14 +769,16 @@ def test_forest_elimination_raises_before_overflowing():
 
 
 def test_grounded_solve_matches_the_dense_inverse(rng):
-    # the diagonal and the solved columns, on both routes, and shifted
+    # the diagonal and the solved columns, unshifted and shifted: the trees
+    # take forest elimination and the graphs with extra edges the dense
+    # kernel, as does every shifted matrix
     for n, extra in ((1, 0), (2, 0), (9, 0), (30, 0), (9, 5), (30, 20)):
         g = random_connected_graph(rng, n, extra_edges=extra)
         _, diag, off = _grounded_entries(g, (0,), kvec=np.ones(1))
         A = dense_laplacian(g) + np.diag(np.eye(n)[0])
         columns = [n - 1, 0, n // 2]
-        for forest, shift in ((cl.is_tree(g), 0.0), (False, 0.0), (False, 0.7)):
-            d, X = electrical.grounded_solve(diag, off, columns, forest, shift)
+        for shift in (0.0, 0.7):
+            d, X = electrical.grounded_solve(diag, off, columns, shift=shift)
             inverse = np.linalg.inv(A + shift)
             assert np.allclose(d, np.diag(inverse), rtol=1e-12, atol=0.0)
             assert np.allclose(X, inverse[columns], rtol=1e-10, atol=1e-13)
@@ -791,3 +796,75 @@ def test_forest_inverse_diagonal_matches_dense(rng):
                  if u in idx and v in idx]
         fast = _forest_diagonal(np.diag(Lff).copy(), edges)
         assert np.allclose(fast, np.diag(np.linalg.inv(Lff)), atol=1e-11)
+
+
+def _route_counter(monkeypatch):
+    """A function that runs a computation and counts the grounded solves
+    that took each route, and the spanning forests grown to choose one."""
+    calls = {}
+
+    def spy(name, original):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return counted
+
+    for name, attr in (("forest", "_forest_solve"), ("dense", "_factor_inverse"),
+                       ("rooted_forest", "rooted_forest")):
+        monkeypatch.setattr(electrical, attr, spy(name, getattr(electrical, attr)))
+
+    def routes(compute):
+        calls.update(forest=0, dense=0, rooted_forest=0)
+        compute()
+        return dict(calls)
+    return routes
+
+
+def test_grounded_solve_reads_its_route_from_the_entries(monkeypatch):
+    routes = _route_counter(monkeypatch)
+    cycle = cl.build_cycle(12)
+    pendant_ring = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 1.0), (0, 4, 1.0)]
+    ring = cl.build_graph(pendant_ring)
+    tree = cl.build_perfect_tree(2, 3).graph
+    forest = {"forest": 1, "dense": 0, "rooted_forest": 1}
+    dense_untraversed = {"forest": 0, "dense": 1, "rooted_forest": 0}
+    # a pinned leader cuts the cycle into a path, and grounding node 0 does
+    # too, so both noise-free routes and a resistance eliminate a forest
+    for method in ("trace", "resistance"):
+        assert routes(lambda: cl.coherence_nf(cycle, (0, 5), method=method)) == forest
+        assert routes(lambda: cl.coherence_nc(tree, (1, 9), method=method)) == forest
+    assert routes(lambda: cl.resistance(cycle, 2, 7)) == forest
+    # the ring pinned at its pendant node keeps its cycle: four entries on
+    # four nodes go to the dense kernel with no traversal
+    assert routes(lambda: cl.coherence_nf(ring, (4,))) == dense_untraversed
+    # the noise-corrupted trace route keeps all n nodes and the cycle's n
+    # entries
+    assert routes(lambda: cl.coherence_nc(cycle, (0,))) == dense_untraversed
+    # a shifted matrix is dense, even on a path
+    assert routes(lambda: cl.leader_free_coherence(cl.build_path(9))) == dense_untraversed
+    # pinning a cut node leaves the cycle and a lone node: fewer entries
+    # than nodes, so one traversal finds the cycle, and the dense kernel
+    # solves
+    tail = cl.build_graph(pendant_ring + [(4, 5, 1.0), (5, 6, 1.0)])
+    assert routes(lambda: cl.coherence_nf(tail, (5,))) == {
+        "forest": 0, "dense": 1, "rooted_forest": 1}
+
+
+@pytest.mark.parametrize("n", [50, 300, 1000, 2000, 4000])
+def test_cycles_match_their_closed_forms(n):
+    # a pinned leader leaves paths, so both noise-free routes and the
+    # resistance take forest elimination; the seeds were fixed before the
+    # first run
+    rng = np.random.default_rng([21, n])
+    g = cl.build_cycle(n)
+    k = int(rng.integers(1, 6))
+    S = sorted(rng.choice(n, size=k, replace=False).tolist())
+    expected = cl.cycle_nf_coherence(cl.gaps_from_cycle_leaders(n, S))
+    for method in ("trace", "resistance"):
+        value = cl.coherence_nf(g, S, method=method).value
+        assert abs(value - expected) <= 1e-11 * expected, (method, value, expected)
+    i, j = sorted(rng.choice(n, size=2, replace=False).tolist())
+    d = j - i
+    expected = d * (n - d) / n
+    value = cl.resistance(g, i, j)
+    assert abs(value - expected) <= 1e-11 * expected, (value, expected)

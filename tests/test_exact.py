@@ -111,10 +111,23 @@ def _stiff_cycle(rng, n):
     return cl.build_graph([(perm[i], perm[(i + 1) % n], float(weights[i])) for i in range(n)])
 
 
+def _stiff_unicyclic(rng, n):
+    """A stiff cycle on 3 to n - 1 of the nodes (all three when n = 3) and
+    a pendant tree on the rest, each node hung from an earlier one."""
+    c = int(rng.integers(3, max(n, 4)))
+    perm = rng.permutation(n).tolist()
+    ends = [(perm[i], perm[(i + 1) % c]) for i in range(c)]
+    ends += [(perm[int(rng.integers(0, i))], perm[i]) for i in range(c, n)]
+    weights = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+    return cl.build_graph([(u, v, float(w)) for (u, v), w in zip(ends, weights)])
+
+
+# a new family goes last, so that every existing case keeps its seed
 STIFF_FAMILIES = {
     "tree": lambda rng, n: stiff_graph(rng, n, chords=0),
     "cycle": _stiff_cycle,
     "random": lambda rng, n: stiff_graph(rng, n, chords=n // 2 + 1),
+    "unicyclic": _stiff_unicyclic,
 }
 
 
@@ -143,8 +156,9 @@ def test_every_coherence_route_matches_the_exact_value(family, seed):
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("family", list(STIFF_FAMILIES))
 def test_resistance_matches_the_exact_table(family, seed):
-    # forest elimination on trees, the dense kernel otherwise; weights
-    # 10^-3 .. 10^3, seeds fixed before the first run
+    # forest elimination whenever the grounded entries form a forest, the
+    # dense kernel otherwise; weights 10^-3 .. 10^3, seeds fixed before the
+    # first run
     rng = np.random.default_rng([19, list(STIFF_FAMILIES).index(family), seed])
     n = int(rng.integers(3, 11))
     g = STIFF_FAMILIES[family](rng, n)
