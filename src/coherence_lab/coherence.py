@@ -8,12 +8,14 @@
   sum over all nodes of their resistances to that node;
 * leader-free: half the trace of the Laplacian pseudoinverse, the sum of
   reciprocal nonzero Laplacian eigenvalues (the variance of deviations
-  from the network average).
+  from the network average), which is the Kirchhoff index over 2n.
 
 Every value is one grounded solve, ``electrical.grounded_solve``:
 whenever the grounded entries form a forest an exact O(n) forest
 elimination, otherwise a dense Cholesky and a triangular inverse. No
-resistance table and no eigensolve is formed.
+resistance table and no eigensolve is formed. Leader-free coherence
+grounds node 0 like the resistance route, so it takes forest
+elimination on trees and cycles.
 Noise-free and noise-corrupted are exposed through two independent
 routes ("trace" and "resistance") that the test suite holds to 1e-9
 agreement. Noise-free is the pinned (kappa -> infinity) case of
@@ -104,7 +106,7 @@ def _resistance_total(g: Graph, leaders, inv_kappa=None) -> float:
     _, diag, off = _grounded_entries(g, (0,))
     S = np.array(leaders, dtype=np.intp)
     grounded = S > 0
-    d, X = grounded_solve(diag, off, S[grounded] - 1)
+    d, X, _ = grounded_solve(diag, off, S[grounded] - 1)
     d = np.concatenate(([0.0], d))
     G = np.zeros((S.size, d.size))
     G[grounded, 1:] = X
@@ -172,26 +174,21 @@ def leader_free_coherence(g: Graph, graph_label: str | None = None) -> Coherence
     """Steady-state variance of deviations from the average, no leaders.
 
     Half the trace of the Laplacian pseudoinverse, the sum of reciprocals
-    of the n - 1 nonzero eigenvalues. With s the largest weighted degree,
-    L + (s/n) 11^T has those eigenvalues and s, so the trace is that of its
-    inverse, one grounded solve, less 1/s (Ghosh, Boyd & Saberi, SIAM
-    Review 50(1), 2008). The trace is at least (n - 1) / (2 s), so the
-    subtraction loses at most two bits.
+    of the n - 1 nonzero eigenvalues. With G0 the inverse of the Laplacian
+    grounded at node 0, padded by a zero row and column there, the
+    pseudoinverse is P G0 P with P = I - 11^T / n, so its trace is
+    tr G0 - 1^T G0 1 / n: one grounded solve gives the diagonal of G0 and
+    G0 1. The difference is the Kirchhoff index over n, which is at least
+    tr G0 / n, since the index sums every pair and tr G0 the pairs at node
+    0; so the subtraction loses at most log2(n) bits.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("leader-free coherence requires connectivity")
-    n = g.node_count
-    if n == 1:
-        value = 0.0
-    else:
-        _, diag, off = _grounded_entries(g)
-        s = float(diag.max())
-        trace = float(grounded_solve(diag, off, shift=s / n)[0].sum())
-        value = 0.5 * (trace - 1.0 / s)
+    _, diag, off = _grounded_entries(g, (0,))
+    d, _, y = grounded_solve(diag, off)
     return CoherenceReport(
-        value=value,
+        value=0.5 * (float(d.sum()) - float(y.sum()) / g.node_count),
         dynamics=LEADER_FREE,
         method="trace",
         graph=graph_label or _default_label(g),
     )
-

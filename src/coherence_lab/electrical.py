@@ -27,19 +27,22 @@ reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
 leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
 
-:func:`grounded_solve` returns the diagonal of a grounded inverse and a
-few of its columns, each checked by its residual. It reads its route
-from the grounded entries: whenever they form a forest (a tree, or a
-cycle with a pinned leader) by an exact O(n) forest elimination,
-otherwise from :func:`_factor_inverse`, the one dense kernel, which also
-serves the factored table. It factors the matrix (``dpotrf``), raises
-``SolverError`` when the forward-error scale eps/rcond of the ``dpocon``
-estimate passes ``_CONDITION_LIMIT`` (forest elimination and the path
-sums compute that scale exactly, as eps ||A||_1 ||A^-1||_1), and inverts
-the factor (``dtrtri``). The trace route sums the diagonal; the
-resistance route grounds node 0, forms the leaders' rows
+:func:`grounded_solve` returns the diagonal of a grounded inverse, a few
+of its columns and y = A^-1 1, all checked by their residuals. It reads
+its route from the grounded entries: whenever they form a forest (a
+tree, or a cycle with a pinned leader or a grounded node) by an exact
+O(n) forest elimination, otherwise from :func:`_factor_inverse`, the one
+dense kernel, which also serves the factored table. That kernel factors
+the matrix (``dpotrf``), solves for y from the factor (``dpotrs``) and
+inverts the factor (``dtrtri``). A grounded matrix is an M-matrix, so
+its inverse is entrywise nonnegative and ||A^-1||_1 = max(y): every
+route raises ``SolverError`` once the same exact forward-error scale
+eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT`` (the path sums hand
+such a table to LAPACK, which raises). The trace route sums the
+diagonal; the resistance route grounds node 0, forms the leaders' rows
 r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
-columns, and hands them to :func:`schur_totals`.
+columns, and hands them to :func:`schur_totals`; leader-free coherence
+grounds node 0 and reads the Kirchhoff index from d and y.
 
 Every dense BLAS/LAPACK call goes through scipy (``scipy.linalg``). numpy
 links its own OpenBLAS with its own thread pool, and a call there between
@@ -52,7 +55,7 @@ import math
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dlauum, dpocon, dpotrf, dtrtri
+from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 
 from .errors import (
     BadKappaError,
@@ -68,6 +71,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _dense,
     _grounded_entries,
     _is_int,
     is_connected,
@@ -76,11 +80,11 @@ from .graphs import (
 
 #: relative backward-error bound contracted for every linear solve
 SOLVE_TOLERANCE = 1e-10
-#: largest forward-error scale eps/rcond accepted from a Cholesky factor.
-#: The test suite stays below 1.3e-9 and the benchmark ops below 1.6e-10.
-#: The path with weights (1, w) gives about 8.9e-16 w, so it raises from
-#: w ~ 1.1e9 on; from w = 1e15 on its grounded matrix is rounded at
-#: assembly past any accuracy (eps/rcond >= 0.89)
+#: largest forward-error scale eps ||A||_1 ||A^-1||_1 accepted from a
+#: grounded solve. The test suite stays below 1.3e-9 and the benchmark ops
+#: below 1.6e-10. The path with weights (1, w) gives about 8.9e-16 w, so it
+#: raises from w ~ 1.1e9 on; from w = 1e15 on its grounded matrix is
+#: rounded at assembly past any accuracy (a scale >= 0.89)
 _CONDITION_LIMIT = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 #: bytes of n x n float arrays that one table build may hold
@@ -92,148 +96,123 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor_inverse(diag: np.ndarray, off, anorm: float, shift: float = 0.0):
+def _factor_inverse(diag: np.ndarray, off, anorm: float):
     """Invert the Cholesky factor of the SPD matrix A with diagonal ``diag``,
-    off-diagonal entries ``off = (rows, cols, values)``, ``shift`` added to
-    every entry and 1-norm ``anorm`` (:func:`_one_norm`).
+    nonpositive off-diagonal entries ``off = (rows, cols, values)`` and
+    1-norm ``anorm`` (:func:`_one_norm`).
 
-    A is assembled in the upper triangle of a C-order array, the lower
-    triangle of its Fortran-order view, which LAPACK ``dpotrf`` factors in
-    place as A = L L^T and ``dtrtri`` overwrites with V = L^-1; the other
-    triangle stays zero. Returns that view, with V in its lower triangle
-    (A^-1 = V^T V), and the eps/rcond of :func:`_check_condition`.
+    A is assembled by ``graphs._dense``; LAPACK ``dpotrf`` factors its
+    Fortran-order view in place as A = L L^T, ``dpotrs`` solves A y = 1
+    from the factor, and ``dtrtri`` overwrites L with V = L^-1. Returns
+    that view, with V in its lower triangle and zeros above it
+    (A^-1 = V^T V), y and the scale of :func:`_check_scale`.
     """
-    n = diag.size
-    rows, cols, values = off
-    if shift:
-        i = np.arange(n)
-        A = np.less_equal.outer(i, i).astype(np.float64)
-        A *= shift
-    else:
-        A = np.zeros((n, n))
-    A.flat[::n + 1] += diag
-    A[np.minimum(rows, cols), np.maximum(rows, cols)] += values
-    c, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+    c, info = dpotrf(_dense(diag, off).T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
     if info != 0:
         raise SolverError(f"LAPACK Cholesky factorization failed (info={info})")
-    scale = _check_condition(c, anorm)
+    # the other triangle still holds A's entries there, the off-diagonal
+    # ones only: zeroing them is O(m), where dpotrf's clean pass is O(n^2)
+    rows, cols, _ = off
+    c[np.minimum(rows, cols), np.maximum(rows, cols)] = 0.0
+    y = dpotrs(c, np.ones(diag.size), lower=1)[0]
+    scale = _check_scale(anorm, y.max())
     _, info = dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
-    return c, scale
+    return c, y, scale
 
 
-def _one_norm(diag: np.ndarray, edges, shift: float = 0.0) -> float:
+def _one_norm(diag: np.ndarray, edges) -> float:
     """1-norm of the symmetric matrix with diagonal ``diag`` and the
-    off-diagonal entries ``edges`` of :func:`_edge_ends`, plus ``shift``
-    in every entry: its largest absolute row sum, in O(m)."""
+    off-diagonal entries ``edges`` of :func:`_edge_ends`: its largest
+    absolute row sum, in O(m)."""
     ends, _, values = edges
-    n = len(diag)
-    # a row's entries off its edges are all ``shift``
-    rows = (np.abs(diag + shift) + (n - 1) * abs(shift)
-            + np.bincount(ends, np.abs(values + shift) - abs(shift), minlength=n))
-    return rows.max()
+    return (np.abs(diag) + np.bincount(ends, np.abs(values), minlength=len(diag))).max()
 
 
-def _check_condition(c: np.ndarray, anorm: float) -> float:
-    """Return eps/rcond, raising SolverError if it passes ``_CONDITION_LIMIT``.
+def _check_scale(anorm: float, inverse_norm: float) -> float:
+    """Return the forward-error scale eps ||A||_1 ||A^-1||_1, raising
+    SolverError if it passes ``_CONDITION_LIMIT``.
 
-    ``c`` is the Cholesky factor, in its lower triangle, of a matrix whose
-    1-norm is ``anorm``; LAPACK ``dpocon`` estimates the reciprocal
-    condition number rcond from it in O(n^2). eps/rcond scales the relative
-    forward error of every solve with that factor (Higham, Accuracy and
-    Stability of Numerical Algorithms, ch. 10).
+    It scales the relative forward error of every solve with A (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 10). A grounded
+    matrix is an M-matrix, so its inverse has no negative entry and
+    ||A^-1||_1 = max(A^-1 1), which every route solves for.
     """
-    rcond, info = dpocon(c, anorm, uplo="L")
-    if info != 0:
-        raise SolverError(f"LAPACK condition estimate failed (info={info})")
-    return _check_scale(_EPS / rcond if rcond > 0.0 else math.inf, "eps/rcond")
-
-
-def _check_scale(scale: float, name: str) -> float:
-    """Return the forward-error scale ``scale``, formed as ``name`` says,
-    raising SolverError if it passes ``_CONDITION_LIMIT``."""
+    scale = _EPS * float(anorm) * float(inverse_norm)
     # written so that a NaN scale fails too
     if not scale <= _CONDITION_LIMIT:
         raise SolverError(
-            f"grounded system is too ill-conditioned: {name} {scale:.1e} "
-            f"exceeds {_CONDITION_LIMIT:.0e}"
+            f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
+            f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
         )
     return scale
 
 
-def grounded_solve(diag: np.ndarray, off, columns=(), shift: float = 0.0):
-    """The diagonal of A^-1 and the columns ``columns`` of A^-1, for the SPD
-    matrix A with diagonal ``diag``, off-diagonal entries ``off = (rows,
-    cols, values)`` and, given ``shift``, shift added to every entry.
+def grounded_solve(diag: np.ndarray, off, columns=()):
+    """The diagonal of A^-1, the columns ``columns`` of A^-1 and A^-1 1, for
+    the SPD matrix A with diagonal ``diag`` and nonpositive off-diagonal
+    entries ``off = (rows, cols, values)``, as a grounded Laplacian has.
 
-    Returns ``(d, X)``: d the diagonal and X, of shape (len(columns), n),
-    the columns as rows. The route is read from the entries. Whenever the
-    graph of the off-diagonal entries is a forest and A is not shifted,
-    :func:`_forest_solve` eliminates it exactly in O(n); otherwise
-    :func:`_dense_solve` factors it. At least n entries cannot form a
-    forest, so they go to the factor with no traversal; fewer take one
-    :func:`graphs.rooted_forest` pass, and form a forest exactly when the
-    entries and the roots together number n. Either route bounds A's
-    condition, and every solved column is checked by its residual
-    (:func:`_check_residual`).
+    Returns ``(d, X, y)``: d the diagonal, X, of shape (len(columns), n),
+    the columns as rows, and y = A^-1 1, whose largest entry is
+    ||A^-1||_1. The route is read from the entries. Whenever the graph of
+    the off-diagonal entries is a forest, :func:`_forest_solve` eliminates
+    it exactly in O(n); otherwise :func:`_dense_solve` factors it. At least
+    n entries cannot form a forest, so they go to the factor with no
+    traversal; fewer take one :func:`graphs.rooted_forest` pass, and form a
+    forest exactly when the entries and the roots together number n.
+    Either route raises on the exact condition scale of
+    :func:`_check_scale`, and the residuals of the solved columns and of
+    y are checked together (:func:`_check_residual`).
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
     if n == 0:
-        return np.zeros(0), np.zeros((columns.size, 0))
+        return np.zeros(0), np.zeros((columns.size, 0)), np.zeros(0)
     edges = _edge_ends(off)
-    anorm = _one_norm(diag, edges, shift)
+    anorm = _one_norm(diag, edges)
     rows, cols, _ = off
     forest = None
-    if not shift and rows.size < n:
+    if rows.size < n:
         forest = rooted_forest(n, np.column_stack((rows, cols)))
         if rows.size + forest[1].count(-1) != n:
             forest = None
     if forest is not None:
-        d, X = _forest_solve(diag, off, columns, anorm, forest)
+        d, X, y = _forest_solve(diag, off, columns, anorm, forest)
     else:
-        d, X = _dense_solve(diag, off, columns, anorm, shift)
-    if columns.size:
-        _check_residual(X, columns, diag, edges, anorm, shift)
-    return d, X
+        d, X, y = _dense_solve(diag, off, columns, anorm)
+    _check_residual(np.vstack((X, y)), columns, diag, edges, anorm)
+    return d, X, y
 
 
-def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
-                 shift: float):
+def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
     """:func:`grounded_solve` by :func:`_factor_inverse`: with A^-1 = V^T V,
     the diagonal is the sum of the squares of each column of V, taken in
     place, and column s is V^T times column s of V (BLAS ``dtrmm``).
     """
     n = diag.size
-    V = _factor_inverse(diag, off, anorm, shift)[0]
+    V, y, _ = _factor_inverse(diag, off, anorm)
     Y = np.zeros((n, columns.size), order="F")
     for j, s in enumerate(columns.tolist()):
         Y[s:, j] = V[s:, s]
     X = dtrmm(1.0, V, Y, lower=1, trans_a=1, overwrite_b=1).T if columns.size else Y.T
-    return np.square(V, out=V).sum(axis=0), X
+    return np.square(V, out=V).sum(axis=0), X, y
 
 
 def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
                   forest):
-    """:func:`grounded_solve` by forest elimination, for an unshifted A
-    whose entries form the ``forest`` of :func:`graphs.rooted_forest`.
+    """:func:`grounded_solve` by forest elimination, for an A whose entries
+    form the ``forest`` of :func:`graphs.rooted_forest`.
 
     Two passes over its preorder: leaf-to-root elimination pivots, then
-    root-to-leaf back-substitution, each carrying the unit right-hand sides
-    of ``columns``. Exact in O(n) per column, which keeps large forests
-    cheap.
-
-    The same passes solve A' x = 1, with A' the matrix A with every
-    off-diagonal entry made negative: a forest's entries change sign under
-    a diagonal +-1 similarity, which changes no pivot, so A'^-1 = |A^-1|
-    and the largest entry of x is ||A^-1||_1. SolverError is raised when
-    the forward-error scale eps ||A||_1 ||A^-1||_1 passes
-    ``_CONDITION_LIMIT``, the scale ``_check_condition`` estimates for a
-    dense factor.
+    root-to-leaf back-substitution, each carrying the ones vector and the
+    unit right-hand sides of ``columns``. Exact in O(n) per right-hand
+    side, which keeps large forests cheap. The ones vector gives y, and
+    the condition scale of :func:`_check_scale`.
     """
     n = diag.size
     order, parent, edge = forest
@@ -241,9 +220,8 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
     coupling = np.append(off[2], 0.0)[edge].tolist()
     pivot = diag.tolist()
     ratio = [0.0] * n
-    x = [1.0] * n
-    rhs = [[0.0] * n for _ in range(columns.size)]
-    for b, s in zip(rhs, columns.tolist()):
+    rhs = [[1.0] * n] + [[0.0] * n for _ in range(columns.size)]
+    for b, s in zip(rhs[1:], columns.tolist()):
         b[s] = 1.0
     for u in reversed(order):
         # u's children came first, so its pivot is final
@@ -257,23 +235,21 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
             c = coupling[u]
             r = ratio[u] = c / d
             pivot[p] -= r * c
-            x[p] += abs(r) * x[u]
             for b in rhs:
                 b[p] -= r * b[u]
     inverse = 1.0 / np.array(pivot)
     out = inverse.tolist()
-    x = (inverse * x).tolist()
     rhs = [(inverse * b).tolist() for b in rhs]
     for u in order:
         p = parent[u]
         if p >= 0:
             r = ratio[u]
             out[u] += r * r * out[p]
-            x[u] += abs(r) * x[p]
             for b in rhs:
                 b[u] -= r * b[p]
-    _check_scale(_EPS * float(anorm) * max(x), "eps ||A||_1 ||A^-1||_1")
-    return np.array(out), np.array(rhs).reshape(columns.size, n)
+    y = np.array(rhs[0])
+    _check_scale(anorm, y.max())
+    return np.array(out), np.array(rhs[1:]).reshape(columns.size, n), y
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +511,7 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     """
     n = g.node_count
     anorm = _one_norm(diag, edges)
-    c, scale = _factor_inverse(diag, off, anorm)
+    c, y, scale = _factor_inverse(diag, off, anorm)
     _, info = dlauum(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK inversion failed (info={info})")
@@ -544,7 +520,7 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     cols = _residual_columns(m)
     # the checked columns, stored as rows: G0 is symmetric
     X = np.where(np.arange(m) < cols[:, None], G0[:, cols].T, G0[cols])
-    _check_residual(X, cols, diag, edges, anorm)
+    _check_residual(np.vstack((X, y)), cols, diag, edges, anorm)
     d = np.diagonal(G0).copy()
     table = np.empty((n, n))
     table[0, 0] = 0.0
@@ -589,7 +565,7 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
     before the table is built; with the cycle's edge it is
     (n r(u, 0) + sum_v r(v, 0) - sum_v r(u, v)) / 2, read from the table.
     The residual's four columns of G0 are read from the table as
-    (r(u, 0) + r(v, 0) - r(u, v)) / 2.
+    (r(u, 0) + r(v, 0) - r(u, v)) / 2, and the row sums are G0 1.
     """
     n = g.node_count
     uv, w = g._uv, g._w
@@ -613,8 +589,10 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
         p = parent[u]
         D[u] = D[p] + res[u]
         row_sums[u] = row_sums[p] + size[u] * res[u]
+    # G0 1, the row sums of G0 at the grounded nodes 1 .. n - 1
+    y = np.array(row_sums[1:])
     anorm = float(_one_norm(diag, edges))
-    scale = _EPS * anorm * max(row_sums)
+    scale = _EPS * anorm * float(y.max())
     # written so that a NaN bound fails too
     if chord is None and not scale <= _CONDITION_LIMIT:
         return None
@@ -657,15 +635,15 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
             s /= denominator
             table[a:b] -= s
         sums = table.sum(axis=0)
-        inverse_norm = 0.5 * float((n * table[1:, 0] + sums[0] - sums[1:]).max())
-        scale = _EPS * anorm * inverse_norm
+        y = 0.5 * (n * table[1:, 0] + sums[0] - sums[1:])
+        scale = _EPS * anorm * float(y.max())
         if not scale <= _CONDITION_LIMIT:
             return None
     # the grounded nodes are 1 .. n - 1
     to_root = table[1:, 0]
     cols = _residual_columns(n - 1)
     X = 0.5 * ((to_root + to_root[cols, None]) - table[1:, 1:][cols])
-    _check_residual(X, cols, diag, edges, anorm)
+    _check_residual(np.vstack((X, y)), cols, diag, edges, anorm)
     _check_foster(g, table, scale)
     return table
 
@@ -729,36 +707,33 @@ def _residual_columns(m: int) -> np.ndarray:
 
 
 def _check_residual(X: np.ndarray, cols: np.ndarray, diag: np.ndarray, edges,
-                    anorm: float, shift: float = 0.0) -> None:
-    """Raise SolverError unless L0 X is the identity's columns ``cols``.
+                    anorm: float) -> None:
+    """Raise SolverError unless L0 X is the identity's columns ``cols`` and
+    the ones vector.
 
     ``X`` holds, as rows, the columns ``cols`` (from
     :func:`_residual_columns`, or any others) of the computed inverse of
-    L0. L0 has diagonal ``diag``, the off-diagonal entries ``edges`` (from
-    :func:`_edge_ends`), ``shift`` added to every entry and the 1-norm
-    (equal to its infinity norm) ``anorm``; it is applied to each column
-    from those entries, O(m) per column. The residual is scaled by
-    ``anorm`` times the largest entry of the checked columns.
+    L0 and, last, the computed L0^-1 1. L0 has diagonal ``diag``, the
+    off-diagonal entries ``edges`` (from :func:`_edge_ends`) and the
+    1-norm (equal to its infinity norm) ``anorm``; it is applied to each
+    row from those entries, O(m) per row. Each row's residual is scaled by
+    ``anorm`` times that row's largest entry, plus 1 for its right-hand
+    side: its normwise backward error.
     """
     k, m = X.shape
     ends, others, weights = edges
     terms = X[:, others] * weights
-    # one bincount over the k columns side by side adds, per entry, the
-    # same terms in the same order as one per column
+    # one bincount over the k rows side by side adds, per entry, the same
+    # terms in the same order as one per row
     LX = X * diag
     LX += np.bincount(np.add.outer(m * np.arange(k), ends).ravel(), terms.ravel(),
                       minlength=k * m).reshape(k, m)
-    if shift:
-        LX += shift * X.sum(axis=1, keepdims=True)
-    for c, col in enumerate(cols.tolist()):
-        LX[c, col] -= 1.0
-    res = np.abs(LX).max()
-    scale = anorm * np.abs(X).max() + 1.0
+    LX[np.arange(cols.size), cols] -= 1.0
+    LX[-1] -= 1.0
+    res = (np.abs(LX).max(axis=1) / (anorm * np.abs(X).max(axis=1) + 1.0)).max()
     # written so that a NaN residual fails too
-    if not res / scale <= SOLVE_TOLERANCE:
-        raise SolverError(
-            f"solve residual {res / scale:.3e} exceeds {SOLVE_TOLERANCE:.0e}"
-        )
+    if not res <= SOLVE_TOLERANCE:
+        raise SolverError(f"solve residual {res:.3e} exceeds {SOLVE_TOLERANCE:.0e}")
 
 
 def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
@@ -769,8 +744,9 @@ def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
     cannot pass. The sum is the trace of L0 G0, so it misses n - 1 by the
     trace of the inverse's residual L0 G0 - I, whose n - 1 diagonal entries
     are each bounded, to first order, by c_n eps kappa(L0) (Higham, ch.
-    14); with c_n = n and eps kappa(L0) = ``scale`` = eps/rcond from
-    ``_check_condition``, the tolerance is (n - 1) n eps/rcond. O(m).
+    14); with c_n = n and eps kappa(L0) = ``scale``, the exact
+    eps ||L0||_1 ||G0||_1 of :func:`_check_scale`, the tolerance is
+    (n - 1) n ``scale``. O(m).
     """
     n = g.node_count
     u, v = g._uv[:, 0], g._uv[:, 1]

@@ -374,7 +374,7 @@ def _cli_cases(draw, corruption=None):
     elif corruption == "kappa":
         kappa[-1] = -kappa[-1]
     elif corruption == "stiff":
-        # eps/rcond passes the condition limit on every grounding
+        # the condition scale passes its limit on every grounding
         edges[0] = edges[0][:2] + (1e15,)
     elif corruption == "isolated":
         n += 1

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,9 @@ from coherence_lab.errors import (
 )
 
 from conftest import (
+    assert_exact,
     dense_laplacian,
+    exact_table,
     naive_nc_value,
     naive_nf_value,
     random_connected_graph,
@@ -160,6 +165,42 @@ def test_coherence_builds_no_table(rng, monkeypatch):
             cl.coherence_nf(g, (0, 4, 7), method=method)
             cl.coherence_nc(g, (0, 4, 7), kappa=[0.5, 2.0, 3.0], method=method)
         cl.leader_free_coherence(g)
+
+
+# the sizes were fixed, and drawn, before the first run
+_PATH_SIZES = [2, 3, 4, 10, 99, 1000, 2000, 4000, 8000] + \
+    np.random.default_rng([22, 0]).integers(2, 8001, size=4).tolist()
+_CYCLE_SIZES = [3, 4, 50, 300, 1000, 2000, 4000] + \
+    np.random.default_rng([22, 1]).integers(3, 4001, size=3).tolist()
+
+
+@pytest.mark.parametrize("n", _PATH_SIZES)
+def test_leader_free_is_exact_on_unit_paths(n):
+    # grounding an end leaves a path, which forest elimination solves in
+    # integers. (n^2 - 1)/12 is a binary fraction unless 3 divides n; then
+    # the value is one of the two doubles around it
+    value = cl.leader_free_coherence(cl.build_path(n)).value
+    exact = Fraction(n * n - 1, 12)
+    error = abs(Fraction(value) - exact)
+    assert error == 0 if n % 3 else error < Fraction(math.ulp(value)), (value, float(exact))
+
+
+@pytest.mark.parametrize("n", _CYCLE_SIZES)
+def test_leader_free_matches_the_cycle_closed_form(n):
+    # grounding node 0 cuts the cycle into a path
+    expected = (n * n - 1) / 24
+    value = cl.leader_free_coherence(cl.build_cycle(n)).value
+    assert abs(value - expected) <= 1e-11 * expected, (value, expected)
+
+
+@pytest.mark.parametrize("branching, height", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_leader_free_matches_the_exact_table_on_perfect_trees(branching, height):
+    # half the trace of L^+ is the Kirchhoff index over 2n
+    g = cl.build_perfect_tree(branching, height).graph
+    n = g.node_count
+    table = exact_table(g)
+    free = sum(table[u][v] for u in range(n) for v in range(u + 1, n)) / (2 * n)
+    assert_exact(cl.leader_free_coherence(g).value, free, rtol=1e-12)
 
 
 def test_leader_free_quadratic_scaling_on_cycles():

@@ -286,6 +286,18 @@ def test_resistance_checks_its_residual(rng, monkeypatch):
             cl.resistance_to_set(g, 1, (0, 5, 11))
 
 
+def test_trace_and_leader_free_check_their_residual(rng, monkeypatch):
+    # neither passes a column, so only the residual of A^-1 1 is checked;
+    # a tree takes forest elimination, a graph with chords the dense kernel
+    graphs = [random_tree(rng, 12), random_connected_graph(rng, 12, extra_edges=8)]
+    monkeypatch.setattr(electrical, "SOLVE_TOLERANCE", 0.0)
+    for g in graphs:
+        with pytest.raises(SolverError, match="residual"):
+            cl.coherence_nf(g, (0, 5), method="trace")
+        with pytest.raises(SolverError, match="residual"):
+            cl.leader_free_coherence(g)
+
+
 def test_oracle_factor_failure_is_a_solver_error():
     # 1 + 1e200 rounds to 1e200, so the grounded matrix is singular in
     # floating point and the factorization stops at its second pivot
@@ -365,23 +377,18 @@ def test_forest_elimination_raises_on_stiff_trees(w):
 
 
 def test_forest_guard_bound_is_the_exact_norm_product(rng, monkeypatch):
-    # couplings of either sign: the bound is eps ||A||_1 ||A^-1||_1 exactly,
-    # so a limit a hair on either side of the dense product decides it
-    for signs in ("negative", "mixed"):
-        n = 25
-        g = random_tree(rng, n)
-        A = dense_laplacian(g) + np.diag(rng.uniform(0.1, 1.0, n))
-        edges = [(u, v, -w) for u, v, w in g.edges]
-        if signs == "mixed":
-            edges = [(u, v, -c if rng.random() < 0.5 else c) for u, v, c in edges]
-            for u, v, c in edges:
-                A[u, v] = A[v, u] = c
-        scale = electrical._EPS * np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
-        monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 + 1e-9))
+    # the bound is eps ||A||_1 ||A^-1||_1 exactly, so a limit a hair on
+    # either side of the dense product decides it
+    n = 25
+    g = random_tree(rng, n)
+    A = dense_laplacian(g) + np.diag(rng.uniform(0.1, 1.0, n))
+    edges = [(u, v, -w) for u, v, w in g.edges]
+    scale = electrical._EPS * np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1)
+    monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 + 1e-9))
+    _forest_diagonal(np.diag(A).copy(), edges)
+    monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 - 1e-9))
+    with pytest.raises(SolverError, match="ill-conditioned"):
         _forest_diagonal(np.diag(A).copy(), edges)
-        monkeypatch.setattr(electrical, "_CONDITION_LIMIT", scale * (1 - 1e-9))
-        with pytest.raises(SolverError, match="ill-conditioned"):
-            _forest_diagonal(np.diag(A).copy(), edges)
 
 
 def test_forest_guard_spares_moderate_spreads():
@@ -396,7 +403,7 @@ def test_forest_guard_spares_moderate_spreads():
 
 
 def test_condition_guard_runs_and_spares_moderate_spreads(rng, monkeypatch):
-    # weights (1, 1e8) give eps/rcond ~ 9e-8, inside the limit
+    # weights (1, 1e8) give a condition scale ~ 9e-8, inside the limit
     assert cl.resistance_oracle(_stiff_path(1e8)).table[0, 1] == pytest.approx(1.0)
     g = stiff_graph(rng, 20, chords=10)
     cl.resistance_oracle(g)
@@ -538,7 +545,7 @@ def test_unit_cycles_equal_the_closed_form(rng, n):
 @pytest.mark.parametrize("chords", [0, 1])
 def test_one_cycle_tables_match_pseudoinverse_and_factored_build(rng, chords):
     # weights over 10^+-3, on which the factored build and the pseudoinverse
-    # are themselves off by up to ~1e-10 (eps/rcond) at n = 30
+    # are themselves off by up to ~1e-10 (the condition scale) at n = 30
     for n in (2, 3, 9, 30):
         g = stiff_graph(rng, n, chords)
         assert g.edge_count == n - 1 + (chords if n > 2 else 0)
@@ -581,7 +588,7 @@ def test_stiff_paths_agree_with_the_factored_build(w):
         assert (type(R), str(R)) == (type(factored), str(factored))
     else:
         # the sums along root paths round once; the factored build is off by
-        # up to its eps/rcond, which the condition limit bounds
+        # up to its condition scale, which the condition limit bounds
         assert R[0, 1] == 1.0 and R[0, 2] == 1.0 + 1.0 / w
         np.testing.assert_allclose(R, factored, rtol=electrical._CONDITION_LIMIT)
 
@@ -594,7 +601,7 @@ def test_path_sum_route_keeps_the_residual_and_condition_checks(rng, monkeypatch
             cl.resistance_oracle(g)
     monkeypatch.undo()
     # a failed bound hands the graph to the factored build, whose own
-    # condition estimate then refuses it
+    # condition bound then refuses it
     monkeypatch.setattr(electrical, "_CONDITION_LIMIT", 1e-30)
     for g in graphs:
         with pytest.raises(SolverError, match="ill-conditioned"):
@@ -769,19 +776,18 @@ def test_forest_elimination_raises_before_overflowing():
 
 
 def test_grounded_solve_matches_the_dense_inverse(rng):
-    # the diagonal and the solved columns, unshifted and shifted: the trees
-    # take forest elimination and the graphs with extra edges the dense
-    # kernel, as does every shifted matrix
+    # the diagonal, the solved columns and A^-1 1: the trees take forest
+    # elimination and the graphs with extra edges the dense kernel
     for n, extra in ((1, 0), (2, 0), (9, 0), (30, 0), (9, 5), (30, 20)):
         g = random_connected_graph(rng, n, extra_edges=extra)
         _, diag, off = _grounded_entries(g, (0,), kvec=np.ones(1))
         A = dense_laplacian(g) + np.diag(np.eye(n)[0])
         columns = [n - 1, 0, n // 2]
-        for shift in (0.0, 0.7):
-            d, X = electrical.grounded_solve(diag, off, columns, shift=shift)
-            inverse = np.linalg.inv(A + shift)
-            assert np.allclose(d, np.diag(inverse), rtol=1e-12, atol=0.0)
-            assert np.allclose(X, inverse[columns], rtol=1e-10, atol=1e-13)
+        d, X, y = electrical.grounded_solve(diag, off, columns)
+        inverse = np.linalg.inv(A)
+        assert np.allclose(d, np.diag(inverse), rtol=1e-12, atol=0.0)
+        assert np.allclose(X, inverse[columns], rtol=1e-10, atol=1e-13)
+        assert np.allclose(y, inverse.sum(axis=1), rtol=1e-12, atol=0.0)
 
 
 def test_forest_inverse_diagonal_matches_dense(rng):
@@ -840,8 +846,13 @@ def test_grounded_solve_reads_its_route_from_the_entries(monkeypatch):
     # the noise-corrupted trace route keeps all n nodes and the cycle's n
     # entries
     assert routes(lambda: cl.coherence_nc(cycle, (0,))) == dense_untraversed
-    # a shifted matrix is dense, even on a path
-    assert routes(lambda: cl.leader_free_coherence(cl.build_path(9))) == dense_untraversed
+    # leader-free coherence grounds node 0: a path or a cycle leaves a
+    # forest, and a cycle away from node 0 stays whole, three entries on
+    # three nodes
+    assert routes(lambda: cl.leader_free_coherence(cl.build_path(9))) == forest
+    assert routes(lambda: cl.leader_free_coherence(cycle)) == forest
+    lollipop = cl.build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
+    assert routes(lambda: cl.leader_free_coherence(lollipop)) == dense_untraversed
     # pinning a cut node leaves the cycle and a lone node: fewer entries
     # than nodes, so one traversal finds the cycle, and the dense kernel
     # solves

@@ -233,7 +233,7 @@ def test_one_cycle_tables_match_the_pseudoinverse_and_the_factored_build(g):
     expected = naive_resistance_table(g)
     np.testing.assert_allclose(R, expected, rtol=1e-9, atol=1e-12 * expected.max())
     # the LAPACK build, which graphs with more edges than nodes take, is off
-    # by up to its eps/rcond on these weights
+    # by up to its condition scale on these weights
     _, diag, off = _grounded_entries(g, (0,))
     factored = electrical._factored_table(g, diag, off, electrical._edge_ends(off))
     assert np.abs(R - factored).max() <= 1e-9 * factored.max()
