@@ -31,14 +31,17 @@ the same steps, the pinned ones without the 1/kappa terms.
 of its columns and y = A^-1 1, all checked by their residuals. It reads
 its route from the grounded entries: whenever they form a forest (a
 tree, or a cycle with a pinned leader or a grounded node) by an exact
-O(n) forest elimination, otherwise from :func:`_factor_inverse`, the one
-dense kernel, which also serves the factored table. That kernel factors
-the matrix (``dpotrf``), solves for y from the factor (``dpotrs``) and
-inverts the factor (``dtrtri``). A grounded matrix is an M-matrix, so
-its inverse is entrywise nonnegative and ||A^-1||_1 = max(y): every
-route raises ``SolverError`` once the same exact forward-error scale
-eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT`` (the path sums hand
-such a table to LAPACK, which raises). The trace route sums the
+O(n) forest elimination, otherwise from :func:`_factor`, the one dense
+kernel, which also serves the factored table. That kernel factors the
+matrix (``dpotrf``) and solves for y from the factor (``dpotrs``). A
+solve that asks for the diagonal then inverts the factor (``dtrtri``,
+:func:`_factor_inverse`); :func:`resistance_to_set`, which reads one
+column, solves it from the factor instead. A grounded matrix is an
+M-matrix, so its inverse is entrywise nonnegative and ||A^-1||_1 =
+max(y): every route raises ``SolverError`` once the same exact
+forward-error scale eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT``
+(the path sums hand such a table to LAPACK, which raises). The trace
+route sums the
 diagonal; the resistance route grounds node 0, forms the leaders' rows
 r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
 columns, and hands them to :func:`schur_totals`; leader-free coherence
@@ -96,16 +99,15 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor_inverse(diag: np.ndarray, off, anorm: float):
-    """Invert the Cholesky factor of the SPD matrix A with diagonal ``diag``,
-    nonpositive off-diagonal entries ``off = (rows, cols, values)`` and
-    1-norm ``anorm`` (:func:`_one_norm`).
+def _factor(diag: np.ndarray, off, anorm: float):
+    """Cholesky-factor the SPD matrix A with diagonal ``diag``, nonpositive
+    off-diagonal entries ``off = (rows, cols, values)`` and 1-norm
+    ``anorm`` (:func:`_one_norm`).
 
     A is assembled by ``graphs._dense``; LAPACK ``dpotrf`` factors its
-    Fortran-order view in place as A = L L^T, ``dpotrs`` solves A y = 1
-    from the factor, and ``dtrtri`` overwrites L with V = L^-1. Returns
-    that view, with V in its lower triangle and zeros above it
-    (A^-1 = V^T V), y and the scale of :func:`_check_scale`.
+    Fortran-order view in place as A = L L^T, and ``dpotrs`` solves A y = 1
+    from the factor. Returns that view, with L in its lower triangle and
+    zeros above it, y and the scale of :func:`_check_scale`.
     """
     c, info = dpotrf(_dense(diag, off).T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
@@ -118,7 +120,15 @@ def _factor_inverse(diag: np.ndarray, off, anorm: float):
     rows, cols, _ = off
     c[np.minimum(rows, cols), np.maximum(rows, cols)] = 0.0
     y = dpotrs(c, np.ones(diag.size), lower=1)[0]
-    scale = _check_scale(anorm, y.max())
+    return c, y, _check_scale(anorm, y.max())
+
+
+def _factor_inverse(diag: np.ndarray, off, anorm: float):
+    """:func:`_factor`, then LAPACK ``dtrtri`` overwrites L with V = L^-1.
+    Returns the factor's view, with V in its lower triangle and zeros above
+    it (A^-1 = V^T V), y and the scale of :func:`_check_scale`.
+    """
+    c, y, scale = _factor(diag, off, anorm)
     _, info = dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
@@ -152,22 +162,22 @@ def _check_scale(anorm: float, inverse_norm: float) -> float:
     return scale
 
 
-def grounded_solve(diag: np.ndarray, off, columns=()):
+def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
     """The diagonal of A^-1, the columns ``columns`` of A^-1 and A^-1 1, for
     the SPD matrix A with diagonal ``diag`` and nonpositive off-diagonal
     entries ``off = (rows, cols, values)``, as a grounded Laplacian has.
 
-    Returns ``(d, X, y)``: d the diagonal, X, of shape (len(columns), n),
-    the columns as rows, and y = A^-1 1, whose largest entry is
-    ||A^-1||_1. The route is read from the entries. Whenever the graph of
-    the off-diagonal entries is a forest, :func:`_forest_solve` eliminates
-    it exactly in O(n); otherwise :func:`_dense_solve` factors it. At least
-    n entries cannot form a forest, so they go to the factor with no
-    traversal; fewer take one :func:`graphs.rooted_forest` pass, and form a
-    forest exactly when the entries and the roots together number n.
-    Either route raises on the exact condition scale of
-    :func:`_check_scale`, and the residuals of the solved columns and of
-    y are checked together (:func:`_check_residual`).
+    Returns ``(d, X, y)``: d the diagonal (None when ``diagonal`` is
+    false), X, of shape (len(columns), n), the columns as rows, and
+    y = A^-1 1, whose largest entry is ||A^-1||_1. The route is read from
+    the entries. Whenever the graph of the off-diagonal entries is a
+    forest, :func:`_forest_solve` eliminates it exactly in O(n); otherwise
+    :func:`_dense_solve` factors it. At least n entries cannot form a
+    forest, so they go to the factor with no traversal; fewer take one
+    :func:`graphs.rooted_forest` pass, and form a forest exactly when the
+    entries and the roots together number n. Either route raises on the
+    exact condition scale of :func:`_check_scale`, and the residuals of the
+    solved columns and of y are checked together (:func:`_check_residual`).
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
@@ -184,17 +194,25 @@ def grounded_solve(diag: np.ndarray, off, columns=()):
     if forest is not None:
         d, X, y = _forest_solve(diag, off, columns, anorm, forest)
     else:
-        d, X, y = _dense_solve(diag, off, columns, anorm)
+        d, X, y = _dense_solve(diag, off, columns, anorm, diagonal)
     _check_residual(np.vstack((X, y)), columns, diag, edges, anorm)
-    return d, X, y
+    return (d if diagonal else None), X, y
 
 
-def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float):
-    """:func:`grounded_solve` by :func:`_factor_inverse`: with A^-1 = V^T V,
-    the diagonal is the sum of the squares of each column of V, taken in
-    place, and column s is V^T times column s of V (BLAS ``dtrmm``).
+def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
+                 diagonal: bool):
+    """:func:`grounded_solve` by a Cholesky factor. Without the diagonal,
+    the columns are solved from the factor (``dpotrs``, O(n^2) each) and d
+    is None. With it, :func:`_factor_inverse` gives A^-1 = V^T V: the
+    diagonal is the sum of the squares of each column of V, taken in place,
+    and column s is V^T times column s of V (BLAS ``dtrmm``).
     """
     n = diag.size
+    if not diagonal:
+        c, y, _ = _factor(diag, off, anorm)
+        E = np.zeros((n, columns.size), order="F")
+        E[columns, np.arange(columns.size)] = 1.0
+        return None, dpotrs(c, E, lower=1, overwrite_b=1)[0].T, y
     V, y, _ = _factor_inverse(diag, off, anorm)
     Y = np.zeros((n, columns.size), order="F")
     for j, s in enumerate(columns.tolist()):
@@ -340,7 +358,7 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
         raise DisconnectedGraphError("resistance_to_set requires a connected graph")
     followers, diag, off = _grounded_entries(g, S)
     pos = followers.index(i)
-    return float(grounded_solve(diag, off, [pos])[1][0, pos])
+    return float(grounded_solve(diag, off, [pos], diagonal=False)[1][0, pos])
 
 
 def path_two_point_resistance(d_ux: float, d_xy: float) -> float:
@@ -379,7 +397,9 @@ class ResistanceOracle:
         return float(self.table[i, j])
 
     def column_sums(self) -> np.ndarray:
-        """sum_u r(u, v) for every v; the single-leader totals."""
+        """sum_u r(u, v) for every v: the anchor's term of every set in
+        :meth:`set_totals` and in the pair sweep. ``brute_force_select``
+        scores single leaders from one grounded solve, without a table."""
         if self._column_sums is None:
             self._column_sums = self.table.sum(axis=0)
         return self._column_sums

@@ -2,13 +2,21 @@
 
 Candidates are enumerated lexicographically and every size-k set is
 evaluated (the objective never increases when a leader is added, so
-searching exactly size k solves the "at most k" problem). Every value
-comes from one pairwise resistance table, in one sweep for every
-k >= 2 that shares rank-one grounding steps between sets (as in Lin,
-Fardad & Jovanovic, IEEE TAC 2014). A set is its lexicographic prefix
-P of k - 2 leaders plus a trailing pair s < t after it. Grounding P on
-the table (pinned for noise-free, tied to a reference node by 1/kappa
-for noise-corrupted; ``electrical.schur_columns``) gives the grounded
+searching exactly size k solves the "at most k" problem).
+
+For k = 1 no table is formed. A leader v's total is sum_u r(u, v) (plus
+n/kappa_v), and with G0 the inverse of the Laplacian grounded at node 0,
+d its diagonal and y = G0 1, both padded by a 0 at node 0, that is
+sum(d) + n d_v - 2 y_v: one ``electrical.grounded_solve`` scores every
+node, by forest elimination on trees, paths and cycles and by one dense
+factor otherwise (:func:`_single_totals`).
+
+Every k >= 2 is scored from one pairwise resistance table, in one sweep
+that shares rank-one grounding steps between sets (as in Lin, Fardad &
+Jovanovic, IEEE TAC 2014). A set is its lexicographic prefix P of k - 2
+leaders plus a trailing pair s < t after it. Grounding P on the table
+(pinned for noise-free, tied to a reference node by 1/kappa for
+noise-corrupted; ``electrical.schur_columns``) gives the grounded
 inverse A_P, and one Gram matrix G_P = A_P^T A_P (BLAS ``dsyrk``) then
 scores every trailing pair by two closed Schur steps:
 
@@ -16,19 +24,21 @@ scores every trailing pair by two closed Schur steps:
 
 with tau_P the total of P, p_s = A_ss + 1/kappa_s, c = A_st / p_s and
 p_t = A_tt - c A_st + 1/kappa_t. For k = 2, P is empty and the table
-itself plays A: :func:`_pair_blocks` forms the table's Gram matrix once
-and overwrites its upper triangle with the pair totals, row block by row
-block; for k = 1 a total is a column sum plus n/kappa. Prefixes are
-taken in groups whose grounded rows fit one block of
-``electrical._BLOCK_FLOATS`` floats, so small graphs pay Python once per
-group, not per prefix. The Gram expansion cancels where a set's value is
-small beside its terms (stiff weights), so every total carries the sum
-of its terms' absolute values, and a set whose rounding bound, 4 eps
-times that sum, exceeds ``_RECHECK`` of its value is recomputed
-directly by ``ResistanceOracle.set_totals``. The reduction keeps a
-running minimum and the sets within ``_tie_window`` of it, block by
-block; no array of all C(n, k) values is ever formed. The kept sets are
-sorted at the end, so their order does not depend on the blocks.
+itself plays A: :func:`_pair_blocks` forms the table's Gram matrix Q
+once and overwrites its upper triangle with the pair totals, row block
+by row block; with both leaders pinned the two steps collapse to the
+symmetric (cs_x + cs_y) / 2 - ((q_x + q_y - 2 Q_xy) / r_xy + n r_xy) / 4,
+cs being the table's column sums and q the diagonal of Q
+(:func:`_pair_rows`). Prefixes are taken in groups whose grounded rows
+fit one block of ``electrical._BLOCK_FLOATS`` floats, so small graphs
+pay Python once per group, not per prefix. The Gram expansion cancels
+where a set's value is small beside its terms (stiff weights), so every
+total carries the sum of its terms' absolute values, and a set whose
+rounding bound, 4 eps times that sum, exceeds ``_RECHECK`` of its value
+is recomputed directly by ``ResistanceOracle.set_totals``. The reduction
+keeps a running minimum and the sets within ``_tie_window`` of it, block
+by block; no array of all C(n, k) values is ever formed. The kept sets
+are sorted at the end, so their order does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -49,12 +59,14 @@ from .electrical import (
     ResistanceOracle,
     _block_rows,
     _check_pivots,
+    _check_table_budget,
+    grounded_solve,
     normalize_kappa,
     resistance_oracle,
     schur_columns,
 )
 from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
-from .graphs import Graph, _is_int, is_connected
+from .graphs import Graph, _grounded_entries, _is_int, is_connected
 
 DEFAULT_BUDGET = 10_000_000
 CO_OPTIMAL_CAP = 1000
@@ -81,9 +93,10 @@ class SelectionResult:
 
 
 def _tie_window(vmin: float) -> float:
-    # the contracted solve accuracy: rounding in the table spreads equal
-    # optima (every node of a unit cycle) by up to ~2e-11 relative at
-    # n = 3000, so a window tied to the summation length alone splits them
+    # the contracted solve accuracy: rounding spreads equal optima (every
+    # node of a unit cycle at n = 3000) by ~2e-11 relative from the table
+    # and ~1e-12 from the k = 1 solve, so a window tied to the summation
+    # length alone splits them
     return 1e-12 + SOLVE_TOLERANCE * max(1.0, abs(vmin))
 
 
@@ -161,12 +174,29 @@ class _Minimum:
         return tuple(sets[np.flatnonzero(totals == self.total)[0]].tolist())
 
 
-def _single_blocks(oracle: ResistanceOracle, recip):
-    """k = 1: each node's column sum plus n/kappa."""
-    totals = oracle.column_sums().copy()
+def _single_totals(g: Graph, recip) -> np.ndarray:
+    """k = 1: every node's total sum_u r(u, v), plus n/kappa_v when
+    ``recip`` (the (1, n) array of :func:`_kappa_reciprocals`) is given.
+
+    With G0 the inverse of the Laplacian grounded at node 0, d its diagonal
+    and y = G0 1, both padded by a 0 at node 0, r(u, v) = d_u + d_v -
+    2 G0[u, v] sums over u to sum(d) + n d_v - 2 y_v: one grounded solve,
+    no table. The subtraction cancels at most log2(2n + 1) bits, since
+    d_u = r(u, 0) <= r(u, v) + d_v and d_v <= the total, so sum(d) + n d_v
+    is at most 2n + 1 times it. The solve holds one n x n factor on graphs
+    that are not forests, so the table budget still applies.
+    """
+    n = g.node_count
+    _check_table_budget(n)
+    _, diag, off = _grounded_entries(g, (0,))
+    d, _, y = grounded_solve(diag, off)
+    d = np.concatenate(([0.0], d))
+    totals = n * d
+    totals += d.sum()
+    totals[1:] -= 2.0 * y
     if recip is not None:
-        totals += totals.size * recip[0]
-    yield totals, (), lambda hits: hits[0][:, None]
+        totals += n * recip[0]
+    return totals
 
 
 def _pair_blocks(oracle: ResistanceOracle, recip):
@@ -221,28 +251,44 @@ def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
                            / (4 (r_xy + 1/kappa_x + 1/kappa_y)),
 
     with h = r_xy + 2/kappa_x; ``inv_kappa`` is the pair (1/kappa of every
-    node as the first leader, as the second), and without it every leader
-    is pinned (the 1/kappa terms are 0). Scaling by 2 or 4 is exact, so
-    each entry rounds as the expression written out would. ``scratch``
-    and ``bound`` have at least b - a rows of n columns; ``bound``
-    receives a little more than the sum of the absolute values of the
-    terms, each bracketed term divided by 4 times the pivot: the rounding
-    error of a total is at most a few eps times it.
+    node as the first leader, as the second). Without it both leaders are
+    pinned (h = r_xy is the pivot), and the total is the symmetric
+
+        (cs_x + cs_y) / 2 - ((q_x + q_y - 2 Q_xy) / r_xy + n r_xy) / 4.
+
+    Scaling by 2 or 4 is exact, so each entry rounds as the expression
+    written out would. ``scratch`` and ``bound`` have at least b - a rows
+    of n columns; ``bound`` receives the sum of the absolute values of the
+    terms, or a little more: the rounding error of a total is at most a few
+    eps times it.
     """
     n = R.shape[0]
     t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
-    cx, cy = col[a:b, None], col[a:]
+    e = bound[:b - a, :n - a]
     if inv_kappa is None:
-        h = pivot = r
-        lead = cx
-    else:
-        first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
-        h = r + 2.0 * first
-        pivot = (r + first) + second
-        lead = cx + n * first
+        # t and e take (q_x + q_y -/+ 2 Q_xy) / 4, over r_xy, plus
+        # n r_xy / 4 and (cs_x + cs_y) / 2, the quarters and halves taken
+        # of the vectors and of n
+        np.add(0.25 * q[a:b, None], 0.25 * q[a:], out=s)
+        t *= 0.5
+        np.add(s, t, out=e)
+        np.subtract(s, t, out=t)
+        t /= r
+        e /= r
+        np.multiply(r, 0.25 * n, out=s)
+        t += s
+        e += s
+        np.add(0.5 * col[a:b, None], 0.5 * col[a:], out=s)
+        np.subtract(s, t, out=t)
+        e += s
+        return
+    cx, cy = col[a:b, None], col[a:]
+    first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
+    h = r + 2.0 * first
+    pivot = (r + first) + second
+    lead = cx + n * first
     # every term is positive but -2 Q_xy and -2 h cs_y, so the absolute
     # values sum to the bracket plus 4 (Q_xy + h cs_y)
-    e = bound[:b - a, :n - a]
     np.multiply(h, cy, out=e)
     e += t
     t *= 2.0
@@ -402,21 +448,19 @@ def _too_wide(bound: np.ndarray, total: np.ndarray, scratch: np.ndarray):
 
 
 def _total_blocks(oracle: ResistanceOracle, k: int, recip):
-    """Every size-k total of the table's graph, block by block, as
+    """Every size-k total of the table's graph, k >= 2, block by block, as
     ``(totals, sets_at)``; cells that hold no set read +inf.
 
     A set whose rounding bound is too wide is recomputed by
     ``ResistanceOracle.set_totals``; ``recip`` is the (k, n) array of
     :func:`_kappa_reciprocals`, or None for noise-free.
     """
-    if k == 1:
-        blocks = _single_blocks(oracle, recip)
-    elif k == 2:
+    if k == 2:
         blocks = _pair_blocks(oracle, recip)
     else:
         blocks = _prefix_blocks(oracle, k, recip)
     for total, wide, sets_at in blocks:
-        if wide and wide[0].size:
+        if wide[0].size:
             sets = sets_at(wide)
             inv_kappa = None if recip is None else recip[np.arange(k), sets]
             total[wide] = oracle.set_totals(sets, inv_kappa)
@@ -424,7 +468,7 @@ def _total_blocks(oracle: ResistanceOracle, k: int, recip):
 
 
 def _search(oracle: ResistanceOracle, k: int, recip) -> _Minimum:
-    """The least size-k value and the sets tied with it."""
+    """The least size-k value, k >= 2, and the sets tied with it."""
     best = _Minimum()
     for totals, sets_at in _total_blocks(oracle, k, recip):
         best.add(totals, sets_at)
@@ -465,10 +509,13 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
             f"C({n},{k}) = {total} candidate sets exceed the budget of {budget}"
         )
     start = time.perf_counter()
-    oracle = resistance_oracle(g)
     recip = (_kappa_reciprocals(kappa, n, k)
              if dynamics == NOISE_CORRUPTED else None)
-    best = _search(oracle, k, recip)
+    if k == 1:
+        best = _Minimum()
+        best.add(_single_totals(g, recip), lambda hits: hits[0][:, None])
+    else:
+        best = _search(resistance_oracle(g), k, recip)
     elapsed = time.perf_counter() - start
     return SelectionResult(
         dynamics=dynamics,

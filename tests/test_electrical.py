@@ -432,8 +432,10 @@ def test_table_budget_guard(monkeypatch):
     monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1599)
     with pytest.raises(BudgetExceededError, match="budget"):
         cl.resistance_oracle(g)
-    with pytest.raises(BudgetExceededError):
-        cl.brute_force_select(g, 2)
+    # k = 1 forms no table, but its solve holds one n x n factor
+    for k in (1, 2):
+        with pytest.raises(BudgetExceededError):
+            cl.brute_force_select(g, k)
     # the resistance route of coherence forms no table, so the table
     # budget does not bind it
     assert cl.coherence_nf(g, (0,), method="resistance").value == \
@@ -815,7 +817,7 @@ def _route_counter(monkeypatch):
             return original(*args, **kwargs)
         return counted
 
-    for name, attr in (("forest", "_forest_solve"), ("dense", "_factor_inverse"),
+    for name, attr in (("forest", "_forest_solve"), ("dense", "_factor"),
                        ("rooted_forest", "rooted_forest")):
         monkeypatch.setattr(electrical, attr, spy(name, getattr(electrical, attr)))
 
@@ -840,6 +842,8 @@ def test_grounded_solve_reads_its_route_from_the_entries(monkeypatch):
         assert routes(lambda: cl.coherence_nf(cycle, (0, 5), method=method)) == forest
         assert routes(lambda: cl.coherence_nc(tree, (1, 9), method=method)) == forest
     assert routes(lambda: cl.resistance(cycle, 2, 7)) == forest
+    # grounding the pendant node leaves the ring whole
+    assert routes(lambda: cl.resistance(ring, 0, 4)) == dense_untraversed
     # the ring pinned at its pendant node keeps its cycle: four entries on
     # four nodes go to the dense kernel with no traversal
     assert routes(lambda: cl.coherence_nf(ring, (4,))) == dense_untraversed
@@ -859,6 +863,23 @@ def test_grounded_solve_reads_its_route_from_the_entries(monkeypatch):
     tail = cl.build_graph(pendant_ring + [(4, 5, 1.0), (5, 6, 1.0)])
     assert routes(lambda: cl.coherence_nf(tail, (5,))) == {
         "forest": 0, "dense": 1, "rooted_forest": 1}
+
+
+def test_resistance_solves_its_column_without_inverting_the_factor(rng, monkeypatch):
+    # one column of the grounded inverse comes from the Cholesky factor by
+    # two triangular solves; only a solve that needs the diagonal inverts
+    # the factor
+    g = random_connected_graph(rng, 30, extra_edges=30)
+    expected = [naive_resistance(g, 0, 7), naive_resistance_to_set(g, 5, (0, 7, 12))]
+
+    def no_inverse(*args, **kwargs):
+        raise AssertionError("the factor was inverted")
+
+    monkeypatch.setattr(electrical, "dtrtri", no_inverse)
+    assert cl.resistance(g, 0, 7) == pytest.approx(expected[0], rel=1e-12)
+    assert cl.resistance_to_set(g, 5, (0, 7, 12)) == pytest.approx(expected[1], rel=1e-12)
+    with pytest.raises(AssertionError, match="inverted"):
+        cl.coherence_nf(g, (0,))
 
 
 @pytest.mark.parametrize("n", [50, 300, 1000, 2000, 4000])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
+from coherence_lab.selection import _kappa_reciprocals, _single_totals
 
 from conftest import (
     assert_exact,
@@ -151,6 +152,27 @@ def test_every_coherence_route_matches_the_exact_value(family, seed):
     # half the trace of L^+ is the Kirchhoff index over 2n
     free = sum(table[u][v] for u in range(n) for v in range(u + 1, n)) / (2 * n)
     assert_exact(cl.leader_free_coherence(g).value, free)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("family", list(STIFF_FAMILIES))
+def test_single_leader_totals_match_the_exact_totals(family, seed):
+    # k = 1 scores every node from one solve grounded at node 0: forest
+    # elimination on the trees and cycles, the dense factor otherwise;
+    # weights 10^-3 .. 10^3, seeds fixed before the first run
+    rng = np.random.default_rng([23, list(STIFF_FAMILIES).index(family), seed])
+    n = int(rng.integers(3, 11))
+    g = STIFF_FAMILIES[family](rng, n)
+    table = exact_table(g)
+    kappa = float(10.0 ** rng.uniform(-1.0, 1.0))
+    nf = _single_totals(g, None)
+    nc = _single_totals(g, _kappa_reciprocals(kappa, n, 1))
+    for v in range(n):
+        assert_exact(nf[v], exact_total(table, (v,)))
+        assert_exact(nc[v], exact_total(table, (v,), 1 / Fraction(kappa)))
+    exact = [exact_total(table, (v,)) for v in range(n)]
+    best = tuple((v,) for v in range(n) if exact[v] == min(exact))
+    assert cl.brute_force_select(g, 1).optimal_sets == best
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -12,13 +12,14 @@ from coherence_lab.errors import (
     BudgetExceededError,
     DisconnectedGraphError,
 )
-from coherence_lab.selection import _kappa_reciprocals, _total_blocks
+from coherence_lab.selection import _kappa_reciprocals, _single_totals, _total_blocks
 
 from conftest import (
     naive_nc_value,
     naive_nf_value,
     naive_two_leader_totals,
     random_connected_graph,
+    random_tree,
     stiff_graph,
     sweep_pair_totals,
 )
@@ -150,12 +151,14 @@ def _relabelled_cycle(n, seed):
 
 
 def test_every_node_of_a_large_relabelled_cycle_is_co_optimal():
-    # the table's rounding spreads these equal values, and moves them off
-    # the closed form, by ~2e-12 relative
-    g, _ = _relabelled_cycle(700, 11)
-    result = cl.brute_force_select(g, 1)
-    assert result.co_optimal_count == 700
-    assert result.value == pytest.approx(cl.cycle_nf_optimal(700, 1)[1], rel=1e-10)
+    # grounding node 0 leaves a path, so one forest elimination scores every
+    # node; its rounding spreads these equal values, and moves them off the
+    # closed form, by ~5e-13 relative at n = 1200
+    for n, seed in ((700, 11), (1200, 13)):
+        g, _ = _relabelled_cycle(n, seed)
+        result = cl.brute_force_select(g, 1)
+        assert result.co_optimal_count == n
+        assert result.value == pytest.approx(cl.cycle_nf_optimal(n, 1)[1], rel=1e-10)
 
 
 def test_antipodal_pairs_of_a_large_relabelled_cycle_are_co_optimal():
@@ -199,6 +202,50 @@ def test_two_leader_fast_path_matches_direct_solves(rng):
 
 
 # ---------------------------------------------------------------------------
+# k = 1: one grounded solve, no table
+
+@pytest.mark.parametrize("dynamics", [cl.NOISE_FREE, cl.NOISE_CORRUPTED])
+def test_single_leader_totals_match_the_table_column_sums(rng, dynamics):
+    # paths, trees and cycles (a cycle grounded at node 0 is a path) take
+    # forest elimination, the others the dense factor; weights in [0.2, 3],
+    # and 10^+-3 on the stiff graph. On stiff trees and one-cycle graphs
+    # the table's path sums are more accurate than elimination, so the
+    # exact referee of test_exact.py judges those
+    graphs = [cl.build_graph([], node_count=1), cl.build_graph([(0, 1, 0.3)]),
+              cl.build_path(40), random_tree(rng, 50), cl.build_perfect_tree(3, 3).graph,
+              cl.build_cycle(30), _relabelled_cycle(45, 3)[0],
+              random_connected_graph(rng, 40, extra_edges=1),
+              random_connected_graph(rng, 60, extra_edges=50), stiff_graph(rng)]
+    for g in graphs:
+        n = g.node_count
+        expected = cl.resistance_oracle(g).column_sums()
+        recip = None
+        if dynamics == cl.NOISE_CORRUPTED:
+            kappa = {v: float(rng.uniform(0.3, 5.0)) for v in range(0, n, 2)}
+            recip = _kappa_reciprocals(kappa, n, 1)
+            expected = expected + n * recip[0]
+        np.testing.assert_allclose(_single_totals(g, recip), expected,
+                                   rtol=1e-12, atol=0.0)
+
+
+def test_single_leader_search_builds_no_table(rng, monkeypatch):
+    graphs = [cl.build_cycle(9), random_connected_graph(rng, 12, extra_edges=8)]
+    expected = [cl.brute_force_select(g, 1, d, 1.5) for g in graphs
+                for d in (cl.NOISE_FREE, cl.NOISE_CORRUPTED)]
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a k = 1 search built a resistance table")
+
+    monkeypatch.setattr(selection, "resistance_oracle", no_table)
+    monkeypatch.setattr(cl.ResistanceOracle, "__init__", no_table)
+    got = [cl.brute_force_select(g, 1, d, 1.5) for g in graphs
+           for d in (cl.NOISE_FREE, cl.NOISE_CORRUPTED)]
+    for a, b in zip(got, expected):
+        assert (a.optimal_sets, a.co_optimal_count, a.value) == \
+            (b.optimal_sets, b.co_optimal_count, b.value)
+
+
+# ---------------------------------------------------------------------------
 # the k = 2 pair sweep
 
 def test_two_leader_totals_against_profile_sums(rng):
@@ -233,6 +280,25 @@ def test_pair_sweep_row_blocks_change_no_bit(rng, monkeypatch):
     assert np.array_equal(sweep_pair_totals(oracle, recip), whole[1])
 
 
+def test_pinned_pair_rounding_bound_is_the_sum_of_its_terms(rng):
+    # the noise-free total (cs_x + cs_y)/2 - ((q_x + q_y - 2 Q_xy)/r_xy +
+    # n r_xy)/4 has only positive quantities, so the absolute values of its
+    # terms sum to (cs_x + cs_y)/2 + ((q_x + q_y + 2 Q_xy)/r_xy + n r_xy)/4
+    R = cl.resistance_oracle(stiff_graph(rng, 23, 12)).table
+    n = R.shape[0]
+    Q = R @ R
+    q, cs = np.diag(Q).copy(), R.sum(axis=0)
+    T, scratch, bound = Q.copy(), np.empty((n, n)), np.empty((n, n))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        selection._pair_rows(T, R, q, cs, 0, n, scratch, None, bound)
+    x, y = np.triu_indices(n, 1)
+    r = R[x, y]
+    expected = (cs[x] + cs[y]) / 2 + ((q[x] + q[y] + 2 * Q[x, y]) / r + n * r) / 4
+    np.testing.assert_allclose(bound[x, y], expected, rtol=1e-13)
+    total = (cs[x] + cs[y]) / 2 - ((q[x] + q[y] - 2 * Q[x, y]) / r + n * r) / 4
+    np.testing.assert_allclose(T[x, y], total, rtol=1e-9)
+
+
 @pytest.mark.parametrize("n", [3, 14, 200])
 def test_pair_sweep_matches_the_formula(rng, n):
     # stiff weights over 10^+-3; at n = 200 the sweep runs in two row blocks
@@ -249,11 +315,15 @@ def test_pair_sweep_matches_the_formula(rng, n):
 # the resistance-table evaluator against plain-inverse oracles
 
 def _all_values(g, k, dynamics, kappa):
-    """Every size-k value of the search's sweep, by set, in the order the
-    sweep produced them."""
-    oracle = cl.resistance_oracle(g)
+    """Every size-k value of the search, by set, in the order the search
+    produced them: k = 1 from its one grounded solve, every larger k from
+    the table's sweep."""
     recip = (_kappa_reciprocals(kappa, g.node_count, k)
              if dynamics == cl.NOISE_CORRUPTED else None)
+    if k == 1:
+        return {(v,): 0.5 * total
+                for v, total in enumerate(_single_totals(g, recip).tolist())}
+    oracle = cl.resistance_oracle(g)
     out = {}
     for totals, sets_at in _total_blocks(oracle, k, recip):
         held = np.nonzero(np.isfinite(totals))
@@ -461,6 +531,43 @@ def test_wide_rounding_bounds_are_recomputed(rng, monkeypatch):
     assert _all_values(g, 3, cl.NOISE_FREE, None) == direct
     assert sorted(recomputed) == sets
     again = cl.brute_force_select(g, 3)
+    assert again.optimal_sets == result.optimal_sets
+    assert again.co_optimal_count == result.co_optimal_count
+    assert again.value == pytest.approx(result.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("dynamics, kappa", [(cl.NOISE_FREE, None),
+                                             (cl.NOISE_CORRUPTED, 3.0)],
+                         ids=["nf", "nc"])
+def test_wide_pair_rounding_bounds_are_recomputed(rng, monkeypatch, dynamics, kappa):
+    # on this stiff graph (weights 10^+-3) the pair sweep's rounding bound
+    # sends some of the 66 pairs to set_totals: 21 noise-free, 1
+    # noise-corrupted
+    g = stiff_graph(rng, 12, 6)
+    oracle = cl.resistance_oracle(g)
+    pairs = list(itertools.combinations(range(12), 2))
+    inv_kappa = None
+    if dynamics == cl.NOISE_CORRUPTED:
+        inv_kappa = _kappa_reciprocals(kappa, 12, 2)[[0, 1], np.array(pairs)]
+    direct = dict(zip(pairs, 0.5 * oracle.set_totals(pairs, inv_kappa)))
+    recomputed = _recomputed_sets(monkeypatch, 2)
+    got = _all_values(g, 2, dynamics, kappa)
+    assert 0 < len(recomputed) < len(pairs)
+    for S in recomputed:
+        assert got[S] == direct[S]
+    for S in pairs:
+        if dynamics == cl.NOISE_FREE:
+            expected = naive_nf_value(g, S)
+        else:
+            expected = naive_nc_value(g, S, kappa)
+        assert got[S] == pytest.approx(expected, rel=1e-9)
+    result = cl.brute_force_select(g, 2, dynamics, kappa)
+    # with the threshold at 0 every pair is recomputed
+    monkeypatch.setattr(selection, "_RECHECK", 0.0)
+    recomputed.clear()
+    assert _all_values(g, 2, dynamics, kappa) == direct
+    assert sorted(recomputed) == pairs
+    again = cl.brute_force_select(g, 2, dynamics, kappa)
     assert again.optimal_sets == result.optimal_sets
     assert again.co_optimal_count == result.co_optimal_count
     assert again.value == pytest.approx(result.value, rel=1e-12)
