@@ -29,7 +29,8 @@ from .errors import (
     BadParameterError,
     OddCycleLengthError,
 )
-from .graphs import PerfectTree, _is_int, _require_int, build_cycle
+from .graphs import PerfectTree, _is_int, _require_int, build_cycle, build_perfect_tree
+from .selection import brute_force_select
 
 # ---------------------------------------------------------------------------
 # cycles, noise-free
@@ -397,16 +398,12 @@ def tree_optimal_two(branching: int, height: int) -> TreeOptimum:
         raise BadParameterError(f"branching must be >= 2, got {branching}")
     if height < 1:
         raise BadParameterError(f"height must be >= 1, got {height}")
-    from .graphs import build_perfect_tree
-
     ptree = build_perfect_tree(branching, height)
     if height >= 4:
         d_xr, d_xy = optimal_tree_geometry(branching)
         pair = tree_pair_for_geometry(ptree, d_xr, d_xy)
         return TreeOptimum(branching, height, d_xr, d_xy,
                            _tree_optimal_value(branching, height), pair)
-    from .selection import brute_force_select
-
     result = brute_force_select(ptree.graph, 2)
     x, y = result.optimal_sets[0]
     d_xr, d_yr, d_xy, _ = tree_pair_geometry(ptree, x, y)

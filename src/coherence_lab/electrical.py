@@ -10,16 +10,16 @@ edge arrays by ``graphs._grounded_entries``.
 :func:`resistance_to_set` is one column of :func:`grounded_solve`
 (:func:`resistance` is its one-node case). :func:`resistance_oracle`
 precomputes the full pairwise table from the inverse of the Laplacian
-grounded at node 0, by one of two routes chosen from the edge count. A
-connected graph with at most one cycle (m <= n: trees, paths, cycles,
+grounded at node 0, by one of two routes chosen from the edge count alone.
+A connected graph with at most one cycle (m <= n: trees, paths, cycles,
 unicyclic graphs) takes O(n^2) path sums over a spanning tree, where the
 inverse is the resistance from node 0 to the nearest common ancestor, plus
-one rank-one update for the edge the tree leaves out. Every other graph,
-and one with m <= n whose exact condition bound fails, is factored and
-inverted by LAPACK (about n^3 flops). Either route holds at most two
-n x n arrays, refuses with ``BudgetExceededError`` any n whose two arrays
-would pass a fixed byte budget (4 GiB, about n = 16k), and Foster's
-theorem checks every finished table. A query for given leader sets is
+one rank-one update for the edge the tree leaves out. Every other graph is
+factored and inverted by LAPACK (about n^3 flops). Either route holds at
+most two n x n arrays, refuses with ``BudgetExceededError`` any n whose two
+arrays would pass a fixed byte budget (4 GiB, about n = 16k), and every
+finished table passes the same check of its grounded inverse and Foster's
+theorem. A query for given leader sets is
 :meth:`ResistanceOracle.set_totals`, which grounds a batch of them one
 leader at a time with the rank-one Schur steps of :func:`schur_totals`;
 those steps read only the leaders' rows of the table. A leader tied to a
@@ -28,21 +28,22 @@ leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
 
 :func:`grounded_solve` returns the diagonal of a grounded inverse, a few
-of its columns and y = A^-1 1, all checked by their residuals. It reads
-its route from the grounded entries: whenever they form a forest (a
-tree, or a cycle with a pinned leader or a grounded node) by an exact
-O(n) forest elimination, otherwise from :func:`_factor`, the one dense
-kernel, which also serves the factored table. That kernel factors the
-matrix (``dpotrf``) and solves for y from the factor (``dpotrs``). A
-solve that asks for the diagonal then inverts the factor (``dtrtri``,
-:func:`_factor_inverse`); :func:`resistance_to_set`, which reads one
-column, solves it from the factor instead. A grounded matrix is an
-M-matrix, so its inverse is entrywise nonnegative and ||A^-1||_1 =
-max(y): every route raises ``SolverError`` once the same exact
-forward-error scale eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT``
-(the path sums hand such a table to LAPACK, which raises). The trace
-route sums the
-diagonal; the resistance route grounds node 0, forms the leaders' rows
+of its columns and y = A^-1 1. It reads its route from the grounded
+entries: whenever they form a forest (a tree, or a cycle with a pinned
+leader or a grounded node) by an exact O(n) forest elimination, otherwise
+from :func:`_factor`, the one dense kernel, which also serves the factored
+table and refuses, under the same byte budget, a matrix past it. That
+kernel factors the matrix (``dpotrf``) and solves for y from the factor
+(``dpotrs``). A solve that asks for the diagonal then inverts the factor
+(``dtrtri``, :func:`_factor_inverse`); :func:`resistance_to_set`, which
+reads one column, solves it from the factor instead. A grounded matrix is
+an M-matrix, so its inverse is entrywise nonnegative and ||A^-1||_1 =
+max(y). Every computed inverse, a solve's or a table's, passes one check,
+:func:`_check_inverse`: it raises ``SolverError`` once the exact
+forward-error scale eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT``,
+or once the residual of the solved columns or of y passes
+``SOLVE_TOLERANCE``. The trace route sums the diagonal; the resistance
+route grounds node 0, forms the leaders' rows
 r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
 columns, and hands them to :func:`schur_totals`; leader-free coherence
 grounds node 0 and reads the Kirchhoff index from d and y.
@@ -90,7 +91,7 @@ SOLVE_TOLERANCE = 1e-10
 #: rounded at assembly past any accuracy (a scale >= 0.89)
 _CONDITION_LIMIT = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
-#: bytes of n x n float arrays that one table build may hold
+#: bytes of n x n float arrays that one dense solve or table build may hold
 _TABLE_BUDGET = 4 << 30
 #: floats per row block when a table is formed
 _BLOCK_FLOATS = 1 << 15
@@ -99,16 +100,17 @@ _BLOCK_FLOATS = 1 << 15
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(diag: np.ndarray, off, anorm: float):
-    """Cholesky-factor the SPD matrix A with diagonal ``diag``, nonpositive
-    off-diagonal entries ``off = (rows, cols, values)`` and 1-norm
-    ``anorm`` (:func:`_one_norm`).
+def _factor(diag: np.ndarray, off):
+    """Cholesky-factor the SPD matrix A with diagonal ``diag`` and
+    nonpositive off-diagonal entries ``off = (rows, cols, values)``.
 
-    A is assembled by ``graphs._dense``; LAPACK ``dpotrf`` factors its
-    Fortran-order view in place as A = L L^T, and ``dpotrs`` solves A y = 1
-    from the factor. Returns that view, with L in its lower triangle and
-    zeros above it, y and the scale of :func:`_check_scale`.
+    A is assembled by ``graphs._dense`` once :func:`_check_budget` admits
+    its one n x n array; LAPACK ``dpotrf`` factors its Fortran-order view
+    in place as A = L L^T, and ``dpotrs`` solves A y = 1 from the factor.
+    Returns that view, with L in its lower triangle and zeros above it, and
+    y.
     """
+    _check_budget(diag.size, 1)
     c, info = dpotrf(_dense(diag, off).T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
@@ -119,46 +121,63 @@ def _factor(diag: np.ndarray, off, anorm: float):
     # ones only: zeroing them is O(m), where dpotrf's clean pass is O(n^2)
     rows, cols, _ = off
     c[np.minimum(rows, cols), np.maximum(rows, cols)] = 0.0
-    y = dpotrs(c, np.ones(diag.size), lower=1)[0]
-    return c, y, _check_scale(anorm, y.max())
+    return c, dpotrs(c, np.ones(diag.size), lower=1)[0]
 
 
-def _factor_inverse(diag: np.ndarray, off, anorm: float):
+def _factor_inverse(diag: np.ndarray, off):
     """:func:`_factor`, then LAPACK ``dtrtri`` overwrites L with V = L^-1.
     Returns the factor's view, with V in its lower triangle and zeros above
-    it (A^-1 = V^T V), y and the scale of :func:`_check_scale`.
+    it (A^-1 = V^T V), and y.
     """
-    c, y, scale = _factor(diag, off, anorm)
+    c, y = _factor(diag, off)
     _, info = dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
-    return c, y, scale
+    return c, y
 
 
-def _one_norm(diag: np.ndarray, edges) -> float:
-    """1-norm of the symmetric matrix with diagonal ``diag`` and the
-    off-diagonal entries ``edges`` of :func:`_edge_ends`: its largest
-    absolute row sum, in O(m)."""
-    ends, _, values = edges
-    return (np.abs(diag) + np.bincount(ends, np.abs(values), minlength=len(diag))).max()
+def _check_inverse(X: np.ndarray, cols: np.ndarray, y: np.ndarray, diag: np.ndarray,
+                   edges) -> float:
+    """Check a computed inverse of the grounded matrix A and return its
+    forward-error scale eps ||A||_1 ||A^-1||_1.
 
+    A has diagonal ``diag`` and the off-diagonal entries ``edges`` (from
+    :func:`_edge_ends`). ``X`` holds, as rows, the columns ``cols`` of the
+    computed A^-1, and ``y`` the computed A^-1 1. Raises SolverError first
+    if the scale passes ``_CONDITION_LIMIT``, then if a residual passes
+    ``SOLVE_TOLERANCE``.
 
-def _check_scale(anorm: float, inverse_norm: float) -> float:
-    """Return the forward-error scale eps ||A||_1 ||A^-1||_1, raising
-    SolverError if it passes ``_CONDITION_LIMIT``.
-
-    It scales the relative forward error of every solve with A (Higham,
-    Accuracy and Stability of Numerical Algorithms, ch. 10). A grounded
-    matrix is an M-matrix, so its inverse has no negative entry and
-    ||A^-1||_1 = max(A^-1 1), which every route solves for.
+    The scale bounds the relative forward error of every solve with A
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10). A
+    grounded matrix is an M-matrix, so its inverse has no negative entry
+    and ||A^-1||_1 = max(y) exactly. A is then applied to each row of X and
+    to y from its entries, O(m) per row, and each residual is scaled by
+    ||A||_1 (equal to its infinity norm) times that row's largest entry,
+    plus 1 for its right-hand side: its normwise backward error.
     """
-    scale = _EPS * float(anorm) * float(inverse_norm)
-    # written so that a NaN scale fails too
+    ends, others, weights = edges
+    # the largest absolute row sum, in O(m)
+    anorm = (np.abs(diag) + np.bincount(ends, np.abs(weights), diag.size)).max()
+    scale = _EPS * float(anorm) * float(y.max())
+    # written so that a NaN scale or residual fails too
     if not scale <= _CONDITION_LIMIT:
         raise SolverError(
             f"grounded system is too ill-conditioned: eps ||A||_1 ||A^-1||_1 "
             f"{scale:.1e} exceeds {_CONDITION_LIMIT:.0e}"
         )
+    X = np.vstack((X, y))
+    k, m = X.shape
+    terms = X[:, others] * weights
+    # one bincount over the k rows side by side adds, per entry, the same
+    # terms in the same order as one per row
+    AX = X * diag
+    AX += np.bincount(np.add.outer(m * np.arange(k), ends).ravel(), terms.ravel(),
+                      minlength=k * m).reshape(k, m)
+    AX[np.arange(cols.size), cols] -= 1.0
+    AX[-1] -= 1.0
+    res = (np.abs(AX).max(axis=1) / (anorm * np.abs(X).max(axis=1) + 1.0)).max()
+    if not res <= SOLVE_TOLERANCE:
+        raise SolverError(f"solve residual {res:.3e} exceeds {SOLVE_TOLERANCE:.0e}")
     return scale
 
 
@@ -175,16 +194,13 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
     :func:`_dense_solve` factors it. At least n entries cannot form a
     forest, so they go to the factor with no traversal; fewer take one
     :func:`graphs.rooted_forest` pass, and form a forest exactly when the
-    entries and the roots together number n. Either route raises on the
-    exact condition scale of :func:`_check_scale`, and the residuals of the
-    solved columns and of y are checked together (:func:`_check_residual`).
+    entries and the roots together number n. Either way X and y then pass
+    :func:`_check_inverse`.
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
     if n == 0:
         return np.zeros(0), np.zeros((columns.size, 0)), np.zeros(0)
-    edges = _edge_ends(off)
-    anorm = _one_norm(diag, edges)
     rows, cols, _ = off
     forest = None
     if rows.size < n:
@@ -192,15 +208,14 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
         if rows.size + forest[1].count(-1) != n:
             forest = None
     if forest is not None:
-        d, X, y = _forest_solve(diag, off, columns, anorm, forest)
+        d, X, y = _forest_solve(diag, off, columns, forest)
     else:
-        d, X, y = _dense_solve(diag, off, columns, anorm, diagonal)
-    _check_residual(np.vstack((X, y)), columns, diag, edges, anorm)
+        d, X, y = _dense_solve(diag, off, columns, diagonal)
+    _check_inverse(X, columns, y, diag, _edge_ends(off))
     return (d if diagonal else None), X, y
 
 
-def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
-                 diagonal: bool):
+def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool):
     """:func:`grounded_solve` by a Cholesky factor. Without the diagonal,
     the columns are solved from the factor (``dpotrs``, O(n^2) each) and d
     is None. With it, :func:`_factor_inverse` gives A^-1 = V^T V: the
@@ -209,11 +224,11 @@ def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
     """
     n = diag.size
     if not diagonal:
-        c, y, _ = _factor(diag, off, anorm)
+        c, y = _factor(diag, off)
         E = np.zeros((n, columns.size), order="F")
         E[columns, np.arange(columns.size)] = 1.0
         return None, dpotrs(c, E, lower=1, overwrite_b=1)[0].T, y
-    V, y, _ = _factor_inverse(diag, off, anorm)
+    V, y = _factor_inverse(diag, off)
     Y = np.zeros((n, columns.size), order="F")
     for j, s in enumerate(columns.tolist()):
         Y[s:, j] = V[s:, s]
@@ -221,16 +236,14 @@ def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
     return np.square(V, out=V).sum(axis=0), X, y
 
 
-def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
-                  forest):
+def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, forest):
     """:func:`grounded_solve` by forest elimination, for an A whose entries
     form the ``forest`` of :func:`graphs.rooted_forest`.
 
     Two passes over its preorder: leaf-to-root elimination pivots, then
     root-to-leaf back-substitution, each carrying the ones vector and the
     unit right-hand sides of ``columns``. Exact in O(n) per right-hand
-    side, which keeps large forests cheap. The ones vector gives y, and
-    the condition scale of :func:`_check_scale`.
+    side, which keeps large forests cheap. The ones vector gives y.
     """
     n = diag.size
     order, parent, edge = forest
@@ -265,9 +278,7 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, anorm: float,
             out[u] += r * r * out[p]
             for b in rhs:
                 b[u] -= r * b[p]
-    y = np.array(rhs[0])
-    _check_scale(anorm, y.max())
-    return np.array(out), np.array(rhs[1:]).reshape(columns.size, n), y
+    return np.array(out), np.array(rhs[1:]).reshape(columns.size, n), np.array(rhs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -495,52 +506,61 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
     Both routes ground node 0; L0 is that grounded Laplacian and G0 its
-    inverse. A graph with at most one cycle (m <= n) takes the O(n^2)
-    route of :func:`_one_cycle_table`: path sums over a spanning tree plus
-    one rank-one update for the cycle's left-out edge. Every other graph,
-    and every graph whose condition bound fails there, takes
-    :func:`_factored_table`, about n^3 flops of LAPACK. Each route bounds
-    L0's condition, checks the residual L0 G0 - I on four columns of G0
-    against ``SOLVE_TOLERANCE`` and checks the finished table by Foster's
-    theorem (``_check_foster``). Peak memory is at most the table plus G0.
+    inverse. The route is chosen from the edge count alone: a graph with at
+    most one cycle (m <= n) takes the O(n^2) route of
+    :func:`_one_cycle_table`, path sums over a spanning tree plus one
+    rank-one update for the cycle's left-out edge; every other graph takes
+    :func:`_factored_table`, about n^3 flops of LAPACK. Each route hands
+    its finished table to :func:`_check_table`, which refuses an
+    ill-conditioned L0 with the scale that route computed. Peak memory is
+    at most the table plus G0.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
     n = g.node_count
-    _check_table_budget(n)
+    _check_budget(n, 2)
     if n == 1:
         return ResistanceOracle(g, np.zeros((1, 1)))
     _, diag, off = _grounded_entries(g, (0,))
     edges = _edge_ends(off)
-    table = _one_cycle_table(g, diag, edges) if g.edge_count <= n else None
-    if table is None:
-        table = _factored_table(g, diag, off, edges)
-    return ResistanceOracle(g, table)
+    if g.edge_count <= n:
+        return ResistanceOracle(g, _one_cycle_table(g, diag, edges))
+    return ResistanceOracle(g, _factored_table(g, diag, off, edges))
+
+
+def _check_table(g: Graph, table: np.ndarray, y: np.ndarray, diag: np.ndarray,
+                 edges) -> None:
+    """Check a finished table of ``g`` and y = G0 1, with L0 of diagonal
+    ``diag`` and off-diagonal entries ``edges`` (:func:`_edge_ends`): four
+    columns of G0 read back from the table as
+    (r(u, 0) + r(v, 0) - r(u, v)) / 2, and y, pass :func:`_check_inverse`,
+    whose scale then sets the tolerance of Foster's check
+    (:func:`_check_foster`)."""
+    # the grounded nodes are 1 .. n - 1
+    to_root = table[1:, 0]
+    cols = _residual_columns(to_root.size)
+    X = 0.5 * ((to_root + to_root[cols, None]) - table[1:, 1:][cols])
+    _check_foster(g, table, _check_inverse(X, cols, y, diag, edges))
 
 
 def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
-    """The table from L0 (diagonal ``diag``, off-diagonal entries ``off``
-    and their :func:`_edge_ends` ``edges``), factored and inverted by LAPACK.
+    """The checked table from L0 (diagonal ``diag``, off-diagonal entries
+    ``off`` and their :func:`_edge_ends` ``edges``), factored and inverted
+    by LAPACK.
 
     LAPACK ``dlauum`` completes :func:`_factor_inverse`'s V^T V in place
     (the two make ``dpotri``, about n^3 flops) into G0, the inverse's upper
-    triangle, where the residual is checked. Row block by row block, the upper
-    triangle of the table is then written as
-    r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0 padded by a zero
-    row/column at node 0, and mirrored within the table.
+    triangle. Row block by row block, the upper triangle of the table is
+    then written as r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0
+    padded by a zero row/column at node 0, and mirrored within the table.
     """
     n = g.node_count
-    anorm = _one_norm(diag, edges)
-    c, y, scale = _factor_inverse(diag, off, anorm)
+    m = n - 1
+    c, y = _factor_inverse(diag, off)
     _, info = dlauum(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"LAPACK inversion failed (info={info})")
     G0 = c.T
-    m = n - 1
-    cols = _residual_columns(m)
-    # the checked columns, stored as rows: G0 is symmetric
-    X = np.where(np.arange(m) < cols[:, None], G0[:, cols].T, G0[cols])
-    _check_residual(np.vstack((X, y)), cols, diag, edges, anorm)
     d = np.diagonal(G0).copy()
     table = np.empty((n, n))
     table[0, 0] = 0.0
@@ -559,13 +579,13 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
         np.add(d[a:b, None], d[a:], out=t)
         t += g0
         _mirror_rows(T, a, b, below)
-    _check_foster(g, table, scale)
+    _check_table(g, table, y, diag, edges)
     return table
 
 
-def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
-    """The table of a connected graph with m <= n edges in O(n^2), or None
-    when L0's condition bound fails (L0 as in :func:`_factored_table`).
+def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray:
+    """The checked table of a connected graph with m <= n edges in O(n^2)
+    (L0 and G0 as in :func:`_factored_table`).
 
     A spanning tree rooted at node 0 leaves out the lightest edge of the
     cycle, if there is one. On the tree, G0[u, v] = D(lca(u, v)), with D
@@ -578,14 +598,13 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
     r(p, q) -= w (x_p - x_q)^2 / (4 (1 + w r(i, j))) with x the difference
     of the columns i and j, by row blocks again.
 
-    Grounded inverses are entrywise nonnegative, so the 1-norm of G0 is its
-    largest row sum, which makes the condition bound exact: on a tree the
-    row sum of u is the sum of size(a) r(a, parent(a)) over the nodes a
-    from u up to the root, size(a) counting a's subtree, and is known
-    before the table is built; with the cycle's edge it is
-    (n r(u, 0) + sum_v r(v, 0) - sum_v r(u, v)) / 2, read from the table.
-    The residual's four columns of G0 are read from the table as
-    (r(u, 0) + r(v, 0) - r(u, v)) / 2, and the row sums are G0 1.
+    On a tree the row sum of G0 at u is the sum of size(a) r(a, parent(a))
+    over the nodes a from u up to the root, size(a) counting a's subtree;
+    with the cycle's edge it is (n r(u, 0) + sum_v r(v, 0) - sum_v r(u, v))
+    / 2, read from the table. Those row sums are y = G0 1, whose largest
+    entry is the exact ||G0||_1 of :func:`_check_table`'s condition scale,
+    so a graph whose bound fails is refused with the scale of its own path
+    sums.
     """
     n = g.node_count
     uv, w = g._uv, g._w
@@ -609,13 +628,6 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
         p = parent[u]
         D[u] = D[p] + res[u]
         row_sums[u] = row_sums[p] + size[u] * res[u]
-    # G0 1, the row sums of G0 at the grounded nodes 1 .. n - 1
-    y = np.array(row_sums[1:])
-    anorm = float(_one_norm(diag, edges))
-    scale = _EPS * anorm * float(y.max())
-    # written so that a NaN bound fails too
-    if chord is None and not scale <= _CONDITION_LIMIT:
-        return None
     table = np.empty((n, n))
     table[0] = 0.0
     nodes = np.array(order)
@@ -656,15 +668,10 @@ def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray | None:
             table[a:b] -= s
         sums = table.sum(axis=0)
         y = 0.5 * (n * table[1:, 0] + sums[0] - sums[1:])
-        scale = _EPS * anorm * float(y.max())
-        if not scale <= _CONDITION_LIMIT:
-            return None
-    # the grounded nodes are 1 .. n - 1
-    to_root = table[1:, 0]
-    cols = _residual_columns(n - 1)
-    X = 0.5 * ((to_root + to_root[cols, None]) - table[1:, 1:][cols])
-    _check_residual(np.vstack((X, y)), cols, diag, edges, anorm)
-    _check_foster(g, table, scale)
+    else:
+        # the row sums of G0 at the grounded nodes 1 .. n - 1
+        y = np.array(row_sums[1:])
+    _check_table(g, table, y, diag, edges)
     return table
 
 
@@ -721,39 +728,9 @@ def _edge_ends(off):
 
 def _residual_columns(m: int) -> np.ndarray:
     """The (at most four, evenly spread) columns of an m x m grounded
-    inverse that :func:`_check_residual` checks."""
+    inverse that :func:`_check_table` checks."""
     k = min(4, m)
     return np.array([c * (m - 1) // max(1, k - 1) for c in range(k)], dtype=np.intp)
-
-
-def _check_residual(X: np.ndarray, cols: np.ndarray, diag: np.ndarray, edges,
-                    anorm: float) -> None:
-    """Raise SolverError unless L0 X is the identity's columns ``cols`` and
-    the ones vector.
-
-    ``X`` holds, as rows, the columns ``cols`` (from
-    :func:`_residual_columns`, or any others) of the computed inverse of
-    L0 and, last, the computed L0^-1 1. L0 has diagonal ``diag``, the
-    off-diagonal entries ``edges`` (from :func:`_edge_ends`) and the
-    1-norm (equal to its infinity norm) ``anorm``; it is applied to each
-    row from those entries, O(m) per row. Each row's residual is scaled by
-    ``anorm`` times that row's largest entry, plus 1 for its right-hand
-    side: its normwise backward error.
-    """
-    k, m = X.shape
-    ends, others, weights = edges
-    terms = X[:, others] * weights
-    # one bincount over the k rows side by side adds, per entry, the same
-    # terms in the same order as one per row
-    LX = X * diag
-    LX += np.bincount(np.add.outer(m * np.arange(k), ends).ravel(), terms.ravel(),
-                      minlength=k * m).reshape(k, m)
-    LX[np.arange(cols.size), cols] -= 1.0
-    LX[-1] -= 1.0
-    res = (np.abs(LX).max(axis=1) / (anorm * np.abs(X).max(axis=1) + 1.0)).max()
-    # written so that a NaN residual fails too
-    if not res <= SOLVE_TOLERANCE:
-        raise SolverError(f"solve residual {res:.3e} exceeds {SOLVE_TOLERANCE:.0e}")
 
 
 def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
@@ -765,7 +742,7 @@ def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
     trace of the inverse's residual L0 G0 - I, whose n - 1 diagonal entries
     are each bounded, to first order, by c_n eps kappa(L0) (Higham, ch.
     14); with c_n = n and eps kappa(L0) = ``scale``, the exact
-    eps ||L0||_1 ||G0||_1 of :func:`_check_scale`, the tolerance is
+    eps ||L0||_1 ||G0||_1 of :func:`_check_inverse`, the tolerance is
     (n - 1) n ``scale``. O(m).
     """
     n = g.node_count
@@ -778,17 +755,20 @@ def _check_foster(g: Graph, table: np.ndarray, scale: float) -> None:
         )
 
 
-def _check_table_budget(n: int) -> None:
-    """Raise BudgetExceededError if two n x n float arrays pass the budget.
+def _check_budget(n: int, arrays: int) -> None:
+    """Raise BudgetExceededError if ``arrays`` n x n float arrays pass the
+    budget.
 
-    Building the table holds the table and the grounded inverse. The
-    k = 2 search in ``selection`` holds the table and its Gram matrix, as
-    many bytes, so the check made when the table is built covers it too.
+    A dense grounded solve holds one, its matrix, factored and inverted in
+    place. Building the table holds two, the table and the grounded
+    inverse; the k = 2 search in ``selection`` holds the table and its Gram
+    matrix, as many bytes, so the check made when the table is built covers
+    it too.
     """
-    need = 2 * 8 * n * n
+    need = arrays * 8 * n * n
     if need > _TABLE_BUDGET:
         raise BudgetExceededError(
-            f"the resistance table on {n} nodes needs {need / 2**20:.0f} MiB, "
+            f"{arrays} dense arrays on {n} nodes need {need / 2**20:.0f} MiB, "
             f"over the budget of {_TABLE_BUDGET / 2**20:.0f} MiB"
         )
 

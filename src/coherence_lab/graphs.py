@@ -250,6 +250,23 @@ def is_tree(g: Graph) -> bool:
     return g.edge_count == g.node_count - 1 and is_connected(g)
 
 
+def _adjacency(node_count: int, ends: np.ndarray):
+    """Every node's neighbours, from the (m, 2) integer array ``ends`` of
+    edge ends: both ends of every edge, interleaved and grouped by node by
+    a stable sort, so each node's neighbours come in edge order.
+
+    Returns ``(order, start, other)``: ``order`` the sorting permutation of
+    the interleaved ends, an array in which edge ``order[k] >> 1`` is the
+    one at position k; ``start``, a list in which node u's positions are
+    ``start[u]:start[u + 1]``; and ``other``, the list of the other end at
+    each position.
+    """
+    flat = ends.ravel()
+    order = np.argsort(flat, kind="stable")
+    start = np.searchsorted(flat[order], np.arange(node_count + 1)).tolist()
+    return order, start, ends[:, ::-1].ravel()[order].tolist()
+
+
 def rooted_forest(node_count: int, ends: np.ndarray):
     """A spanning forest of the graph on ``node_count`` nodes whose edges
     join the two nodes of each row of the (m, 2) integer array ``ends``, in
@@ -265,12 +282,7 @@ def rooted_forest(node_count: int, ends: np.ndarray):
     edge joins a node to its parent; otherwise the edges no node names in
     ``edge`` are those the spanning forest leaves out.
     """
-    # both ends of every edge, interleaved and grouped by node, so each
-    # node's neighbours come in edge order
-    flat = ends.ravel()
-    by_end = np.argsort(flat, kind="stable")
-    start = np.searchsorted(flat[by_end], np.arange(node_count + 1)).tolist()
-    other = ends[:, ::-1].ravel()[by_end].tolist()
+    by_end, start, other = _adjacency(node_count, ends)
     through = (by_end >> 1).tolist()
     parent = [-1] * node_count
     edge = [-1] * node_count
@@ -305,12 +317,8 @@ def graph_distance(g: Graph, u: int, v: int) -> float:
         raise BadParameterError(f"node out of range: ({u},{v}) with n={n}")
     if u == v:
         return 0.0
-    # both orientations of every edge, grouped by their first end
-    ends = g._uv.ravel()
-    order = np.argsort(ends, kind="stable")
-    start = np.searchsorted(ends[order], np.arange(n + 1)).tolist()
-    other = g._uv[:, ::-1].ravel()[order].tolist()
-    weight = np.repeat(g._w, 2)[order].tolist()
+    order, start, other = _adjacency(n, g._uv)
+    weight = g._w[order >> 1].tolist()
     dist = [math.inf] * n
     dist[u] = 0.0
     heap = [(0.0, u)]

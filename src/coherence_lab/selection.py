@@ -59,7 +59,6 @@ from .electrical import (
     ResistanceOracle,
     _block_rows,
     _check_pivots,
-    _check_table_budget,
     grounded_solve,
     normalize_kappa,
     resistance_oracle,
@@ -183,11 +182,11 @@ def _single_totals(g: Graph, recip) -> np.ndarray:
     2 G0[u, v] sums over u to sum(d) + n d_v - 2 y_v: one grounded solve,
     no table. The subtraction cancels at most log2(2n + 1) bits, since
     d_u = r(u, 0) <= r(u, v) + d_v and d_v <= the total, so sum(d) + n d_v
-    is at most 2n + 1 times it. The solve holds one n x n factor on graphs
-    that are not forests, so the table budget still applies.
+    is at most 2n + 1 times it. On graphs that are not forests the solve
+    holds one n x n factor, which ``electrical._factor`` checks against the
+    byte budget; forests hold no n x n array.
     """
     n = g.node_count
-    _check_table_budget(n)
     _, diag, off = _grounded_entries(g, (0,))
     d, _, y = grounded_solve(diag, off)
     d = np.concatenate(([0.0], d))

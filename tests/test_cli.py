@@ -138,7 +138,9 @@ def test_select_bad_budget_exit_code():
 
 def test_select_over_the_table_budget_exit_code(monkeypatch):
     monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1 << 10)
-    code, out, err = run(["select", "--graph", "cycle:20", "--k", "1"])
+    # the k = 2 search holds the table; k = 1 grounds node 0, which leaves
+    # the cycle a path and holds no n x n array
+    code, out, err = run(["select", "--graph", "cycle:20", "--k", "2"])
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1

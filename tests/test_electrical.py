@@ -299,9 +299,11 @@ def test_trace_and_leader_free_check_their_residual(rng, monkeypatch):
 
 
 def test_oracle_factor_failure_is_a_solver_error():
-    # 1 + 1e200 rounds to 1e200, so the grounded matrix is singular in
-    # floating point and the factorization stops at its second pivot
-    g = cl.build_graph([(0, 1, 1.0), (1, 2, 1e200)])
+    # 1 + 1e200 rounds to 1e200, so the grounded matrix of this graph with
+    # more edges than nodes is singular in floating point, and LAPACK's
+    # factorization stops at its second pivot
+    g = cl.build_graph([(0, 1, 1.0), (1, 2, 1e200), (2, 3, 1.0), (3, 0, 1.0),
+                        (0, 2, 1.0)])
     with pytest.raises(SolverError, match="positive definite"):
         cl.resistance_oracle(g)
 
@@ -428,19 +430,37 @@ def test_oracle_table_is_read_only():
 
 def test_table_budget_guard(monkeypatch):
     g = cl.build_cycle(10)
+    tree = cl.build_perfect_tree(2, 3).graph
+    dense = cl.build_graph([(u, v, 1.0) for v in range(16) for u in range(v)])
+    single = [cl.brute_force_select(h, 1) for h in (g, tree)]
     # two n x n float arrays at n = 10 are 1600 bytes
     monkeypatch.setattr(electrical, "_TABLE_BUDGET", 1599)
     with pytest.raises(BudgetExceededError, match="budget"):
         cl.resistance_oracle(g)
-    # k = 1 forms no table, but its solve holds one n x n factor
-    for k in (1, 2):
-        with pytest.raises(BudgetExceededError):
-            cl.brute_force_select(g, k)
-    # the resistance route of coherence forms no table, so the table
-    # budget does not bind it
+    with pytest.raises(BudgetExceededError):
+        cl.brute_force_select(g, 2)
+    # k = 1 forms no table, and grounding node 0 leaves the cycle a path
+    # and the 15-node tree a forest, which hold no n x n array
+    for h, expected in zip((g, tree), single):
+        result = cl.brute_force_select(h, 1)
+        assert result.value == expected.value
+        assert result.optimal_sets == expected.optimal_sets
+    # the resistance route of coherence forms no table and grounds node 0,
+    # so the budget does not bind it
     assert cl.coherence_nf(g, (0,), method="resistance").value == \
         pytest.approx(cl.coherence_nf(g, (0,)).value, rel=1e-12)
     cl.resistance_oracle(cl.build_cycle(9))
+    # a dense grounded solve holds one n x n array: K_16 grounded at one
+    # node holds 1800 bytes, and every solve of it is refused before the
+    # matrix is assembled
+    monkeypatch.setattr(electrical, "_dense", None)
+    for method in ("trace", "resistance"):
+        with pytest.raises(BudgetExceededError, match="budget"):
+            cl.coherence_nf(dense, (0,), method=method)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        cl.leader_free_coherence(dense)
+    with pytest.raises(BudgetExceededError, match="budget"):
+        cl.brute_force_select(dense, 1)
 
 
 def test_table_build_and_pair_sweep_peak_memory():
@@ -576,8 +596,11 @@ def test_cycle_closed_by_its_heaviest_edge(rng):
 
 @pytest.mark.parametrize("w", [1e8, 1e9, 1.2e9, 1e12, 1e17, 1e200, 1e300])
 def test_stiff_paths_agree_with_the_factored_build(w):
-    # a failed condition bound hands the path to the factored build, so
-    # every refusal keeps its class and message
+    # both builds refuse the same weights. The path sums refuse with their
+    # own exact scale eps ||L0||_1 max(G0 1): ||L0||_1 = (1 + w) + w as
+    # assembled and max(G0 1) = 2 + 1/w. LAPACK factors the assembled
+    # matrix, in which 1 + w rounds to w from w = 1e17 on, so its scale or
+    # its failure describes a rounded matrix (6.0e+00 at w = 1e300)
     g = _stiff_path(w)
     outcomes = []
     for build in (lambda: cl.resistance_oracle(g).table, lambda: _factored_table(g)):
@@ -586,8 +609,11 @@ def test_stiff_paths_agree_with_the_factored_build(w):
         except SolverError as exc:
             outcomes.append(exc)
     R, factored = outcomes
-    if isinstance(R, Exception) or isinstance(factored, Exception):
-        assert (type(R), str(R)) == (type(factored), str(factored))
+    assert isinstance(R, Exception) == isinstance(factored, Exception)
+    if isinstance(R, Exception):
+        scale = electrical._EPS * ((1.0 + w) + w) * (2.0 + 1.0 / w)
+        assert str(R) == (f"grounded system is too ill-conditioned: eps ||A||_1 "
+                          f"||A^-1||_1 {scale:.1e} exceeds 1e-06")
     else:
         # the sums along root paths round once; the factored build is off by
         # up to its condition scale, which the condition limit bounds
@@ -602,10 +628,24 @@ def test_path_sum_route_keeps_the_residual_and_condition_checks(rng, monkeypatch
         with pytest.raises(SolverError, match="residual"):
             cl.resistance_oracle(g)
     monkeypatch.undo()
-    # a failed bound hands the graph to the factored build, whose own
-    # condition bound then refuses it
     monkeypatch.setattr(electrical, "_CONDITION_LIMIT", 1e-30)
     for g in graphs:
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            cl.resistance_oracle(g)
+
+
+def test_path_sums_refuse_without_factoring(rng, monkeypatch):
+    # a tree, a path and a cycle whose condition bound fails are refused by
+    # their own O(n^2) build: LAPACK is never called
+    def no_factor(*args):
+        raise AssertionError("a graph with m <= n was factored")
+
+    monkeypatch.setattr(electrical, "_factor", no_factor)
+    for w in (1e12, 1e200, 1e300):
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            cl.resistance_oracle(_stiff_path(w))
+    monkeypatch.setattr(electrical, "_CONDITION_LIMIT", 1e-30)
+    for g in (random_tree(rng, 12), stiff_graph(rng, 12, 1)):
         with pytest.raises(SolverError, match="ill-conditioned"):
             cl.resistance_oracle(g)
 
