@@ -208,7 +208,11 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
         if rows.size + forest[1].count(-1) != n:
             forest = None
     if forest is not None:
-        d, X, y = _forest_solve(diag, off, columns, forest)
+        # a pivot below 1 / (the largest float) inverts to inf, and y with
+        # it, which the check refuses; as in resistance_oracle, without a
+        # warning on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            d, X, y = _forest_solve(diag, off, columns, forest)
     else:
         d, X, y = _dense_solve(diag, off, columns, diagonal)
     _check_inverse(X, columns, y, diag, _edge_ends(off))
@@ -524,7 +528,12 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     _, diag, off = _grounded_entries(g, (0,))
     edges = _edge_ends(off)
     if g.edge_count <= n:
-        return ResistanceOracle(g, _one_cycle_table(g, diag, edges))
+        # an edge's resistance 1/w or a sum of them past the largest float
+        # is inf, and the table then holds inf or NaN; so does y, or the
+        # table's columns, and the check refuses either without a warning
+        # on the way
+        with np.errstate(over="ignore", invalid="ignore"):
+            return ResistanceOracle(g, _one_cycle_table(g, diag, edges))
     return ResistanceOracle(g, _factored_table(g, diag, off, edges))
 
 

@@ -6,11 +6,18 @@ subtrees under the first designated leader (always the emptier one, ties
 to the lower-numbered side), then the two under the second leader, then
 any remaining slot. Slot ties always resolve to the lowest-numbered free
 parent, which makes every run deterministic. Once the new level is full
-the completed height advances. The trajectory export evaluates the
-coherence of the designated pair against every comparison pair whose
-members sit within distance 3 of the root, one row per pair per step:
-each step builds one resistance table and sums every family pair with
-one batched ``ResistanceOracle.set_totals`` call.
+the completed height advances.
+
+The trajectory export evaluates the coherence of the designated pair
+against every comparison pair whose members sit within distance 3 of the
+root, one row per pair per step, with no resistance table. The tree has
+unit weights, so a resistance is a hop distance and a new leaf's
+distances are its parent's plus one. The distances from the 15 family
+nodes to every node, their sums and the family's dot products are kept
+as running integer sums, so each step costs O(|family|^2) whatever the
+tree's size, and each value is one correctly rounded division of two
+exact integers. Only the global optimum per step (``include_global``)
+builds a table, since it searches every pair of nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
 from .graphs import Graph, _require_int, build_perfect_tree
 from .selection import least_pair
+
+#: the comparison family is every pair of nodes at most this far from the root
+_FAMILY_DEPTH = 3
 
 
 class GrowingTree:
@@ -162,10 +172,14 @@ def grow_trajectory(h0: int, steps: int | None = None,
                     include_global: bool = False) -> TrajectoryResult:
     """Grow from a perfect tree and record per-step pair coherences.
 
-    Step 0 is the initial tree, then one row set per added node. The
-    comparison family is every unordered pair of nodes within distance 3
-    of the root. With ``include_global`` the globally best two-leader set
-    per step is recorded as a separate row stream.
+    Step 0 is the initial tree, then one row set per added node (2^(h0+1)
+    of them by default, one full level). The comparison family is every
+    unordered pair of nodes within distance 3 of the root; their values
+    come from running integer sums of hop distances
+    (:func:`_family_values`), each the correctly rounded coherence of its
+    pair. With ``include_global`` the globally best two-leader set per step
+    is recorded as a separate row stream, searched on that step's
+    resistance table.
     """
     tree = init_growing_tree(h0)
     if steps is None:
@@ -173,7 +187,8 @@ def grow_trajectory(h0: int, steps: int | None = None,
     _require_int("steps", steps)
     if steps < 0:
         raise BadParameterError(f"steps must be >= 0, got {steps}")
-    family_nodes = [v for v in range(tree.node_count) if tree.levels[v] <= 3]
+    family_nodes = [v for v in range(tree.node_count)
+                    if tree.levels[v] <= _FAMILY_DEPTH]
     family = [
         (u, v)
         for i, u in enumerate(family_nodes)
@@ -181,34 +196,87 @@ def grow_trajectory(h0: int, steps: int | None = None,
     ]
     # family nodes never move as the tree grows, so their geometry is fixed
     family_geometry = [tree_pair_geometry(tree, u, v)[:3] for u, v in family]
-    family_sets = np.array(family, dtype=np.intp)
-    rows = []
     global_rows = []
 
-    def record(step: int):
-        oracle = resistance_oracle(tree.to_graph())
-        for (u, v), (d_xr, d_yr, d_xy), total in zip(
-                family, family_geometry, oracle.set_totals(family_sets)):
-            rows.append(TrajectoryRow(
-                step=step, pair_id=f"{u}-{v}", d_xr=d_xr, d_yr=d_yr,
-                d_xy=d_xy, value=0.5 * float(total),
-            ))
-        if include_global:
-            # the first pair in lexicographic order among exact ties, as
-            # argmin over the upper triangle would keep it
-            (x, y), value = least_pair(oracle)
-            d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
-            global_rows.append(TrajectoryRow(
-                step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,
-                d_xy=d_xy, value=value,
-            ))
+    def record_global(step: int):
+        # the first pair in lexicographic order among exact ties, as
+        # argmin over the upper triangle would keep it
+        (x, y), value = least_pair(resistance_oracle(tree.to_graph()))
+        d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
+        global_rows.append(TrajectoryRow(
+            step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,
+            d_xy=d_xy, value=value,
+        ))
 
-    record(0)
+    if include_global:
+        record_global(0)
     for step in range(1, steps + 1):
         tree.grow_step()
-        record(step)
+        if include_global:
+            record_global(step)
+    values = _family_values(tree, family_nodes, family_geometry, steps)
+    labels = [(f"{u}-{v}", *geometry) for (u, v), geometry in zip(family, family_geometry)]
+    rows = [
+        TrajectoryRow(step, pair_id, d_xr, d_yr, d_xy, value)
+        for step, step_values in enumerate(values.tolist())
+        for (pair_id, d_xr, d_yr, d_xy), value in zip(labels, step_values)
+    ]
     return TrajectoryResult(
         designated=(tree.leader_x, tree.leader_y),
         rows=tuple(rows),
         global_rows=tuple(global_rows),
     )
+
+
+def _family_values(tree: GrowingTree, family_nodes, family_geometry,
+                   steps: int) -> np.ndarray:
+    """The (steps + 1, |family pairs|) coherences of the family pairs on the
+    grown ``tree`` as it stood after each step, step 0 its first
+    n0 = node_count - steps nodes.
+
+    With r the hop distance (the resistance of a unit-weight tree), the
+    two-leader formula r(u, {s, t}) = r_us - (r_us + r_st - r_ut)^2 / (4 r_st)
+    sums over the n nodes u to T / (4 r_st), twice the coherence, where
+    T = 2 (R^2)_st + 2 r_st (c_s + c_t) - q_s - q_t - n r_st^2 with
+    c_s = sum_u r_us, q_s = sum_u r_us^2 and (R^2)_st = sum_u r_us r_ut.
+    ``R`` holds r_us for every node u and family node s: the family block
+    from the pair geometry, then every deeper node u as
+    r(u, .) = r(parent(u), .) + 1, since no family node lies below u. The
+    sums over the first n nodes, for n = n0 .. n0 + steps, are prefix sums
+    down ``R``'s rows, which are in step order.
+
+    Overflow: with d <= 2 log2(n) the diameter of a tree that is perfect
+    but for its last level, every distance sum is at most n d, every term
+    of T at most 4 n d^2 and every partial sum at most 6 n d^2, and
+    0 <= T = 4 r_st sum_u r(u, {s, t}) <= 4 n d^2. While n < 2^38, far
+    past any tree whose rows this module could hold, T < 2^53: it is exact
+    in int64 and in float64, so ``T / (8 r_st)`` is the correctly rounded
+    coherence.
+    """
+    n = tree.node_count
+    n0 = n - steps
+    levels = np.array(tree.levels)
+    parents = np.array(tree.parents)
+    k = len(family_nodes)
+    # the family pairs, in the row-major order of the upper triangle
+    i, j = np.triu_indices(k, 1)
+    block = np.zeros((k, k), dtype=np.int64)
+    block[i, j] = block[j, i] = [d_xy for _, _, d_xy in family_geometry]
+    R = np.empty((n, k), dtype=np.int64)
+    R[family_nodes] = block
+    # every parent sits one level up, so the rows fill level by level
+    for level in range(_FAMILY_DEPTH + 1, int(levels.max()) + 1):
+        nodes = np.flatnonzero(levels == level)
+        R[nodes] = R[parents[nodes]] + 1
+
+    def prefix(X: np.ndarray) -> np.ndarray:
+        # sums over the first n0, n0 + 1, ..., n nodes
+        return np.cumsum(np.concatenate((X[:n0].sum(axis=0)[None], X[n0:])), axis=0)
+
+    c = prefix(R)
+    q = prefix(R * R)
+    gram = prefix(R[:, i] * R[:, j])
+    r = block[i, j]
+    counts = np.arange(n0, n + 1, dtype=np.int64)[:, None]
+    T = 2 * gram + 2 * r * (c[:, i] + c[:, j]) - q[:, i] - q[:, j] - counts * r * r
+    return T / (8 * r)

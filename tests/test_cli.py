@@ -184,6 +184,20 @@ def test_forest_elimination_failure_exit_code(tmp_path):
     assert "pivot" in err
 
 
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_subnormal_weight_exit_code(tmp_path, k):
+    # 1/w overflows: the command refuses on one line, with no numpy warning
+    path = tmp_path / "subnormal.txt"
+    path.write_text("0 1 1.0\n1 2 1e-310\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["select", "--graph", f"file:{path}", "--k", k])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "ill-conditioned" in err
+
+
 def test_resistance_command():
     doc = run_json(["resistance", "--graph", "cycle:3", "--pair", "0,1"])
     assert doc["resistance"] == pytest.approx(2.0 / 3.0)

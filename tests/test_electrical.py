@@ -650,6 +650,26 @@ def test_path_sums_refuse_without_factoring(rng, monkeypatch):
             cl.resistance_oracle(g)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1.0), (1, 2, 1e-310)],
+    [(0, 1, 1.0), (1, 2, 5e-324)],
+    # 1/w is finite, but the path sums pass the largest float
+    [(0, 1, 1.0), (1, 2, 1e-308)],
+    # a triangle with a subnormal bridge, which the spanning tree keeps
+    [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 3, 1e-310)],
+])
+def test_overflowing_resistances_are_refused_without_warnings(edges):
+    # 1/w of a subnormal weight is inf, as is ||L0^-1||_1: the path sums
+    # and forest elimination both refuse such a graph as ill-conditioned,
+    # where their arithmetic on inf warned first
+    g = cl.build_graph(edges)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.resistance_oracle(g)
+    with pytest.raises(SolverError, match="ill-conditioned"):
+        cl.coherence_nf(g, (0,))
+
+
 def test_only_graphs_with_more_edges_than_nodes_are_factored(rng, monkeypatch):
     factored = []
     build = electrical._factored_table

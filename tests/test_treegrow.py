@@ -4,13 +4,39 @@ import pytest
 import coherence_lab as cl
 from coherence_lab.errors import BadParameterError, HeightTooSmallError
 
-from conftest import naive_nf_value, sweep_pair_totals
+from conftest import exact_table, exact_total, naive_nf_value, sweep_pair_totals
 
 
 def _ancestor_at_level(tree, node, level):
     while tree.levels[node] > level:
         node = tree.parents[node]
     return node
+
+
+def _snapshots(h0, steps):
+    """The growing tree's graph after each of steps 0 .. ``steps``."""
+    tree = cl.init_growing_tree(h0)
+    graphs = [tree.to_graph()]
+    for _ in range(steps):
+        tree.grow_step()
+        graphs.append(tree.to_graph())
+    return tree, graphs
+
+
+def _table_route_rows(h0, steps):
+    """The family rows as (step, pair_id, d_xr, d_yr, d_xy) and their
+    values, from one resistance table per step: the route the running sums
+    replace."""
+    tree, graphs = _snapshots(h0, steps)
+    family_nodes = [v for v in range(tree.node_count) if tree.levels[v] <= 3]
+    family = [(u, v) for i, u in enumerate(family_nodes) for v in family_nodes[i + 1:]]
+    keys, values = [], []
+    for step, g in enumerate(graphs):
+        totals = cl.resistance_oracle(g).set_totals(np.array(family))
+        for (u, v), total in zip(family, totals):
+            keys.append((step, f"{u}-{v}", *cl.tree_pair_geometry(tree, u, v)[:3]))
+            values.append(0.5 * float(total))
+    return keys, values
 
 
 def test_init_sizes_and_leaders():
@@ -133,6 +159,37 @@ def test_trajectory_values_match_naive_oracle():
         assert row.value == pytest.approx(
             naive_nf_value(graphs[row.step], (u, v)), rel=1e-9)
         assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, u, v)[:3]
+
+
+def test_trajectory_values_are_correctly_rounded():
+    # each family value is the exact rational coherence, rounded once
+    steps = (0, 1, 5)
+    result = cl.grow_trajectory(4, steps=max(steps))
+    _, graphs = _snapshots(4, max(steps))
+    for step in steps:
+        table = exact_table(graphs[step])
+        rows = [r for r in result.rows if r.step == step]
+        assert len(rows) == 105
+        for row in rows:
+            pair = tuple(int(t) for t in row.pair_id.split("-"))
+            assert row.value == float(exact_total(table, pair) / 2), row
+
+
+def test_trajectory_designated_values_are_the_closed_form():
+    # the designated pair on a perfect tree, before and after a full level
+    designated = cl.grow_trajectory(4).designated_values()
+    assert designated[0] == 33.5 == cl.tree_omega(2, 4, 2, 4) / 2
+    assert designated[32] == 95.5 == cl.tree_omega(2, 5, 2, 4) / 2
+
+
+@pytest.mark.parametrize("h0", [4, 5, 6])
+def test_trajectory_agrees_with_the_table_route(h0):
+    # one full level of growth, against one resistance table per step
+    steps = 2 ** (h0 + 1)
+    result = cl.grow_trajectory(h0)
+    keys, values = _table_route_rows(h0, steps)
+    assert [(r.step, r.pair_id, r.d_xr, r.d_yr, r.d_xy) for r in result.rows] == keys
+    np.testing.assert_allclose([r.value for r in result.rows], values, rtol=1e-12, atol=0)
 
 
 def test_trajectory_global_rows():
