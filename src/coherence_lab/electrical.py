@@ -69,7 +69,6 @@ from .errors import (
     DisconnectedGraphError,
     EmptyLeaderSetError,
     LeaderQueriedError,
-    OutOfRangeError,
     SameNodeError,
     SolverError,
 )
@@ -262,7 +261,9 @@ def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, forest):
         # u's children came first, so its pivot is final
         d = pivot[u]
         if d <= 0.0:
-            raise SolverError("forest elimination hit a non-positive pivot")
+            # every pivot of an SPD matrix is positive: this one cancelled
+            raise SolverError(f"grounded system is too ill-conditioned: forest "
+                              f"elimination pivot cancelled to {d:.1e}")
         p = parent[u]
         if p >= 0:
             # the update as a ratio: a pivot lost to cancellation reads 0,
@@ -374,17 +375,6 @@ def resistance_to_set(g: Graph, i: int, leaders) -> float:
     followers, diag, off = _grounded_entries(g, S)
     pos = followers.index(i)
     return float(grounded_solve(diag, off, [pos], diagonal=False)[1][0, pos])
-
-
-def path_two_point_resistance(d_ux: float, d_xy: float) -> float:
-    """Resistance from an interior path node to both ends.
-
-    The two arcs of lengths d_ux and d_xy - d_ux act in parallel, giving
-    d_ux - d_ux^2 / d_xy.
-    """
-    if not (0.0 < d_ux < d_xy):
-        raise OutOfRangeError(f"need 0 < d_ux < d_xy, got d_ux={d_ux}, d_xy={d_xy}")
-    return d_ux - d_ux * d_ux / d_xy
 
 
 # ---------------------------------------------------------------------------

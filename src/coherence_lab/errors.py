@@ -62,10 +62,6 @@ class BadKappaError(ValidationError):
     """A stubbornness weight is missing or not strictly positive."""
 
 
-class OutOfRangeError(ValidationError):
-    """A scalar argument violates its documented range."""
-
-
 # closed forms
 
 class BadGapVectorError(ValidationError):

@@ -246,10 +246,6 @@ def is_connected(g: Graph) -> bool:
     return g._connected
 
 
-def is_tree(g: Graph) -> bool:
-    return g.edge_count == g.node_count - 1 and is_connected(g)
-
-
 def _adjacency(node_count: int, ends: np.ndarray):
     """Every node's neighbours, from the (m, 2) integer array ``ends`` of
     edge ends: both ends of every edge, interleaved and grouped by node by

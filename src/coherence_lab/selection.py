@@ -152,25 +152,14 @@ class _Minimum:
     def count(self) -> int:
         return sum(v.size for v in self._totals)
 
-    def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
-        """The kept totals and sets, sets in lexicographic order."""
-        if not self._sets:
-            raise ValueError("no total was added")
-        totals = np.concatenate(self._totals)
-        sets = np.concatenate(self._sets)
-        order = np.lexsort(sets.T[::-1])
-        return totals[order], sets[order]
-
     def sets(self, cap: int) -> tuple[tuple[int, ...], ...]:
         """The first ``cap`` sets within the tie window, in lexicographic
         order."""
-        return tuple(map(tuple, self._ordered()[1][:cap].tolist()))
-
-    def first(self) -> tuple[int, ...]:
-        """The first set, in lexicographic order, whose total is the least
-        itself."""
-        totals, sets = self._ordered()
-        return tuple(sets[np.flatnonzero(totals == self.total)[0]].tolist())
+        if not self._sets:
+            raise ValueError("no total was added")
+        sets = np.concatenate(self._sets)
+        order = np.lexsort(sets.T[::-1])
+        return tuple(map(tuple, sets[order][:cap].tolist()))
 
 
 def _single_totals(g: Graph, recip) -> np.ndarray:
@@ -466,22 +455,6 @@ def _total_blocks(oracle: ResistanceOracle, k: int, recip):
         yield total, sets_at
 
 
-def _search(oracle: ResistanceOracle, k: int, recip) -> _Minimum:
-    """The least size-k value, k >= 2, and the sets tied with it."""
-    best = _Minimum()
-    for totals, sets_at in _total_blocks(oracle, k, recip):
-        best.add(totals, sets_at)
-    return best
-
-
-def least_pair(oracle: ResistanceOracle) -> tuple[tuple[int, int], float]:
-    """The noise-free two-leader set of least value on the oracle's graph
-    and that value; among exact ties, the first pair in lexicographic
-    order."""
-    best = _search(oracle, 2, None)
-    return best.first(), best.value
-
-
 def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
                        budget: int = DEFAULT_BUDGET,
                        cap: int = CO_OPTIMAL_CAP) -> SelectionResult:
@@ -510,11 +483,12 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
     start = time.perf_counter()
     recip = (_kappa_reciprocals(kappa, n, k)
              if dynamics == NOISE_CORRUPTED else None)
+    best = _Minimum()
     if k == 1:
-        best = _Minimum()
         best.add(_single_totals(g, recip), lambda hits: hits[0][:, None])
     else:
-        best = _search(resistance_oracle(g), k, recip)
+        for totals, sets_at in _total_blocks(resistance_oracle(g), k, recip):
+            best.add(totals, sets_at)
     elapsed = time.perf_counter() - start
     return SelectionResult(
         dynamics=dynamics,

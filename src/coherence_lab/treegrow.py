@@ -1,12 +1,15 @@
 """Growing a perfect binary tree one node at a time while tracking the
 designated two-leader placement.
 
-The growth rule fills the next level in a fixed priority order: the two
-subtrees under the first designated leader (always the emptier one, ties
-to the lower-numbered side), then the two under the second leader, then
-any remaining slot. Slot ties always resolve to the lowest-numbered free
-parent, which makes every run deterministic. Once the new level is full
-the completed height advances.
+The growth rule fills the next level in a fixed order, listed once per
+level: each parent on the frontier gives two slots, grouped by the
+parent's ancestor on level 3. The slots under the first designated
+leader's two level-3 nodes come first, one from each in turn; then those
+under the second leader's, likewise; then the rest. Within a group the
+parents come in id order. The two groups under a leader always hold as
+many slots, so taking them in turn is filling the emptier one first,
+ties to the lower-numbered side. Once the new level is full the
+completed height advances.
 
 The trajectory export evaluates the coherence of the designated pair
 against every comparison pair whose members sit within distance 3 of the
@@ -17,7 +20,8 @@ nodes to every node, their sums and the family's dot products are kept
 as running integer sums, so each step costs O(|family|^2) whatever the
 tree's size, and each value is one correctly rounded division of two
 exact integers. Only the global optimum per step (``include_global``)
-builds a table, since it searches every pair of nodes.
+builds a table: it is :func:`selection.brute_force_select`'s k = 2 search
+on that step's tree.
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_forms import tree_pair_geometry
-from .electrical import resistance_oracle
 from .errors import BadParameterError, HeightTooSmallError
 from .graphs import Graph, _require_int, build_perfect_tree
-from .selection import least_pair
+from .selection import brute_force_select
 
 #: the comparison family is every pair of nodes at most this far from the root
 _FAMILY_DEPTH = 3
@@ -57,80 +60,45 @@ class GrowingTree:
         root_kids = self.children[0]
         self.leader_x = self.children[root_kids[0]][0]
         self.leader_y = self.children[root_kids[1]][0]
-        self._rebuild_frontier()
+        self._start_level()
 
-    # -- growth bookkeeping -------------------------------------------------
-
-    def _rebuild_frontier(self):
-        self._frontier = [v for v in range(len(self.levels))
-                          if self.levels[v] == self.height]
+    def _start_level(self):
+        """List the next level's free slots in fill order, last slot first:
+        every parent on the current frontier twice, grouped by its ancestor
+        on level 3. The two groups under leader x alternate, then the two
+        under leader y, then the rest; id order within a group."""
         group_roots = self.children[self.leader_x] + self.children[self.leader_y]
-        self._groups = []
-        for p in self._frontier:
-            anc = p
-            while self.levels[anc] > 3:
-                anc = self.parents[anc]
-            self._groups.append(
-                group_roots.index(anc) if anc in group_roots else 4
-            )
-        self._capacity = [0] * 5
-        self._filled = [0] * 5
-        for grp in self._groups:
-            self._capacity[grp] += 2
-        self._new_total = 0
+        groups = [[] for _ in range(5)]
+        for p, level in enumerate(self.levels):
+            if level == self.height:
+                anc = p
+                while self.levels[anc] > 3:
+                    anc = self.parents[anc]
+                groups[group_roots.index(anc) if anc in group_roots else 4] += (p, p)
+        slots = [p for a, b in ((0, 1), (2, 3)) for pair in zip(groups[a], groups[b])
+                 for p in pair]
+        self._slots = (slots + groups[4])[::-1]
 
     @property
     def node_count(self) -> int:
         return len(self.levels)
 
-    def _pick_group(self):
-        for pair in ((0, 1), (2, 3)):
-            open_groups = [g for g in pair if self._filled[g] < self._capacity[g]]
-            if open_groups:
-                return min(open_groups, key=lambda g: (self._filled[g], g))
-        return None
-
     def grow_step(self) -> tuple[int, int]:
         """Add one node on the partial level; returns (new id, parent id)."""
-        group = self._pick_group()
-        parent = None
-        for pos, p in enumerate(self._frontier):
-            if len(self.children[p]) >= 2:
-                continue
-            if group is None or self._groups[pos] == group:
-                parent = p
-                chosen = self._groups[pos]
-                break
-        if parent is None:
-            raise BadParameterError("no free slot; internal bookkeeping error")
+        parent = self._slots.pop()
         nid = len(self.levels)
         self.levels.append(self.height + 1)
         self.parents.append(parent)
         self.children[parent].append(nid)
         self.children.append([])
-        self._filled[chosen] += 1
-        self._new_total += 1
-        if self._new_total == 2 * len(self._frontier):
+        if not self._slots:
             self.height += 1
-            self._rebuild_frontier()
+            self._start_level()
         return nid, parent
-
-    # -- views --------------------------------------------------------------
 
     def to_graph(self) -> Graph:
         edges = [(self.parents[v], v, 1.0) for v in range(1, len(self.levels))]
         return Graph(len(self.levels), edges)
-
-    def subtree_leaf_fill(self, v: int) -> int:
-        """Nodes already added on the partial level under v."""
-        count = 0
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if self.levels[u] == self.height + 1:
-                count += 1
-            stack.extend(self.children[u])
-        return count
 
 
 def init_growing_tree(h0: int) -> GrowingTree:
@@ -160,13 +128,6 @@ class TrajectoryResult:
         pid = f"{x}-{y}"
         return {r.step: r.value for r in self.rows if r.pair_id == pid}
 
-    def minima_by_step(self) -> dict[int, float]:
-        out: dict[int, float] = {}
-        for r in self.rows:
-            if r.step not in out or r.value < out[r.step]:
-                out[r.step] = r.value
-        return out
-
 
 def grow_trajectory(h0: int, steps: int | None = None,
                     include_global: bool = False) -> TrajectoryResult:
@@ -178,8 +139,8 @@ def grow_trajectory(h0: int, steps: int | None = None,
     come from running integer sums of hop distances
     (:func:`_family_values`), each the correctly rounded coherence of its
     pair. With ``include_global`` the globally best two-leader set per step
-    is recorded as a separate row stream, searched on that step's
-    resistance table.
+    is recorded as a separate row stream: the first co-optimal set of
+    :func:`selection.brute_force_select` with k = 2.
     """
     tree = init_growing_tree(h0)
     if steps is None:
@@ -199,9 +160,12 @@ def grow_trajectory(h0: int, steps: int | None = None,
     global_rows = []
 
     def record_global(step: int):
-        # the first pair in lexicographic order among exact ties, as
-        # argmin over the upper triangle would keep it
-        (x, y), value = least_pair(resistance_oracle(tree.to_graph()))
+        # on a unit tree each value is T / (8 r) with T an integer and r at
+        # most the diameter d, so distinct values differ by at least
+        # 1 / (8 d^2), far outside the tie window: the first co-optimal set
+        # is the first exact minimiser in lexicographic order
+        best = brute_force_select(tree.to_graph(), 2)
+        (x, y), value = best.optimal_sets[0], best.value
         d_xr, d_yr, d_xy, _ = tree_pair_geometry(tree, x, y)
         global_rows.append(TrajectoryRow(
             step=step, pair_id=f"{x}-{y}", d_xr=d_xr, d_yr=d_yr,

@@ -173,15 +173,20 @@ def test_ill_conditioned_tree_exit_code(tmp_path, dynamics):
 
 
 def test_forest_elimination_failure_exit_code(tmp_path):
-    path = tmp_path / "stiff_tree.txt"
-    path.write_text("0 1 1.0\n1 2 1e200\n")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0"])
-    assert code == 1
-    assert out == ""
-    assert len(err.strip().splitlines()) == 1
-    assert "pivot" in err
+    # 1 + w rounds to w (or to 1 for the tiny weights), so node 1's pivot
+    # cancels to 0, which the message names as ill-conditioning
+    for weight, command in (("1e200", ["coherence", "--leaders", "0"]),
+                            ("1e-308", ["resistance", "--pair", "0,2"]),
+                            ("1e-310", ["resistance", "--pair", "0,2"])):
+        path = tmp_path / "stiff_tree.txt"
+        path.write_text(f"0 1 1.0\n1 2 {weight}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([*command, "--graph", f"file:{path}"])
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "ill-conditioned" in err and "pivot" in err
 
 
 @pytest.mark.parametrize("k", ["1", "2"])

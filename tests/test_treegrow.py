@@ -70,10 +70,12 @@ def test_leader_subtrees_stay_balanced():
     tree = cl.init_growing_tree(4)
     xl, xr = tree.children[tree.leader_x]
     yl, yr = tree.children[tree.leader_y]
+    # nodes added so far under each level-3 node
+    fill = dict.fromkeys(range(7, 15), 0)
     for _ in range(2 ** 5):
-        tree.grow_step()
-        assert abs(tree.subtree_leaf_fill(xl) - tree.subtree_leaf_fill(xr)) <= 1
-        assert abs(tree.subtree_leaf_fill(yl) - tree.subtree_leaf_fill(yr)) <= 1
+        fill[_ancestor_at_level(tree, tree.grow_step()[1], 3)] += 1
+        assert abs(fill[xl] - fill[xr]) <= 1
+        assert abs(fill[yl] - fill[yr]) <= 1
 
 
 def test_leader_priority_order():
@@ -88,6 +90,54 @@ def test_leader_priority_order():
     assert all(o not in (x_anc | y_anc) for o in owners[2 * x_slots:])
 
 
+def _greedy_growth(h0, steps):
+    """(id, parent) per step by the documented rule, searched afresh at
+    every step with per-level counters: the emptier of leader x's two
+    level-3 subtrees (ties to the lower one), then likewise under leader
+    y, then any slot; within that, the lowest-numbered free parent."""
+    tree = cl.init_growing_tree(h0)
+    levels, parents = list(tree.levels), list(tree.parents)
+    children = [list(c) for c in tree.children]
+    roots = children[tree.leader_x] + children[tree.leader_y]
+    height, out = h0, []
+    while len(out) < steps:
+        frontier = [p for p, level in enumerate(levels) if level == height]
+        groups = []
+        for p in frontier:
+            while levels[p] > 3:
+                p = parents[p]
+            groups.append(roots.index(p) if p in roots else 4)
+        capacity = [2 * groups.count(g) for g in range(5)]
+        filled = [0] * 5
+        for _ in range(min(2 * len(frontier), steps - len(out))):
+            group = None
+            for pair in ((0, 1), (2, 3)):
+                open_groups = [g for g in pair if filled[g] < capacity[g]]
+                if open_groups:
+                    group = min(open_groups, key=lambda g: (filled[g], g))
+                    break
+            pos = next(i for i, p in enumerate(frontier)
+                       if len(children[p]) < 2 and group in (None, groups[i]))
+            parent, nid = frontier[pos], len(levels)
+            levels.append(height + 1)
+            parents.append(parent)
+            children[parent].append(nid)
+            children.append([])
+            filled[groups[pos]] += 1
+            out.append((nid, parent))
+        height += 1
+    return out
+
+
+@pytest.mark.parametrize("h0", [4, 5, 6, 7])
+def test_fill_order_follows_the_greedy_rule(h0):
+    # two full levels, so the second level's order starts from grown nodes
+    steps = 2 ** (h0 + 1) + 2 ** (h0 + 2)
+    tree = cl.init_growing_tree(h0)
+    assert [tree.grow_step() for _ in range(steps)] == _greedy_growth(h0, steps)
+    assert tree.height == h0 + 2
+
+
 def test_full_level_growth_reaches_next_perfect_tree():
     tree = cl.init_growing_tree(4)
     for _ in range(2 ** 5):
@@ -95,7 +145,7 @@ def test_full_level_growth_reaches_next_perfect_tree():
     assert tree.height == 5
     assert tree.node_count == 63
     g = tree.to_graph()
-    assert cl.is_tree(g)
+    assert g.edge_count == 62 and cl.is_connected(g)
     reference = cl.build_perfect_tree(2, 5)
     level_hist = [tree.levels.count(i) for i in range(6)]
     ref_hist = [reference.levels.count(i) for i in range(6)]
@@ -197,7 +247,9 @@ def test_trajectory_global_rows():
     # picks with a strict <, the first lexicographic minimum
     for h0 in (4, 5):
         result = cl.grow_trajectory(h0, steps=20, include_global=True)
-        minima = result.minima_by_step()
+        minima = {}
+        for r in result.rows:
+            minima[r.step] = min(r.value, minima.get(r.step, r.value))
         tree = cl.init_growing_tree(h0)
         assert [r.step for r in result.global_rows] == list(range(21))
         for row in result.global_rows:
@@ -214,6 +266,25 @@ def test_trajectory_global_rows():
             assert (row.d_xr, row.d_yr, row.d_xy) == geometry
             assert row.value == 0.5 * float(totals[best])
             assert row.value <= minima[row.step] + 1e-12
+
+
+def test_global_rows_are_the_first_exact_minimisers():
+    # against exact rational totals: the first minimising pair in
+    # lexicographic order, and its value
+    steps = (0, 1, 5, 12)
+    result = cl.grow_trajectory(4, steps=max(steps), include_global=True)
+    tree, graphs = _snapshots(4, max(steps))
+    for step in steps:
+        table = exact_table(graphs[step])
+        n = graphs[step].node_count
+        totals = {(x, y): exact_total(table, (x, y))
+                  for x in range(n) for y in range(x + 1, n)}
+        least = min(totals.values())
+        x, y = min(pair for pair, total in totals.items() if total == least)
+        row = result.global_rows[step]
+        assert (row.step, row.pair_id) == (step, f"{x}-{y}")
+        assert row.value == pytest.approx(float(least / 2), rel=1e-12, abs=0)
+        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, x, y)[:3]
 
 
 @pytest.mark.parametrize("h0, steps", [(4.5, 2), (4, 2.5), (4, True), (4.0, 1)])
