@@ -10,12 +10,16 @@
   reciprocal nonzero Laplacian eigenvalues (the variance of deviations
   from the network average), which is the Kirchhoff index over 2n.
 
-Every value is one grounded solve, ``electrical.grounded_solve``:
-whenever the grounded entries form a forest an exact O(n) forest
-elimination, otherwise a dense Cholesky and a triangular inverse. No
-resistance table and no eigensolve is formed. Leader-free coherence
-grounds node 0 like the resistance route, so it takes forest
-elimination on trees and cycles.
+Every value is one grounded solve, ``electrical.grounded_solve``: an
+exact O(n) elimination whenever the grounded entries form a forest; on a
+larger system, the same elimination of every node with at most two
+neighbours left, then a dense Cholesky and a triangular inverse of only
+the core that is left, none at all on a cycle or another series-parallel
+system (the noise-corrupted trace route on a ring); otherwise a dense
+Cholesky and a triangular inverse of the whole system. No resistance
+table and no eigensolve is formed. Leader-free coherence grounds node 0
+like the resistance route, so it takes forest elimination on trees and
+cycles.
 Noise-free and noise-corrupted are exposed through two independent
 routes ("trace" and "resistance") that the test suite holds to 1e-9
 agreement. Noise-free is the pinned (kappa -> infinity) case of

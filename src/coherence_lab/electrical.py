@@ -29,11 +29,16 @@ the same steps, the pinned ones without the 1/kappa terms.
 
 :func:`grounded_solve` returns the diagonal of a grounded inverse, a few
 of its columns and y = A^-1 1. It reads its route from the grounded
-entries: whenever they form a forest (a tree, or a cycle with a pinned
-leader or a grounded node) by an exact O(n) forest elimination, otherwise
-from :func:`_factor`, the one dense kernel, which also serves the factored
-table and refuses, under the same byte budget, a matrix past it. That
-kernel factors the matrix (``dpotrf``) and solves for y from the factor
+entries and their size. A forest (a tree, or a cycle with a pinned leader
+or a grounded node) is eliminated exactly in O(n). A larger system is
+first peeled: every node with at most two neighbours left, a pendant or a
+series resistor, is eliminated as Kron reduction removes it, and only the
+core that is left goes to :func:`_factor`, so a cycle or any
+series-parallel system is solved in O(n) with no LAPACK call. A small
+system, or one that peels too little, goes to :func:`_factor` whole. That
+one dense kernel also serves the factored table, and refuses under the
+same byte budget a matrix past it: for a peeled system, its core. It
+factors the matrix (``dpotrf``) and solves for y from the factor
 (``dpotrs``). A solve that asks for the diagonal then inverts the factor
 (``dtrtri``, :func:`_factor_inverse`); :func:`resistance_to_set`, which
 reads one column, solves it from the factor instead. A grounded matrix is
@@ -56,6 +61,7 @@ scipy's calls would leave that pool's threads spinning against scipy's.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
@@ -94,20 +100,28 @@ _EPS = float(np.finfo(np.float64).eps)
 _TABLE_BUDGET = 4 << 30
 #: floats per row block when a table is formed
 _BLOCK_FLOATS = 1 << 15
+#: the route rule of a grounded solve: a system of n nodes that is not a
+#: forest, q of them with at most two neighbours, is peeled and its core
+#: factored when n^2 - (n - q)^2 >= this times n. The peel eliminates at
+#: least those q nodes, so its core has at most n - q. Timed in process on
+#: random graphs with n/2, n and 2n chords and n = 150 to 1000, the peel
+#: beat the whole factor on every system where n^2 - (n - q)^2 reached
+#: 150 n, and lost on most below 120 n
+_PEEL_BREAK_EVEN = 150
 
 
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(diag: np.ndarray, off):
+def _factor(diag: np.ndarray, off, rhs=None):
     """Cholesky-factor the SPD matrix A with diagonal ``diag`` and
     nonpositive off-diagonal entries ``off = (rows, cols, values)``.
 
     A is assembled by ``graphs._dense`` once :func:`_check_budget` admits
     its one n x n array; LAPACK ``dpotrf`` factors its Fortran-order view
-    in place as A = L L^T, and ``dpotrs`` solves A y = 1 from the factor.
-    Returns that view, with L in its lower triangle and zeros above it, and
-    y.
+    in place as A = L L^T, and ``dpotrs`` solves A y = ``rhs`` from the
+    factor, the ones vector unless given. Returns that view, with L in its
+    lower triangle and zeros above it, and y.
     """
     _check_budget(diag.size, 1)
     c, info = dpotrf(_dense(diag, off).T, lower=1, clean=0, overwrite_a=1)
@@ -120,15 +134,15 @@ def _factor(diag: np.ndarray, off):
     # ones only: zeroing them is O(m), where dpotrf's clean pass is O(n^2)
     rows, cols, _ = off
     c[np.minimum(rows, cols), np.maximum(rows, cols)] = 0.0
-    return c, dpotrs(c, np.ones(diag.size), lower=1)[0]
+    return c, dpotrs(c, np.ones(diag.size) if rhs is None else rhs, lower=1)[0]
 
 
-def _factor_inverse(diag: np.ndarray, off):
+def _factor_inverse(diag: np.ndarray, off, rhs=None):
     """:func:`_factor`, then LAPACK ``dtrtri`` overwrites L with V = L^-1.
     Returns the factor's view, with V in its lower triangle and zeros above
     it (A^-1 = V^T V), and y.
     """
-    c, y = _factor(diag, off)
+    c, y = _factor(diag, off, rhs)
     _, info = dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
@@ -188,30 +202,39 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
     Returns ``(d, X, y)``: d the diagonal (None when ``diagonal`` is
     false), X, of shape (len(columns), n), the columns as rows, and
     y = A^-1 1, whose largest entry is ||A^-1||_1. The route is read from
-    the entries. Whenever the graph of the off-diagonal entries is a
-    forest, :func:`_forest_solve` eliminates it exactly in O(n); otherwise
-    :func:`_dense_solve` factors it. At least n entries cannot form a
-    forest, so they go to the factor with no traversal; fewer take one
-    :func:`graphs.rooted_forest` pass, and form a forest exactly when the
-    entries and the roots together number n. Either way X and y then pass
-    :func:`_check_inverse`.
+    the entries alone:
+
+    * fewer than n entries take one :func:`graphs.rooted_forest` pass, and
+      form a forest exactly when the entries and the roots together number
+      n; :func:`_eliminate` then eliminates it leaf to root in O(n);
+    * any other system of n nodes, q of them with at most two
+      neighbours, with n^2 - (n - q)^2 >= ``_PEEL_BREAK_EVEN`` n is
+      peeled (:func:`_peel`) down to its core, at most n - q nodes, and
+      :func:`_eliminate` eliminates the peeled nodes and factors only the
+      core; a cycle, or any series-parallel system, leaves no core and
+      calls no LAPACK;
+    * every other system is factored whole by :func:`_dense_solve`.
+
+    Either way X and y then pass :func:`_check_inverse`.
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
     if n == 0:
         return np.zeros(0), np.zeros((columns.size, 0)), np.zeros(0)
     rows, cols, _ = off
-    forest = None
+    plan = None
     if rows.size < n:
-        forest = rooted_forest(n, np.column_stack((rows, cols)))
-        if rows.size + forest[1].count(-1) != n:
-            forest = None
-    if forest is not None:
+        plan = _forest_plan(n, rows, cols)
+    if plan is None and n >= _PEEL_BREAK_EVEN:
+        q = int(np.count_nonzero(np.bincount(np.concatenate((rows, cols)), minlength=n) <= 2))
+        if q * (2 * n - q) >= _PEEL_BREAK_EVEN * n:
+            plan = _peel(n, rows, cols)
+    if plan is not None:
         # a pivot below 1 / (the largest float) inverts to inf, and y with
         # it, which the check refuses; as in resistance_oracle, without a
         # warning on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            d, X, y = _forest_solve(diag, off, columns, forest)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            d, X, y = _eliminate(diag, off, columns, diagonal, plan)
     else:
         d, X, y = _dense_solve(diag, off, columns, diagonal)
     _check_inverse(X, columns, y, diag, _edge_ends(off))
@@ -239,51 +262,225 @@ def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool):
     return np.square(V, out=V).sum(axis=0), X, y
 
 
-def _forest_solve(diag: np.ndarray, off, columns: np.ndarray, forest):
-    """:func:`grounded_solve` by forest elimination, for an A whose entries
-    form the ``forest`` of :func:`graphs.rooted_forest`.
+class _Plan(NamedTuple):
+    """An elimination order for :func:`_eliminate`, from :func:`_forest_plan`
+    or :func:`_peel`.
 
-    Two passes over its preorder: leaf-to-root elimination pivots, then
-    root-to-leaf back-substitution, each carrying the ones vector and the
-    unit right-hand sides of ``columns``. Exact in O(n) per right-hand
-    side, which keeps large forests cheap. The ones vector gives y.
+    ``order`` lists the nodes to eliminate. The lists ``a`` to ``ab_slot``
+    are indexed by node: ``a`` and ``b`` are a node's neighbours left when
+    it goes (-1 for none), ``a_slot`` and ``b_slot`` the numbers of its
+    entries with them, and ``ab_slot`` the number of the entry between
+    them; ``b_slot`` and ``ab_slot`` are None when no node has two. The
+    entries are numbered as in ``off``, new ones from m on, ``slots`` in
+    all. ``core`` is the array of the nodes left, in increasing order;
+    ``entries`` holds the entries among them as three arrays, their numbers
+    and the indices into ``core`` of their two ends, and ``pairs`` the same
+    for the core pairs whose inverse entries the back pass reads.
+    """
+
+    order: list
+    a: list
+    a_slot: list
+    b: list
+    b_slot: list | None
+    ab_slot: list | None
+    core: np.ndarray
+    entries: tuple | None
+    pairs: tuple | None
+    slots: int
+
+
+def _forest_plan(n: int, rows: np.ndarray, cols: np.ndarray):
+    """The plan of entries that form a forest, or None when they do not:
+    the reverse of the :func:`graphs.rooted_forest` preorder, so each node
+    goes after its children, with its parent as its one neighbour left and
+    no core."""
+    order, parent, edge = rooted_forest(n, np.column_stack((rows, cols)))
+    if rows.size + parent.count(-1) != n:
+        return None
+    order.reverse()
+    return _Plan(order, parent, edge, [-1] * n, None, None, np.zeros(0, dtype=np.intp),
+                 None, None, rows.size)
+
+
+def _peel(n: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
+    """The plan that eliminates, as long as there is one, a node with at
+    most two neighbours left, and keeps the rest, the core.
+
+    Nodes go in the order they reach two neighbours or fewer, in increasing
+    order among those that start there. A node with two neighbours joins
+    them by an entry, or adds to the one they have. Eliminating a node
+    never adds a neighbour to another, so one pass finds the order, in
+    O(n + m) dictionary operations.
+    """
+    near = [{} for _ in range(n)]
+    for e, (u, v) in enumerate(zip(rows.tolist(), cols.tolist())):
+        near[u][v] = e
+        near[v][u] = e
+    slots = rows.size
+    fills = []
+    A, a_slot, B, b_slot, ab_slot = ([-1] * n for _ in range(5))
+    queued = [len(left) <= 2 for left in near]
+    order = [u for u in range(n) if queued[u]]
+    # the list grows as it is walked
+    for u in order:
+        left = near[u]
+        if not left:
+            continue
+        if len(left) == 1:
+            (a, a_slot[u]), = left.items()
+            A[u] = a
+            near_a = near[a]
+            del near_a[u]
+            if len(near_a) == 2 and not queued[a]:
+                queued[a] = True
+                order.append(a)
+            continue
+        (a, a_slot[u]), (b, b_slot[u]) = left.items()
+        near_a, near_b = near[a], near[b]
+        del near_a[u], near_b[u]
+        s = near_a.get(b)
+        if s is None:
+            s = near_a[b] = near_b[a] = slots
+            fills.append((s, a, b))
+            slots += 1
+        else:
+            for v in (a, b):
+                if len(near[v]) == 2 and not queued[v]:
+                    queued[v] = True
+                    order.append(v)
+        A[u], B[u], ab_slot[u] = a, b, s
+    kept = ~np.array(queued)
+    core = np.flatnonzero(kept)
+    index = np.cumsum(kept) - 1
+    # the core's entries: the given ones and the new ones between two nodes
+    # left, and the pairs that a node with two neighbours left in it reads
+    given = np.flatnonzero(kept[rows] & kept[cols])
+    new = np.array(fills, dtype=np.intp).reshape(-1, 3)
+    new = new[kept[new[:, 1]] & kept[new[:, 2]]]
+    entries = (np.concatenate((given, new[:, 0])),
+               index[np.concatenate((rows[given], new[:, 1]))],
+               index[np.concatenate((cols[given], new[:, 2]))])
+    series = np.flatnonzero(np.array(B) >= 0)
+    first, second = np.array(A)[series], np.array(B)[series]
+    read = kept[first] & kept[second]
+    pairs = (np.array(ab_slot)[series[read]], index[first[read]], index[second[read]])
+    return _Plan(order, A, a_slot, B, b_slot, ab_slot, core, entries, pairs, slots)
+
+
+def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan: _Plan):
+    """:func:`grounded_solve` by elimination in the order of ``plan``, each
+    node with at most two neighbours left, and a factor of the core left.
+
+    The forward pass takes each node's pivot p and, for each neighbour a
+    left with entry c_a, the ratio l_a = c_a / p: a's pivot drops by
+    l_a c_a, and between two neighbours a and b the entry drops by l_a c_b,
+    as Kron reduction removes a series resistor. It carries the ones vector
+    and the unit right-hand sides of ``columns``. The core is the Schur
+    complement on the nodes left: :func:`_factor` solves it for the carried
+    right-hand sides, and when the diagonal is asked for
+    :func:`_factor_inverse` also gives its inverse V^T V. The back pass, in
+    reverse order, substitutes x_u = b_u / p - sum_a l_a x_a, and recovers
+    the diagonal by the recurrence of Takahashi, Fagan and Chin (1973):
+    Z_ua = -sum_b l_b Z_ba over u's neighbours, then d_u = 1/p -
+    sum_a l_a Z_ua. Each Z_ab it reads is its own, from a node that came
+    later in the forward pass, or, between two core nodes, a dot product of
+    two columns of V. On a forest each node has one neighbour left, its
+    parent, and the core is empty: exact in O(n) per right-hand side.
     """
     n = diag.size
-    order, parent, edge = forest
-    # a root's edge index -1 picks the padding
-    coupling = np.append(off[2], 0.0)[edge].tolist()
+    order, A, a_slot, B, b_slot, ab_slot, core, entries, pairs, slots = plan
+    value = off[2].tolist()
+    value += [0.0] * (slots - len(value))
     pivot = diag.tolist()
     ratio = [0.0] * n
+    ratio_b = [0.0] * n
     rhs = [[1.0] * n] + [[0.0] * n for _ in range(columns.size)]
-    for b, s in zip(rhs[1:], columns.tolist()):
-        b[s] = 1.0
-    for u in reversed(order):
-        # u's children came first, so its pivot is final
+    for x, s in zip(rhs[1:], columns.tolist()):
+        x[s] = 1.0
+    for u in order:
         d = pivot[u]
         if d <= 0.0:
             # every pivot of an SPD matrix is positive: this one cancelled
-            raise SolverError(f"grounded system is too ill-conditioned: forest "
+            raise SolverError(f"grounded system is too ill-conditioned: "
                               f"elimination pivot cancelled to {d:.1e}")
-        p = parent[u]
-        if p >= 0:
-            # the update as a ratio: a pivot lost to cancellation reads 0,
-            # where coupling^2 / pivot would overflow first
-            c = coupling[u]
-            r = ratio[u] = c / d
-            pivot[p] -= r * c
-            for b in rhs:
-                b[p] -= r * b[u]
-    inverse = 1.0 / np.array(pivot)
+        a = A[u]
+        if a < 0:
+            continue
+        # the update as a ratio: a pivot lost to cancellation reads 0, where
+        # coupling^2 / pivot would overflow first
+        c = value[a_slot[u]]
+        r = ratio[u] = c / d
+        pivot[a] -= r * c
+        b = B[u]
+        if b < 0:
+            for x in rhs:
+                x[a] -= r * x[u]
+            continue
+        c = value[b_slot[u]]
+        rb = ratio_b[u] = c / d
+        pivot[b] -= rb * c
+        value[ab_slot[u]] -= r * c
+        for x in rhs:
+            xu = x[u]
+            x[a] -= r * xu
+            x[b] -= rb * xu
+    pivots = np.array(pivot)
+    inverse = 1.0 / pivots
+    rhs = np.array(rhs)
+    X = rhs * inverse
+    # the inverse entries that a node with two neighbours reads
+    Z = [0.0] * slots if diagonal and ab_slot is not None else None
+    if core.size:
+        s, i, j = entries
+        schur = (pivots[core], (i, j, np.array(value)[s]), rhs[:, core].T)
+        if diagonal:
+            V, XC = _factor_inverse(*schur)
+            s, i, j = pairs
+            for at, z in zip(s.tolist(), _column_dots(V, i, j).tolist()):
+                Z[at] = z
+            inverse[core] = np.square(V, out=V).sum(axis=0)
+        else:
+            XC = _factor(*schur)[1]
+        X[:, core] = XC.T
+    rhs = X.tolist()
     out = inverse.tolist()
-    rhs = [(inverse * b).tolist() for b in rhs]
-    for u in order:
-        p = parent[u]
-        if p >= 0:
-            r = ratio[u]
-            out[u] += r * r * out[p]
-            for b in rhs:
-                b[u] -= r * b[p]
-    return np.array(out), np.array(rhs[1:]).reshape(columns.size, n), np.array(rhs[0])
+    for u in reversed(order):
+        a = A[u]
+        if a < 0:
+            continue
+        r = ratio[u]
+        b = B[u]
+        if b < 0:
+            if diagonal:
+                za = out[a]
+                out[u] += r * r * za
+                if Z is not None:
+                    Z[a_slot[u]] = -(r * za)
+            for x in rhs:
+                x[u] -= r * x[a]
+            continue
+        rb = ratio_b[u]
+        if diagonal:
+            zab = Z[ab_slot[u]]
+            za = Z[a_slot[u]] = -(r * out[a] + rb * zab)
+            zb = Z[b_slot[u]] = -(rb * out[b] + r * zab)
+            out[u] -= r * za + rb * zb
+        for x in rhs:
+            x[u] -= r * x[a] + rb * x[b]
+    return (np.array(out) if diagonal else None,
+            np.array(rhs[1:]).reshape(columns.size, n), np.array(rhs[0]))
+
+
+def _column_dots(V: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """V[:, i] . V[:, j] for each pair of column indices, a block of pairs
+    at a time."""
+    dots = np.empty(i.size)
+    step = _block_rows(V.shape[0])
+    for a in range(0, i.size, step):
+        b = a + step
+        dots[a:b] = np.einsum("kp,kp->p", V[:, i[a:b]], V[:, j[a:b]])
+    return dots
 
 
 # ---------------------------------------------------------------------------
@@ -759,7 +956,8 @@ def _check_budget(n: int, arrays: int) -> None:
     budget.
 
     A dense grounded solve holds one, its matrix, factored and inverted in
-    place. Building the table holds two, the table and the grounded
+    place; a peeled one holds its core's, and is checked on the core's
+    size. Building the table holds two, the table and the grounded
     inverse; the k = 2 search in ``selection`` holds the table and its Gram
     matrix, as many bytes, so the check made when the table is built covers
     it too.

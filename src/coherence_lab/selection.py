@@ -8,8 +8,11 @@ For k = 1 no table is formed. A leader v's total is sum_u r(u, v) (plus
 n/kappa_v), and with G0 the inverse of the Laplacian grounded at node 0,
 d its diagonal and y = G0 1, both padded by a 0 at node 0, that is
 sum(d) + n d_v - 2 y_v: one ``electrical.grounded_solve`` scores every
-node, by forest elimination on trees, paths and cycles and by one dense
-factor otherwise (:func:`_single_totals`).
+node (:func:`_single_totals`): by forest elimination on trees, paths and
+cycles; on a larger graph by eliminating every node with at most two
+neighbours left and factoring only the core that is left (about half the
+nodes of a random graph with n/2 chords); and by one dense factor of the
+whole system otherwise.
 
 Every k >= 2 is scored from one pairwise resistance table, in one sweep
 that shares rank-one grounding steps between sets (as in Lin, Fardad &
@@ -172,8 +175,9 @@ def _single_totals(g: Graph, recip) -> np.ndarray:
     no table. The subtraction cancels at most log2(2n + 1) bits, since
     d_u = r(u, 0) <= r(u, v) + d_v and d_v <= the total, so sum(d) + n d_v
     is at most 2n + 1 times it. On graphs that are not forests the solve
-    holds one n x n factor, which ``electrical._factor`` checks against the
-    byte budget; forests hold no n x n array.
+    holds one factor, of the whole system or of the core left by peeling,
+    which ``electrical._factor`` checks against the byte budget; forests
+    and cycles hold no n x n array.
     """
     n = g.node_count
     _, diag, off = _grounded_entries(g, (0,))

@@ -10,6 +10,7 @@ from coherence_lab.errors import (
     BadParameterError,
     OddCycleLengthError,
 )
+from coherence_lab.graphs import graph_distance
 
 from conftest import naive_nf_value
 
@@ -295,10 +296,10 @@ def test_tree_pair_for_geometry_distances():
     ptree = cl.build_perfect_tree(2, 4)
     x, y = cl.tree_pair_for_geometry(ptree, 2, 4)
     assert ptree.levels[x] == 2 and ptree.levels[y] == 2
-    assert cl.graph_distance(ptree.graph, x, y) == 4
+    assert graph_distance(ptree.graph, x, y) == 4
     root_first = cl.tree_pair_for_geometry(ptree, 0, 3)
     assert root_first[0] == 0
-    assert cl.graph_distance(ptree.graph, *root_first) == 3
+    assert graph_distance(ptree.graph, *root_first) == 3
 
 
 def test_tree_pair_geometry_reports_lca():

@@ -19,7 +19,7 @@ from coherence_lab.errors import (
     SameNodeError,
     SolverError,
 )
-from coherence_lab.graphs import _dense, _grounded_entries, rooted_forest
+from coherence_lab.graphs import _dense, _grounded_entries, graph_distance, rooted_forest
 
 from conftest import (
     assert_exact,
@@ -177,7 +177,7 @@ def test_resistance_below_graph_distance_strict_on_cycles(rng):
         oracle = cl.resistance_oracle(g)
         for i in range(n):
             for j in range(i + 1, n):
-                assert oracle.table[i, j] < cl.graph_distance(g, i, j)
+                assert oracle.table[i, j] < graph_distance(g, i, j)
 
 
 def test_resistance_equals_graph_distance_on_trees(rng):
@@ -189,7 +189,7 @@ def test_resistance_equals_graph_distance_on_trees(rng):
         for _ in range(10):
             i, j = rng.choice(g.node_count, size=2, replace=False)
             assert oracle.table[i, j] == pytest.approx(
-                cl.graph_distance(g, int(i), int(j)), rel=1e-10)
+                graph_distance(g, int(i), int(j)), rel=1e-10)
 
 
 def test_cut_vertex_additivity(rng):
@@ -539,7 +539,7 @@ def test_unit_trees_and_paths_equal_graph_distance_exactly(rng):
     graphs += [random_tree(rng, n, weighted=False) for n in (3, 17, 40)]
     for g in graphs:
         n = g.node_count
-        distance = [[cl.graph_distance(g, u, v) for v in range(n)] for u in range(n)]
+        distance = [[graph_distance(g, u, v) for v in range(n)] for u in range(n)]
         assert np.array_equal(cl.resistance_oracle(g).table, np.array(distance))
 
 
@@ -854,79 +854,128 @@ def test_forest_inverse_diagonal_matches_dense(rng):
 
 
 def _route_counter(monkeypatch):
-    """A function that runs a computation and counts the grounded solves
-    that took each route, and the spanning forests grown to choose one."""
-    calls = {}
+    """A function that runs a computation and reports the routes its
+    grounded solves took: eliminations of a forest and of a peeled system,
+    the sizes handed to the dense kernel (a whole system, or the core that
+    a peel left), and the spanning forests grown and peels run to choose a
+    route."""
+    calls = _route()
+    eliminate, factor = electrical._eliminate, electrical._factor
 
-    def spy(name, original):
-        def counted(*args, **kwargs):
+    def eliminated(diag, off, columns, diagonal, plan):
+        # only a peel's plan has entries between two neighbours
+        calls["forest" if plan.ab_slot is None else "peeled"] += 1
+        return eliminate(diag, off, columns, diagonal, plan)
+
+    def factored(diag, *args):
+        calls["factored"].append(diag.size)
+        return factor(diag, *args)
+
+    def counted(name, original):
+        def spy(*args):
             calls[name] += 1
-            return original(*args, **kwargs)
-        return counted
+            return original(*args)
+        return spy
 
-    for name, attr in (("forest", "_forest_solve"), ("dense", "_factor"),
-                       ("rooted_forest", "rooted_forest")):
-        monkeypatch.setattr(electrical, attr, spy(name, getattr(electrical, attr)))
+    monkeypatch.setattr(electrical, "_eliminate", eliminated)
+    monkeypatch.setattr(electrical, "_factor", factored)
+    monkeypatch.setattr(electrical, "rooted_forest",
+                        counted("rooted_forest", electrical.rooted_forest))
+    monkeypatch.setattr(electrical, "_peel", counted("peel", electrical._peel))
 
     def routes(compute):
-        calls.update(forest=0, dense=0, rooted_forest=0)
+        calls.update(_route())
         compute()
         return dict(calls)
     return routes
 
 
-def test_grounded_solve_reads_its_route_from_the_entries(monkeypatch):
+def _route(forest=0, peeled=0, factored=(), rooted_forest=0, peel=0):
+    return dict(forest=forest, peeled=peeled, factored=list(factored),
+                rooted_forest=rooted_forest, peel=peel)
+
+
+def test_grounded_solve_reads_its_route_from_the_entries(rng, monkeypatch):
     routes = _route_counter(monkeypatch)
     cycle = cl.build_cycle(12)
     pendant_ring = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 1.0), (0, 4, 1.0)]
     ring = cl.build_graph(pendant_ring)
     tree = cl.build_perfect_tree(2, 3).graph
-    forest = {"forest": 1, "dense": 0, "rooted_forest": 1}
-    dense_untraversed = {"forest": 0, "dense": 1, "rooted_forest": 0}
+    forest = _route(forest=1, rooted_forest=1)
     # a pinned leader cuts the cycle into a path, and grounding node 0 does
     # too, so both noise-free routes and a resistance eliminate a forest
     for method in ("trace", "resistance"):
         assert routes(lambda: cl.coherence_nf(cycle, (0, 5), method=method)) == forest
         assert routes(lambda: cl.coherence_nc(tree, (1, 9), method=method)) == forest
     assert routes(lambda: cl.resistance(cycle, 2, 7)) == forest
-    # grounding the pendant node leaves the ring whole
-    assert routes(lambda: cl.resistance(ring, 0, 4)) == dense_untraversed
+    # below _PEEL_BREAK_EVEN nodes a system that is not a forest is
+    # factored whole with no peel. Grounding the pendant node leaves the
+    # ring whole
+    assert routes(lambda: cl.resistance(ring, 0, 4)) == _route(factored=[4])
     # the ring pinned at its pendant node keeps its cycle: four entries on
     # four nodes go to the dense kernel with no traversal
-    assert routes(lambda: cl.coherence_nf(ring, (4,))) == dense_untraversed
+    assert routes(lambda: cl.coherence_nf(ring, (4,))) == _route(factored=[4])
     # the noise-corrupted trace route keeps all n nodes and the cycle's n
     # entries
-    assert routes(lambda: cl.coherence_nc(cycle, (0,))) == dense_untraversed
+    assert routes(lambda: cl.coherence_nc(cycle, (0,))) == _route(factored=[12])
     # leader-free coherence grounds node 0: a path or a cycle leaves a
     # forest, and a cycle away from node 0 stays whole, three entries on
     # three nodes
     assert routes(lambda: cl.leader_free_coherence(cl.build_path(9))) == forest
     assert routes(lambda: cl.leader_free_coherence(cycle)) == forest
     lollipop = cl.build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
-    assert routes(lambda: cl.leader_free_coherence(lollipop)) == dense_untraversed
+    assert routes(lambda: cl.leader_free_coherence(lollipop)) == _route(factored=[3])
     # pinning a cut node leaves the cycle and a lone node: fewer entries
     # than nodes, so one traversal finds the cycle, and the dense kernel
     # solves
     tail = cl.build_graph(pendant_ring + [(4, 5, 1.0), (5, 6, 1.0)])
-    assert routes(lambda: cl.coherence_nf(tail, (5,))) == {
-        "forest": 0, "dense": 1, "rooted_forest": 1}
+    assert routes(lambda: cl.coherence_nf(tail, (5,))) == _route(factored=[6],
+                                                                   rooted_forest=1)
+    # from _PEEL_BREAK_EVEN nodes on, such a system is peeled when enough
+    # of its nodes have two neighbours or fewer. The noise-corrupted trace
+    # route on a 4000-node cycle leaves no core and calls no LAPACK
+    assert electrical._PEEL_BREAK_EVEN <= 599
+    big_ring = cl.build_cycle(4000)
+    assert routes(lambda: cl.coherence_nc(big_ring, (0, 7))) == _route(peeled=1, peel=1)
+    # k = 1 on a 600-node graph with 300 chords grounds node 0 and factors
+    # only the core that the peel leaves, about half of the 599 nodes
+    g = random_connected_graph(rng, 600, extra_edges=300)
+    found = routes(lambda: cl.brute_force_select(g, 1))
+    core = found.pop("factored")
+    assert found == {"forest": 0, "peeled": 1, "rooted_forest": 0, "peel": 1}
+    assert len(core) == 1 and 0 < core[0] < 0.6 * 599, core
+    # with 1200 chords too few nodes have two neighbours or fewer for the
+    # peel to pay, and the system is factored whole with no peel
+    dense = random_connected_graph(rng, 600, extra_edges=1200)
+    assert routes(lambda: cl.brute_force_select(dense, 1)) == _route(factored=[599])
+    # the complete graph has no node with two neighbours or fewer, so it
+    # is factored whole with no peel
+    complete = cl.build_graph([(u, v, 1.0) for v in range(200) for u in range(v)])
+    assert routes(lambda: cl.coherence_nf(complete, (0,))) == _route(factored=[199])
 
 
 def test_resistance_solves_its_column_without_inverting_the_factor(rng, monkeypatch):
     # one column of the grounded inverse comes from the Cholesky factor by
     # two triangular solves; only a solve that needs the diagonal inverts
-    # the factor
-    g = random_connected_graph(rng, 30, extra_edges=30)
-    expected = [naive_resistance(g, 0, 7), naive_resistance_to_set(g, 5, (0, 7, 12))]
+    # the factor. Above the break-even the same holds for the core that
+    # the peel leaves
+    graphs = [random_connected_graph(rng, 30, extra_edges=30),
+              random_connected_graph(rng, 600, extra_edges=300)]
+    expected = [(naive_resistance(g, 0, 7), naive_resistance_to_set(g, 5, (0, 7, 12)))
+                for g in graphs]
+    routes = _route_counter(monkeypatch)
 
     def no_inverse(*args, **kwargs):
         raise AssertionError("the factor was inverted")
 
     monkeypatch.setattr(electrical, "dtrtri", no_inverse)
-    assert cl.resistance(g, 0, 7) == pytest.approx(expected[0], rel=1e-12)
-    assert cl.resistance_to_set(g, 5, (0, 7, 12)) == pytest.approx(expected[1], rel=1e-12)
-    with pytest.raises(AssertionError, match="inverted"):
-        cl.coherence_nf(g, (0,))
+    for g, (pair, to_set) in zip(graphs, expected):
+        assert cl.resistance(g, 0, 7) == pytest.approx(pair, rel=1e-12)
+        assert cl.resistance_to_set(g, 5, (0, 7, 12)) == pytest.approx(to_set, rel=1e-12)
+        with pytest.raises(AssertionError, match="inverted"):
+            cl.coherence_nf(g, (0,))
+    found = routes(lambda: cl.resistance_to_set(graphs[1], 5, (0, 7, 12)))
+    assert found["peeled"] == 1 and 0 < found["factored"][0] < 0.6 * 597, found
 
 
 @pytest.mark.parametrize("n", [50, 300, 1000, 2000, 4000])

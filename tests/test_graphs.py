@@ -13,7 +13,7 @@ from coherence_lab.errors import (
     UnreachableNodeError,
 )
 
-from coherence_lab.graphs import _dense, _grounded_entries
+from coherence_lab.graphs import _dense, _grounded_entries, graph_distance
 
 from conftest import dense_laplacian, random_connected_graph, stiff_graph
 
@@ -23,8 +23,8 @@ from conftest import dense_laplacian, random_connected_graph, stiff_graph
     lambda: cl.build_path(2.5),
     lambda: cl.build_perfect_tree(2, 3.5),
     lambda: cl.build_perfect_tree(2.0, 3),
-    lambda: cl.graph_distance(cl.build_path(3), 0.5, 1),
-    lambda: cl.graph_distance(cl.build_path(3), 0, True),
+    lambda: graph_distance(cl.build_path(3), 0.5, 1),
+    lambda: graph_distance(cl.build_path(3), 0, True),
     lambda: cl.Graph(2.5, [(0, 1, 1.0)]),
     lambda: cl.Graph(True, []),
     lambda: cl.build_graph([(0, 1, 1.0)], 2.7),
@@ -39,7 +39,7 @@ def test_sizes_and_ids_must_be_integers(call):
 def test_numpy_integer_sizes_are_accepted():
     assert cl.build_cycle(np.int64(5)) == cl.build_cycle(5)
     assert cl.build_graph([(0, 1, 1.0)], np.int32(3)).node_count == 3
-    assert cl.graph_distance(cl.build_path(3), np.int64(0), np.int16(2)) == 2.0
+    assert graph_distance(cl.build_path(3), np.int64(0), np.int16(2)) == 2.0
     numpy_ids = [(np.int64(0), np.int32(1), 1.0), (np.intp(1), 2, 0.5)]
     assert cl.build_graph(numpy_ids) == cl.build_graph([(0, 1, 1.0), (1, 2, 0.5)])
     assert cl.Graph(3, numpy_ids) == cl.Graph(3, [(0, 1, 1.0), (1, 2, 0.5)])
@@ -207,17 +207,17 @@ def test_is_connected_cases():
 
 
 def test_graph_distance_examples():
-    assert cl.graph_distance(cl.build_path(3), 0, 2) == 2
-    assert cl.graph_distance(cl.build_cycle(3), 0, 1) == 1
+    assert graph_distance(cl.build_path(3), 0, 2) == 2
+    assert graph_distance(cl.build_cycle(3), 0, 1) == 1
     weighted = cl.build_graph([(0, 1, 1.0), (1, 2, 3.0)])
-    assert cl.graph_distance(weighted, 0, 2) == 4
-    assert cl.graph_distance(weighted, 1, 1) == 0
+    assert graph_distance(weighted, 0, 2) == 4
+    assert graph_distance(weighted, 1, 1) == 0
 
 
 def test_graph_distance_unreachable():
     g = cl.build_graph([(0, 1, 1.0)], node_count=3)
     with pytest.raises(UnreachableNodeError):
-        cl.graph_distance(g, 0, 2)
+        graph_distance(g, 0, 2)
 
 
 def test_graph_distance_is_a_metric(rng):
@@ -227,9 +227,9 @@ def test_graph_distance_is_a_metric(rng):
         nodes = rng.integers(0, n, size=(15, 3))
         for a, b, c in nodes:
             a, b, c = int(a), int(b), int(c)
-            dab = cl.graph_distance(g, a, b)
-            assert dab == pytest.approx(cl.graph_distance(g, b, a))
-            assert dab <= cl.graph_distance(g, a, c) + cl.graph_distance(g, c, b) + 1e-12
+            dab = graph_distance(g, a, b)
+            assert dab == pytest.approx(graph_distance(g, b, a))
+            assert dab <= graph_distance(g, a, c) + graph_distance(g, c, b) + 1e-12
 
 
 def test_build_cycle_triangle_and_sizes():
@@ -289,7 +289,7 @@ def test_tree_distance_equals_unique_path_weight(rng):
         while a != b:
             a, b = ptree.parents[a], ptree.parents[b]
         expected = du + dv - 2 * ptree.levels[a]
-        assert cl.graph_distance(ptree.graph, u, v) == expected
+        assert graph_distance(ptree.graph, u, v) == expected
 
 
 def test_edge_list_round_trip(rng):
