@@ -10,19 +10,24 @@ edge arrays by ``graphs._grounded_entries``.
 :func:`resistance_to_set` is one column of :func:`grounded_solve`
 (:func:`resistance` is its one-node case). :func:`resistance_oracle`
 precomputes the full pairwise table from the inverse of the Laplacian
-grounded at node 0, by one of two routes chosen from the edge count alone.
-A connected graph with at most one cycle (m <= n: trees, paths, cycles,
+grounded at node 0, by one of two routes chosen from the edge count. A
+connected graph with at most one cycle (m <= n: trees, paths, cycles,
 unicyclic graphs) takes O(n^2) path sums over a spanning tree, where the
 inverse is the resistance from node 0 to the nearest common ancestor, plus
-one rank-one update for the edge the tree leaves out. Every other graph is
-factored and inverted by LAPACK (about n^3 flops). Either route holds at
-most two n x n arrays, refuses with ``BudgetExceededError`` any n whose two
-arrays would pass a fixed byte budget (4 GiB, about n = 16k), and every
-finished table passes the same check of its grounded inverse and Foster's
-theorem. A query for given leader sets is
-:meth:`ResistanceOracle.set_totals`, which grounds a batch of them one
-leader at a time with the rank-one Schur steps of :func:`schur_totals`;
-those steps read only the leaders' rows of the table. A leader tied to a
+one rank-one update for the edge the tree leaves out. Every other graph
+takes one routine: when enough of its grounded nodes have at most two
+neighbours (a rule read from the entries, as for a solve), it is peeled
+as a solve is, only the core left is factored and inverted by LAPACK, and
+the peeled rows of the inverse are filled from their neighbours' rows,
+O(n) each; otherwise the core is the whole system (about n^3 flops).
+Either route holds at most two n x n arrays, refuses with
+``BudgetExceededError`` any n whose two arrays would pass a fixed byte
+budget (4 GiB, about n = 16k), and every finished table passes the same
+check of its grounded inverse and Foster's theorem. A query for given
+leader sets is :meth:`ResistanceOracle.set_totals`, which grounds a batch
+of them one leader at a time with the rank-one Schur steps of
+:func:`schur_totals`; those steps read only the leaders' rows of the
+table. A leader tied to a
 reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
 leader (noise-free) as kappa grows without bound, so both dynamics take
 the same steps, the pinned ones without the 1/kappa terms.
@@ -35,11 +40,11 @@ first peeled: every node with at most two neighbours left, a pendant or a
 series resistor, is eliminated as Kron reduction removes it, and only the
 core that is left goes to :func:`_factor`, so a cycle or any
 series-parallel system is solved in O(n) with no LAPACK call. A small
-system, or one that peels too little, goes to :func:`_factor` whole. That
-one dense kernel also serves the factored table, and refuses under the
-same byte budget a matrix past it: for a peeled system, its core. It
-factors the matrix (``dpotrf``) and solves for y from the factor
-(``dpotrs``). A solve that asks for the diagonal then inverts the factor
+system, or one that peels too little, goes to :func:`_factor` whole. The
+factored table shares the peel, its forward pass (:func:`_forward`) and
+that one dense kernel, which refuses under the same byte budget a matrix
+past it: for a peeled system, its core. It factors the matrix
+(``dpotrf``) and solves for y from the factor (``dpotrs``). A solve that asks for the diagonal then inverts the factor
 (``dtrtri``, :func:`_factor_inverse`); :func:`resistance_to_set`, which
 reads one column, solves it from the factor instead. A grounded matrix is
 an M-matrix, so its inverse is entrywise nonnegative and ||A^-1||_1 =
@@ -61,6 +66,7 @@ scipy's calls would leave that pool's threads spinning against scipy's.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -100,31 +106,42 @@ _EPS = float(np.finfo(np.float64).eps)
 _TABLE_BUDGET = 4 << 30
 #: floats per row block when a table is formed
 _BLOCK_FLOATS = 1 << 15
-#: the route rule of a grounded solve: a system of n nodes that is not a
-#: forest, q of them with at most two neighbours, is peeled and its core
-#: factored when n^2 - (n - q)^2 >= this times n. The peel eliminates at
-#: least those q nodes, so its core has at most n - q. Timed in process on
-#: random graphs with n/2, n and 2n chords and n = 150 to 1000, the peel
-#: beat the whole factor on every system where n^2 - (n - q)^2 reached
-#: 150 n, and lost on most below 120 n
+#: the route rule of a grounded solve (:func:`_peel_pays`): a system of n
+#: nodes that is not a forest, q of them with at most two neighbours, is
+#: peeled and its core factored when n^2 - (n - q)^2 >= this times n. Timed
+#: in process on random graphs with n/2, n and 2n chords and n = 150 to
+#: 1000, the peel beat the whole factor on every system where
+#: n^2 - (n - q)^2 reached 150 n, and lost on most below 120 n
 _PEEL_BREAK_EVEN = 150
+#: the same rule for the factored table, whose peel pays less: it fills
+#: every peeled row of the grounded inverse, O(n) per node, where a solve
+#: back-substitutes O(1) per right-hand side. Timed in process on random
+#: graphs with n/2, n and 2n chords and n = 150 to 1100, the peeled table
+#: beat the whole factor on every graph whose rule value q (2n - q) / n
+#: reached 400 (417 to 784: 0.64 to 0.88 of its time), was within 10 % of
+#: it between 330 and 350, and lost on every graph below 300
+_TABLE_BREAK_EVEN = 400
+#: rows of a peeled table's grounded inverse filled between two mirrors
+#: into their columns
+_MIRROR_ROWS = 64
 
 
 # ---------------------------------------------------------------------------
 # shared dense SPD helpers
 
-def _factor(diag: np.ndarray, off, rhs=None):
+def _factor(diag: np.ndarray, off, rhs=None, out=None):
     """Cholesky-factor the SPD matrix A with diagonal ``diag`` and
     nonpositive off-diagonal entries ``off = (rows, cols, values)``.
 
-    A is assembled by ``graphs._dense`` once :func:`_check_budget` admits
-    its one n x n array; LAPACK ``dpotrf`` factors its Fortran-order view
-    in place as A = L L^T, and ``dpotrs`` solves A y = ``rhs`` from the
-    factor, the ones vector unless given. Returns that view, with L in its
-    lower triangle and zeros above it, and y.
+    A is assembled by ``graphs._dense``, into ``out`` when it is given,
+    once :func:`_check_budget` admits its one n x n array; LAPACK
+    ``dpotrf`` factors its Fortran-order view in place as A = L L^T, and
+    ``dpotrs`` solves A y = ``rhs`` from the factor, the ones vector unless
+    given. Returns that view, with L in its lower triangle and zeros above
+    it, and y.
     """
     _check_budget(diag.size, 1)
-    c, info = dpotrf(_dense(diag, off).T, lower=1, clean=0, overwrite_a=1)
+    c, info = dpotrf(_dense(diag, off, out).T, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise SolverError(f"grounded system is not positive definite "
                           f"(leading minor {info})")
@@ -137,12 +154,12 @@ def _factor(diag: np.ndarray, off, rhs=None):
     return c, dpotrs(c, np.ones(diag.size) if rhs is None else rhs, lower=1)[0]
 
 
-def _factor_inverse(diag: np.ndarray, off, rhs=None):
+def _factor_inverse(diag: np.ndarray, off, rhs=None, out=None):
     """:func:`_factor`, then LAPACK ``dtrtri`` overwrites L with V = L^-1.
     Returns the factor's view, with V in its lower triangle and zeros above
     it (A^-1 = V^T V), and y.
     """
-    c, y = _factor(diag, off, rhs)
+    c, y = _factor(diag, off, rhs, out)
     _, info = dtrtri(c, lower=1, overwrite_c=1)
     if info != 0:
         raise SolverError(f"triangular inversion failed (info={info})")
@@ -225,10 +242,8 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
     plan = None
     if rows.size < n:
         plan = _forest_plan(n, rows, cols)
-    if plan is None and n >= _PEEL_BREAK_EVEN:
-        q = int(np.count_nonzero(np.bincount(np.concatenate((rows, cols)), minlength=n) <= 2))
-        if q * (2 * n - q) >= _PEEL_BREAK_EVEN * n:
-            plan = _peel(n, rows, cols)
+    if plan is None and _peel_pays(n, rows, cols, _PEEL_BREAK_EVEN):
+        plan = _peel(n, rows, cols)
     if plan is not None:
         # a pivot below 1 / (the largest float) inverts to inf, and y with
         # it, which the check refuses; as in resistance_oracle, without a
@@ -288,6 +303,19 @@ class _Plan(NamedTuple):
     entries: tuple | None
     pairs: tuple | None
     slots: int
+
+
+def _peel_pays(n: int, rows: np.ndarray, cols: np.ndarray, break_even: int) -> bool:
+    """The route rule of a system of n nodes with the off-diagonal entries
+    ``rows``, ``cols``: true when q of its nodes, those with at most two
+    neighbours, satisfy q (2n - q) >= ``break_even`` n. The peel eliminates
+    at least those q nodes, so its core has at most n - q, and the rule
+    weighs the n^2 - (n - q)^2 it saves. One ``np.bincount``; below
+    ``break_even`` nodes the rule cannot hold and nothing is counted."""
+    if n < break_even:
+        return False
+    q = int(np.count_nonzero(np.bincount(np.concatenate((rows, cols)), minlength=n) <= 2))
+    return q * (2 * n - q) >= break_even * n
 
 
 def _forest_plan(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -368,28 +396,25 @@ def _peel(n: int, rows: np.ndarray, cols: np.ndarray) -> _Plan:
     return _Plan(order, A, a_slot, B, b_slot, ab_slot, core, entries, pairs, slots)
 
 
-def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan: _Plan):
-    """:func:`grounded_solve` by elimination in the order of ``plan``, each
-    node with at most two neighbours left, and a factor of the core left.
+def _forward(diag: np.ndarray, off, columns: np.ndarray, plan: _Plan):
+    """The forward pass of an elimination in the order of ``plan``, each
+    node with at most two neighbours left when it goes.
 
-    The forward pass takes each node's pivot p and, for each neighbour a
-    left with entry c_a, the ratio l_a = c_a / p: a's pivot drops by
-    l_a c_a, and between two neighbours a and b the entry drops by l_a c_b,
-    as Kron reduction removes a series resistor. It carries the ones vector
-    and the unit right-hand sides of ``columns``. The core is the Schur
-    complement on the nodes left: :func:`_factor` solves it for the carried
-    right-hand sides, and when the diagonal is asked for
-    :func:`_factor_inverse` also gives its inverse V^T V. The back pass, in
-    reverse order, substitutes x_u = b_u / p - sum_a l_a x_a, and recovers
-    the diagonal by the recurrence of Takahashi, Fagan and Chin (1973):
-    Z_ua = -sum_b l_b Z_ba over u's neighbours, then d_u = 1/p -
-    sum_a l_a Z_ua. Each Z_ab it reads is its own, from a node that came
-    later in the forward pass, or, between two core nodes, a dot product of
-    two columns of V. On a forest each node has one neighbour left, its
-    parent, and the core is empty: exact in O(n) per right-hand side.
+    Each node's pivot p and, for each neighbour a left with entry c_a, the
+    ratio l_a = c_a / p: a's pivot drops by l_a c_a, and between two
+    neighbours a and b the entry drops by l_a c_b, as Kron reduction
+    removes a series resistor. The pass carries the ones vector and the
+    unit right-hand sides of ``columns``.
+
+    Returns ``(pivots, ratio, ratio_b, rhs, schur)``: the pivots as an
+    array, the ratios l_a and l_b of each node as lists (0 where it has no
+    such neighbour), the carried right-hand sides as the rows of an array,
+    the ones vector first, and the Schur complement on the nodes left, the
+    core, as the arguments ``(diag, off, rhs)`` of :func:`_factor`, or None
+    when no node is left.
     """
     n = diag.size
-    order, A, a_slot, B, b_slot, ab_slot, core, entries, pairs, slots = plan
+    order, A, a_slot, B, b_slot, ab_slot, core, entries, _, slots = plan
     value = off[2].tolist()
     value += [0.0] * (slots - len(value))
     pivot = diag.tolist()
@@ -426,14 +451,38 @@ def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan:
             x[a] -= r * xu
             x[b] -= rb * xu
     pivots = np.array(pivot)
-    inverse = 1.0 / pivots
     rhs = np.array(rhs)
-    X = rhs * inverse
-    # the inverse entries that a node with two neighbours reads
-    Z = [0.0] * slots if diagonal and ab_slot is not None else None
+    schur = None
     if core.size:
         s, i, j = entries
         schur = (pivots[core], (i, j, np.array(value)[s]), rhs[:, core].T)
+    return pivots, ratio, ratio_b, rhs, schur
+
+
+def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan: _Plan):
+    """:func:`grounded_solve` by elimination in the order of ``plan``, each
+    node with at most two neighbours left, and a factor of the core left.
+
+    :func:`_forward` runs the forward pass. The core is the Schur
+    complement on the nodes left: :func:`_factor` solves it for the carried
+    right-hand sides, and when the diagonal is asked for
+    :func:`_factor_inverse` also gives its inverse V^T V. The back pass, in
+    reverse order, substitutes x_u = b_u / p - sum_a l_a x_a, and recovers
+    the diagonal by the recurrence of Takahashi, Fagan and Chin (1973):
+    Z_ua = -sum_b l_b Z_ba over u's neighbours, then d_u = 1/p -
+    sum_a l_a Z_ua. Each Z_ab it reads is its own, from a node that came
+    later in the forward pass, or, between two core nodes, a dot product of
+    two columns of V. On a forest each node has one neighbour left, its
+    parent, and the core is empty: exact in O(n) per right-hand side.
+    """
+    n = diag.size
+    order, A, a_slot, B, b_slot, ab_slot, core, _, pairs, slots = plan
+    pivots, ratio, ratio_b, rhs, schur = _forward(diag, off, columns, plan)
+    inverse = 1.0 / pivots
+    X = rhs * inverse
+    # the inverse entries that a node with two neighbours reads
+    Z = [0.0] * slots if diagonal and ab_slot is not None else None
+    if schur is not None:
         if diagonal:
             V, XC = _factor_inverse(*schur)
             s, i, j = pairs
@@ -507,25 +556,55 @@ def normalize_leaders(g: Graph, leaders) -> tuple[int, ...]:
 def normalize_kappa(leaders, kappa) -> np.ndarray:
     """Per-leader stubbornness weights, defaulting to 1 where unspecified.
 
-    Accepts a scalar, a node-to-weight mapping, or a sequence aligned with
-    ``leaders``.
+    Accepts a scalar (a 0-d array too), a node-to-weight mapping, or a
+    sequence aligned with ``leaders``. Every weight must be a real number,
+    finite and > 0; as node ids do, a bool or a string is refused, where
+    ``float`` would read True as 1.0 and '2' as 2.0.
     """
+    kappa = _as_scalar(kappa)
     if kappa is None:
-        vec = np.ones(len(leaders))
-    elif np.isscalar(kappa):
-        vec = np.full(len(leaders), float(kappa))
+        return np.ones(len(leaders))
+    if np.isscalar(kappa):
+        vec = np.full(len(leaders), _weight(kappa))
     else:
-        try:
-            vec = np.array([float(kappa.get(v, 1.0)) for v in leaders])
-        except AttributeError:
-            vec = np.asarray(list(kappa), dtype=np.float64)
-            if vec.shape != (len(leaders),):
+        if hasattr(kappa, "get"):
+            values = [kappa.get(v, 1.0) for v in leaders]
+        else:
+            try:
+                values = list(kappa)
+            except TypeError:
+                raise BadKappaError(f"kappa must be a number, a mapping or a sequence, "
+                                    f"got {kappa!r}") from None
+            if len(values) != len(leaders):
                 raise BadKappaError(
-                    f"kappa list has {vec.size} entries for {len(leaders)} leaders"
+                    f"kappa list has {len(values)} entries for {len(leaders)} leaders"
                 )
+        vec = np.array([_weight(v) for v in values])
     if not np.all(np.isfinite(vec)) or np.any(vec <= 0.0):
         raise BadKappaError("every stubbornness weight must be finite and > 0")
     return vec
+
+
+def _as_scalar(kappa):
+    """A 0-d array as the scalar it holds; anything else as it is."""
+    return kappa.item() if isinstance(kappa, np.ndarray) and kappa.ndim == 0 else kappa
+
+
+def _weight(value) -> float:
+    """One stubbornness weight as a float; raises BadKappaError unless it
+    is a real number other than a bool."""
+    value = _as_scalar(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise BadKappaError(f"a stubbornness weight must be a real number, got {value!r}")
+    return float(value)
+
+
+def _kappa_per_node(kappa) -> bool:
+    """True when ``kappa`` gives each node its own weight: None, a scalar
+    (a 0-d array too) or a mapping; False for a sequence, which follows
+    the leaders."""
+    kappa = _as_scalar(kappa)
+    return kappa is None or np.isscalar(kappa) or hasattr(kappa, "get")
 
 
 def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.ndarray]:
@@ -538,7 +617,7 @@ def leaders_with_kappa(g: Graph, leaders, kappa) -> tuple[tuple[int, ...], np.nd
     """
     given = list(leaders)
     S = normalize_leaders(g, given)
-    if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
+    if _kappa_per_node(kappa):
         return S, normalize_kappa(S, kappa)
     if len(S) != len(given):
         raise BadKappaError("a kappa list needs distinct leaders")
@@ -697,14 +776,17 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
     """Precompute the full pairwise resistance table.
 
     Both routes ground node 0; L0 is that grounded Laplacian and G0 its
-    inverse. The route is chosen from the edge count alone: a graph with at
-    most one cycle (m <= n) takes the O(n^2) route of
-    :func:`_one_cycle_table`, path sums over a spanning tree plus one
-    rank-one update for the cycle's left-out edge; every other graph takes
-    :func:`_factored_table`, about n^3 flops of LAPACK. Each route hands
-    its finished table to :func:`_check_table`, which refuses an
-    ill-conditioned L0 with the scale that route computed. Peak memory is
-    at most the table plus G0.
+    inverse. The route is chosen from the edge count: a graph with at most
+    one cycle (m <= n) takes the O(n^2) route of :func:`_one_cycle_table`,
+    path sums over a spanning tree plus one rank-one update for the
+    cycle's left-out edge; every other graph takes :func:`_factored_table`,
+    which factors and inverts by LAPACK the core left after peeling every
+    node with at most two neighbours left, when the route rule of the
+    entries (``_TABLE_BREAK_EVEN``) finds enough of them, and all of L0
+    otherwise: about c^3 flops for a core of c nodes, plus O(n) per peeled
+    node. Each route hands its finished table to :func:`_check_table`,
+    which refuses an ill-conditioned L0 with the scale that route
+    computed. Peak memory is at most the table plus G0.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -741,24 +823,21 @@ def _check_table(g: Graph, table: np.ndarray, y: np.ndarray, diag: np.ndarray,
 
 def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     """The checked table from L0 (diagonal ``diag``, off-diagonal entries
-    ``off`` and their :func:`_edge_ends` ``edges``), factored and inverted
-    by LAPACK.
+    ``off`` and their :func:`_edge_ends` ``edges``), by one factor of its
+    core.
 
-    LAPACK ``dlauum`` completes :func:`_factor_inverse`'s V^T V in place
-    (the two make ``dpotri``, about n^3 flops) into G0, the inverse's upper
-    triangle. Row block by row block, the upper triangle of the table is
-    then written as r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j], with G0
-    padded by a zero row/column at node 0, and mirrored within the table.
+    :func:`_grounded_inverse` gives G0, the inverse of L0, in its upper
+    triangle at least, or, after a peel, whole with its rows and columns
+    in its own order. Row block by row block, the upper triangle of the
+    table is then written as r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j],
+    with G0 padded by a zero row/column at node 0, and mirrored within the
+    table.
     """
     n = g.node_count
     m = n - 1
-    c, y = _factor_inverse(diag, off)
-    _, info = dlauum(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise SolverError(f"LAPACK inversion failed (info={info})")
-    G0 = c.T
-    d = np.diagonal(G0).copy()
     table = np.empty((n, n))
+    G0, at, y = _grounded_inverse(diag, off, table)
+    d = np.diagonal(G0).copy() if at is None else np.diagonal(G0)[at]
     table[0, 0] = 0.0
     table[0, 1:] = d
     table[1:, 0] = d
@@ -770,13 +849,133 @@ def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
         # scale the rows by -2 in place, which is exact, so each entry
         # rounds as (d_i + d_j) - 2 G_ij written out would; that is exactly
         # 0 on the diagonal
-        g0, t = G0[a:b, a:], T[a:b, a:]
+        g0 = G0[a:b, a:] if at is None else np.take(G0[at[a:b]], at[a:], axis=1)
+        t = T[a:b, a:]
         g0 *= -2.0
         np.add(d[a:b, None], d[a:], out=t)
         t += g0
         _mirror_rows(T, a, b, below)
     _check_table(g, table, y, diag, edges)
     return table
+
+
+def _grounded_inverse(diag: np.ndarray, off, spare: np.ndarray):
+    """``(G, at, y)``: the inverse G of the grounded matrix A (diagonal
+    ``diag``, off-diagonal entries ``off``) and y = A^-1 1. ``spare`` is an
+    array of at least n^2 floats that is free until the caller writes it.
+
+    The route rule of :func:`_peel_pays`, with ``_TABLE_BREAK_EVEN``, may
+    peel A (:func:`_peel`, :func:`_peeled_inverse`). What is left, the
+    core, is factored and inverted by LAPACK: :func:`_factor_inverse`,
+    whose V^T V ``dlauum`` completes in place (the two make ``dpotri``,
+    about c^3 flops for a core of c nodes) into the lower triangle of the
+    core's inverse. With no peel the core is all of A, and G is the C-order
+    view of that array, valid in its upper triangle, with ``at`` None.
+    Otherwise G is whole and symmetric, and the inverse entry of nodes u
+    and v is G[at[u], at[v]].
+    """
+    n = diag.size
+    rows, cols, _ = off
+    if not _peel_pays(n, rows, cols, _TABLE_BREAK_EVEN):
+        c, y = _factor_inverse(diag, off)
+        _lauum(c)
+        return c.T, None, y
+    # a pivot below 1 / (the largest float) inverts to inf, and y with it,
+    # which the check refuses without a warning on the way, as in
+    # grounded_solve
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _peeled_inverse(diag, off, _peel(n, rows, cols), spare)
+
+
+def _peeled_inverse(diag: np.ndarray, off, plan: _Plan, spare: np.ndarray):
+    """:func:`_grounded_inverse` through the peel of ``plan``.
+
+    G is held in elimination order: the i-th node to go is row i, and the
+    core, in increasing order, takes the last rows. :func:`_forward` runs
+    the forward pass, the core is factored in a view of ``spare``, and its
+    inverse is copied into G's last block. The peeled rows are then filled
+    from the last to go to the first (Takahashi, Fagan and Chin 1973): row
+    i, whose node went with neighbours a and b left, is exact after i as
+    G[i, i+1:] = -l_a G[a, i+1:] - l_b G[b, i+1:], and G[i, i] = 1/p -
+    l_a G[i, a] - l_b G[i, b]. So each row costs O(n), and only the upper
+    triangle is ever computed. A row it reads must hold, before its own
+    position, the rows filled after it, mirrored: every ``_MIRROR_ROWS``
+    rows are mirrored into their columns at once, a contiguous block, and a
+    row read in between first takes the few it misses. y = A^-1 1 comes by
+    back-substitution of the carried ones.
+    """
+    n = diag.size
+    order, A, _, B, _, _, core, _, _, _ = plan
+    p = len(order)
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(p)
+    at[core] = np.arange(p, n)
+    pivots, ratio, ratio_b, rhs, schur = _forward(diag, off, np.zeros(0, np.intp), plan)
+    inverse = 1.0 / pivots
+    y = rhs[0] * inverse
+    G = np.zeros((n, n))
+    if schur is not None:
+        k = core.size
+        c, y_core = _factor_inverse(*schur, out=spare.reshape(-1)[:k * k].reshape(k, k))
+        _lauum(c)
+        y[core] = y_core[:, 0]
+        block = G[p:, p:]
+        block[...] = c.T
+        _mirror_all(block)
+    x = y.tolist()
+    out = inverse.tolist()
+    pos = at.tolist()
+    scratch = np.empty(n)
+    # rows i + 1 .. mirrored - 1 are filled but not yet mirrored
+    mirrored = p
+    for i in range(p - 1, -1, -1):
+        u = order[i]
+        a = A[u]
+        if a < 0:
+            G[i, i] = out[u]
+        else:
+            # the ratios negated, which is exact
+            r = -ratio[u]
+            ia = pos[a]
+            rest = G[ia, i + 1:]
+            # the row of a misses the rows filled since the last mirror
+            rest[:min(mirrored, ia) - i - 1] = G[i + 1:min(mirrored, ia), ia]
+            row = np.multiply(rest, r, out=G[i, i + 1:])
+            b = B[u]
+            if b < 0:
+                x[u] += r * x[a]
+                G[i, i] = out[u] + r * G[i, ia]
+            else:
+                rb = -ratio_b[u]
+                ib = pos[b]
+                rest = G[ib, i + 1:]
+                rest[:min(mirrored, ib) - i - 1] = G[i + 1:min(mirrored, ib), ib]
+                row += np.multiply(rest, rb, out=scratch[:n - i - 1])
+                x[u] += r * x[a] + rb * x[b]
+                G[i, i] = out[u] + (r * G[i, ia] + rb * G[i, ib])
+        if mirrored - i >= _MIRROR_ROWS or i == 0:
+            G[mirrored:, i:mirrored] = G[i:mirrored, mirrored:].T
+            _mirror_all(G[i:mirrored, i:mirrored])
+            mirrored = i
+    return G, at, np.array(x)
+
+
+def _mirror_all(A: np.ndarray) -> None:
+    """Copy the upper triangle of the square array A onto its lower
+    triangle, row block by row block (:func:`_mirror_rows`)."""
+    k = A.shape[0]
+    step = _block_rows(k)
+    below = np.tri(step, k=-1, dtype=bool)
+    for a in range(0, k, step):
+        _mirror_rows(A, a, min(a + step, k), below)
+
+
+def _lauum(c: np.ndarray) -> None:
+    """Overwrite V, in the lower triangle of ``c``, with the lower triangle
+    of V^T V (LAPACK ``dlauum``)."""
+    _, info = dlauum(c, lower=1, overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"LAPACK inversion failed (info={info})")
 
 
 def _one_cycle_table(g: Graph, diag: np.ndarray, edges) -> np.ndarray:
@@ -958,9 +1157,10 @@ def _check_budget(n: int, arrays: int) -> None:
     A dense grounded solve holds one, its matrix, factored and inverted in
     place; a peeled one holds its core's, and is checked on the core's
     size. Building the table holds two, the table and the grounded
-    inverse; the k = 2 search in ``selection`` holds the table and its Gram
-    matrix, as many bytes, so the check made when the table is built covers
-    it too.
+    inverse: a peeled table factors its core in the table's own buffer
+    before the table is written, so it holds no third. The k = 2 search in
+    ``selection`` holds the table and its Gram matrix, as many bytes, so
+    the check made when the table is built covers it too.
     """
     need = arrays * 8 * n * n
     if need > _TABLE_BUDGET:

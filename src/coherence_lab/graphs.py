@@ -205,9 +205,15 @@ def _grounded_entries(g: Graph, leaders=(), kvec=None):
     return nodes.tolist(), diag[nodes], (ends[kept, 0], ends[kept, 1], -g._w[kept])
 
 
-def _dense(diag, off) -> np.ndarray:
-    """The symmetric matrix with this diagonal and these off-diagonal entries."""
-    A = np.diag(diag)
+def _dense(diag, off, out=None) -> np.ndarray:
+    """The symmetric matrix with this diagonal and these off-diagonal entries,
+    written into ``out`` (a C-order square array) when it is given."""
+    if out is None:
+        A = np.diag(diag)
+    else:
+        A = out
+        A.fill(0.0)
+        np.fill_diagonal(A, diag)
     rows, cols, values = off
     A[rows, cols] = values
     A[cols, rows] = values

@@ -36,12 +36,14 @@ cs being the table's column sums and q the diagonal of Q
 fit one block of ``electrical._BLOCK_FLOATS`` floats, so small graphs
 pay Python once per group, not per prefix. The Gram expansion cancels
 where a set's value is small beside its terms (stiff weights), so every
-total carries the sum of its terms' absolute values, and a set whose
-rounding bound, 4 eps times that sum, exceeds ``_RECHECK`` of its value
-is recomputed directly by ``ResistanceOracle.set_totals``. The reduction
-keeps a running minimum and the sets within ``_tie_window`` of it, block
-by block; no array of all C(n, k) values is ever formed. The kept sets
-are sorted at the end, so their order does not depend on the blocks.
+total carries the sum of its terms' absolute values (for a pinned pair,
+the total plus twice the two terms it subtracts, which the sweep forms
+on the way), and a set whose rounding bound, 4 eps times that sum,
+exceeds ``_RECHECK`` of its value is recomputed directly by
+``ResistanceOracle.set_totals``. The reduction keeps a running minimum
+and the sets within ``_tie_window`` of it, block by block; no array of
+all C(n, k) values is ever formed. The kept sets are sorted at the end,
+so their order does not depend on the blocks.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from .electrical import (
     ResistanceOracle,
     _block_rows,
     _check_pivots,
+    _kappa_per_node,
     grounded_solve,
     normalize_kappa,
     resistance_oracle,
@@ -110,7 +113,7 @@ def _kappa_reciprocals(kappa, n: int, k: int) -> np.ndarray:
     which candidates are generated, so it means what it would mean passed
     to ``coherence_nc`` with that candidate.
     """
-    if kappa is None or np.isscalar(kappa) or hasattr(kappa, "get"):
+    if _kappa_per_node(kappa):
         per_node = 1.0 / normalize_kappa(range(n), kappa)
         return np.broadcast_to(per_node, (k, n))
     per_position = 1.0 / normalize_kappa(range(k), kappa)
@@ -252,27 +255,31 @@ def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
     written out would. ``scratch`` and ``bound`` have at least b - a rows
     of n columns; ``bound`` receives the sum of the absolute values of the
     terms, or a little more: the rounding error of a total is at most a few
-    eps times it.
+    eps times it. Without kappa every term is positive but the two that
+    the total subtracts, (q_x + q_y) / (4 r_xy) + n r_xy / 4, so that sum
+    is the total plus twice those two, which the sweep forms on the way.
     """
     n = R.shape[0]
     t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
     e = bound[:b - a, :n - a]
     if inv_kappa is None:
-        # t and e take (q_x + q_y -/+ 2 Q_xy) / 4, over r_xy, plus
-        # n r_xy / 4 and (cs_x + cs_y) / 2, the quarters and halves taken
-        # of the vectors and of n
-        np.add(0.25 * q[a:b, None], 0.25 * q[a:], out=s)
-        t *= 0.5
-        np.add(s, t, out=e)
+        # t takes twice the total, (cs_x + cs_y) - ((q_x + q_y) / 2 - Q_xy)
+        # / r_xy - n r_xy / 2, and e twice the terms it subtracts,
+        # (q_x + q_y) / (2 r_xy) + n r_xy / 2; the halves are taken of the
+        # vectors and of n. Scaled by 2 throughout, each rounds as the
+        # total written out would. The sum of the absolute values of the
+        # terms is then the total plus e
+        np.add(0.5 * q[a:b, None], 0.5 * q[a:], out=s)
+        np.divide(s, r, out=e)
         np.subtract(s, t, out=t)
         t /= r
-        e /= r
-        np.multiply(r, 0.25 * n, out=s)
+        np.multiply(r, 0.5 * n, out=s)
         t += s
         e += s
-        np.add(0.5 * col[a:b, None], 0.5 * col[a:], out=s)
+        np.add(col[a:b, None], col[a:], out=s)
         np.subtract(s, t, out=t)
-        e += s
+        t *= 0.5
+        e += t
         return
     cx, cy = col[a:b, None], col[a:]
     first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
@@ -430,13 +437,15 @@ def _group_blocks(oracle: ResistanceOracle, group: np.ndarray, recip):
 def _too_wide(bound: np.ndarray, total: np.ndarray, scratch: np.ndarray):
     """``np.nonzero`` positions of the totals whose rounding bound, 4 eps
     times ``bound`` (the sum of the absolute values of their terms, or a
-    little more), exceeds ``_RECHECK`` of their value; a total that
-    cancelled below zero is always among them. ``scratch`` (as large) is
-    overwritten."""
+    little more), exceeds ``_RECHECK`` of their value, or None when there
+    is none; a total that cancelled below zero is always among them.
+    ``scratch`` (as large) is overwritten."""
     # cells that hold no set read +inf, and +inf * 0 is NaN
     with np.errstate(invalid="ignore"):
         np.multiply(total, _RECHECK / (4.0 * _EPS), out=scratch)
-    return np.nonzero(bound > scratch)
+    wide = bound > scratch
+    # np.nonzero over a block costs some ten passes of it, counting one
+    return np.nonzero(wide) if np.count_nonzero(wide) else None
 
 
 def _total_blocks(oracle: ResistanceOracle, k: int, recip):
@@ -452,7 +461,7 @@ def _total_blocks(oracle: ResistanceOracle, k: int, recip):
     else:
         blocks = _prefix_blocks(oracle, k, recip)
     for total, wide, sets_at in blocks:
-        if wide[0].size:
+        if wide is not None:
             sets = sets_at(wide)
             inv_kappa = None if recip is None else recip[np.arange(k), sets]
             total[wide] = oracle.set_totals(sets, inv_kappa)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coherence_lab import Graph, build_graph
+from coherence_lab import Graph, build_graph, electrical
 from coherence_lab.selection import _total_blocks
 
 
@@ -189,6 +189,61 @@ def sweep_pair_totals(oracle, recip=None) -> np.ndarray:
         x, y = sets_at(held).T
         T[x, y] = totals[held]
     return T
+
+
+def route_counter(monkeypatch):
+    """A function that runs a computation and reports the routes its
+    grounded solves and tables took: eliminations of a forest and of a
+    peeled system, the sizes handed to the dense kernel (a whole system, or
+    the core that a peel left), the spanning forests grown and peels run to
+    choose a route, and each table's route: ``path-sums``, ``lapack`` for a
+    whole factor or ``peeled``."""
+    calls = route()
+    eliminate, factor = electrical._eliminate, electrical._factor
+    grounded_inverse, one_cycle = electrical._grounded_inverse, electrical._one_cycle_table
+
+    def eliminated(diag, off, columns, diagonal, plan):
+        # only a peel's plan has entries between two neighbours
+        calls["forest" if plan.ab_slot is None else "peeled"] += 1
+        return eliminate(diag, off, columns, diagonal, plan)
+
+    def factored(diag, *args, **kwargs):
+        calls["factored"].append(diag.size)
+        return factor(diag, *args, **kwargs)
+
+    def inverted(*args):
+        G, at, y = grounded_inverse(*args)
+        calls["tables"].append("lapack" if at is None else "peeled")
+        return G, at, y
+
+    def path_sums(*args):
+        calls["tables"].append("path-sums")
+        return one_cycle(*args)
+
+    def counted(name, original):
+        def spy(*args):
+            calls[name] += 1
+            return original(*args)
+        return spy
+
+    monkeypatch.setattr(electrical, "_eliminate", eliminated)
+    monkeypatch.setattr(electrical, "_factor", factored)
+    monkeypatch.setattr(electrical, "_grounded_inverse", inverted)
+    monkeypatch.setattr(electrical, "_one_cycle_table", path_sums)
+    monkeypatch.setattr(electrical, "rooted_forest",
+                        counted("rooted_forest", electrical.rooted_forest))
+    monkeypatch.setattr(electrical, "_peel", counted("peel", electrical._peel))
+
+    def routes(compute):
+        calls.update(route())
+        compute()
+        return dict(calls)
+    return routes
+
+
+def route(forest=0, peeled=0, factored=(), rooted_forest=0, peel=0, tables=()):
+    return dict(forest=forest, peeled=peeled, factored=list(factored),
+                rooted_forest=rooted_forest, peel=peel, tables=list(tables))
 
 
 def random_connected_graph(rng, n: int, extra_edges: int = 0,

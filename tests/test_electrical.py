@@ -30,6 +30,8 @@ from conftest import (
     naive_resistance_to_set,
     random_connected_graph,
     random_tree,
+    route,
+    route_counter,
     stiff_graph,
 )
 
@@ -469,23 +471,29 @@ def test_table_build_and_pair_sweep_peak_memory():
     # search holds the table, one Gram matrix, one block of grounded rows
     # (0.8 tables at n = 200) and some 16 vectors of the sets scored
     # together (1.6 tables): 5.09 measured, gate 5.5; an array of all
-    # C(200, 3) values alone would be 66 tables
-    g = cl.build_cycle(400)
-    table_bytes = 8 * 400 * 400
+    # C(200, 3) values alone would be 66 tables. A 600-node graph with 300
+    # chords takes the peeled table, which factors its core in the table's
+    # own buffer: 2.30 measured at build and in the search, same gates
+    peeled = random_connected_graph(np.random.default_rng(2033), 600, extra_edges=300)
+    for g in (cl.build_cycle(400), peeled):
+        table_bytes = 8 * g.node_count ** 2
+        tracemalloc.start()
+        try:
+            cl.resistance_oracle(g)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cl.brute_force_select(g, 2)
+            select_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert build_peak <= 2.5 * table_bytes
+        assert select_peak <= 2.75 * table_bytes
     tracemalloc.start()
     try:
-        cl.resistance_oracle(g)
-        build_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        cl.brute_force_select(g, 2)
-        select_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
         cl.brute_force_select(cl.build_cycle(200), 3)
         triple_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build_peak <= 2.5 * table_bytes
-    assert select_peak <= 2.75 * table_bytes
     assert triple_peak <= 5.5 * 8 * 200 * 200
 
 
@@ -757,6 +765,33 @@ def test_kappa_list_with_repeated_leaders_is_rejected():
         cl.coherence_nc(g, (1,), kappa=2.0).value)
 
 
+def test_a_zero_dimensional_kappa_is_a_scalar():
+    # numpy reductions and indexing hand back 0-d arrays; both entry points
+    # read one as the scalar it holds, with any dynamics' route
+    g = cl.build_cycle(6)
+    for method in ("trace", "resistance"):
+        assert cl.coherence_nc(g, (0, 3), kappa=np.array(2.0), method=method).value == (
+            cl.coherence_nc(g, (0, 3), kappa=2.0, method=method).value)
+    for k in (1, 2):
+        found = cl.brute_force_select(g, k, cl.NOISE_CORRUPTED, kappa=np.array(2.0))
+        expected = cl.brute_force_select(g, k, cl.NOISE_CORRUPTED, kappa=2.0)
+        assert (found.value, found.optimal_sets) == (expected.value, expected.optimal_sets)
+
+
+@pytest.mark.parametrize("kappa", [True, np.True_, np.array(True), "2", b"2", 2 + 0j,
+                                   [True, 2.0], ["2", 2.0], {0: True}, {3: "2"},
+                                   object()])
+def test_kappa_refuses_bools_and_strings(kappa):
+    # as node ids do: float() would read True as 1.0 and '2' as 2.0
+    g = cl.build_cycle(6)
+    for method in ("trace", "resistance"):
+        with pytest.raises(BadKappaError):
+            cl.coherence_nc(g, (0, 3), kappa=kappa, method=method)
+    for k in (1, 2):
+        with pytest.raises(BadKappaError):
+            cl.brute_force_select(g, k, cl.NOISE_CORRUPTED, kappa=kappa)
+
+
 def test_edge_addition_update_closes_triangle():
     oracle = cl.resistance_oracle(cl.build_path(3))
     # 2 - 16/12: the new unit edge in parallel with the length-2 route
@@ -853,55 +888,13 @@ def test_forest_inverse_diagonal_matches_dense(rng):
         assert np.allclose(fast, np.diag(np.linalg.inv(Lff)), atol=1e-11)
 
 
-def _route_counter(monkeypatch):
-    """A function that runs a computation and reports the routes its
-    grounded solves took: eliminations of a forest and of a peeled system,
-    the sizes handed to the dense kernel (a whole system, or the core that
-    a peel left), and the spanning forests grown and peels run to choose a
-    route."""
-    calls = _route()
-    eliminate, factor = electrical._eliminate, electrical._factor
-
-    def eliminated(diag, off, columns, diagonal, plan):
-        # only a peel's plan has entries between two neighbours
-        calls["forest" if plan.ab_slot is None else "peeled"] += 1
-        return eliminate(diag, off, columns, diagonal, plan)
-
-    def factored(diag, *args):
-        calls["factored"].append(diag.size)
-        return factor(diag, *args)
-
-    def counted(name, original):
-        def spy(*args):
-            calls[name] += 1
-            return original(*args)
-        return spy
-
-    monkeypatch.setattr(electrical, "_eliminate", eliminated)
-    monkeypatch.setattr(electrical, "_factor", factored)
-    monkeypatch.setattr(electrical, "rooted_forest",
-                        counted("rooted_forest", electrical.rooted_forest))
-    monkeypatch.setattr(electrical, "_peel", counted("peel", electrical._peel))
-
-    def routes(compute):
-        calls.update(_route())
-        compute()
-        return dict(calls)
-    return routes
-
-
-def _route(forest=0, peeled=0, factored=(), rooted_forest=0, peel=0):
-    return dict(forest=forest, peeled=peeled, factored=list(factored),
-                rooted_forest=rooted_forest, peel=peel)
-
-
 def test_grounded_solve_reads_its_route_from_the_entries(rng, monkeypatch):
-    routes = _route_counter(monkeypatch)
+    routes = route_counter(monkeypatch)
     cycle = cl.build_cycle(12)
     pendant_ring = [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0), (3, 0, 1.0), (0, 4, 1.0)]
     ring = cl.build_graph(pendant_ring)
     tree = cl.build_perfect_tree(2, 3).graph
-    forest = _route(forest=1, rooted_forest=1)
+    forest = route(forest=1, rooted_forest=1)
     # a pinned leader cuts the cycle into a path, and grounding node 0 does
     # too, so both noise-free routes and a resistance eliminate a forest
     for method in ("trace", "resistance"):
@@ -911,47 +904,47 @@ def test_grounded_solve_reads_its_route_from_the_entries(rng, monkeypatch):
     # below _PEEL_BREAK_EVEN nodes a system that is not a forest is
     # factored whole with no peel. Grounding the pendant node leaves the
     # ring whole
-    assert routes(lambda: cl.resistance(ring, 0, 4)) == _route(factored=[4])
+    assert routes(lambda: cl.resistance(ring, 0, 4)) == route(factored=[4])
     # the ring pinned at its pendant node keeps its cycle: four entries on
     # four nodes go to the dense kernel with no traversal
-    assert routes(lambda: cl.coherence_nf(ring, (4,))) == _route(factored=[4])
+    assert routes(lambda: cl.coherence_nf(ring, (4,))) == route(factored=[4])
     # the noise-corrupted trace route keeps all n nodes and the cycle's n
     # entries
-    assert routes(lambda: cl.coherence_nc(cycle, (0,))) == _route(factored=[12])
+    assert routes(lambda: cl.coherence_nc(cycle, (0,))) == route(factored=[12])
     # leader-free coherence grounds node 0: a path or a cycle leaves a
     # forest, and a cycle away from node 0 stays whole, three entries on
     # three nodes
     assert routes(lambda: cl.leader_free_coherence(cl.build_path(9))) == forest
     assert routes(lambda: cl.leader_free_coherence(cycle)) == forest
     lollipop = cl.build_graph([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
-    assert routes(lambda: cl.leader_free_coherence(lollipop)) == _route(factored=[3])
+    assert routes(lambda: cl.leader_free_coherence(lollipop)) == route(factored=[3])
     # pinning a cut node leaves the cycle and a lone node: fewer entries
     # than nodes, so one traversal finds the cycle, and the dense kernel
     # solves
     tail = cl.build_graph(pendant_ring + [(4, 5, 1.0), (5, 6, 1.0)])
-    assert routes(lambda: cl.coherence_nf(tail, (5,))) == _route(factored=[6],
+    assert routes(lambda: cl.coherence_nf(tail, (5,))) == route(factored=[6],
                                                                    rooted_forest=1)
     # from _PEEL_BREAK_EVEN nodes on, such a system is peeled when enough
     # of its nodes have two neighbours or fewer. The noise-corrupted trace
     # route on a 4000-node cycle leaves no core and calls no LAPACK
     assert electrical._PEEL_BREAK_EVEN <= 599
     big_ring = cl.build_cycle(4000)
-    assert routes(lambda: cl.coherence_nc(big_ring, (0, 7))) == _route(peeled=1, peel=1)
+    assert routes(lambda: cl.coherence_nc(big_ring, (0, 7))) == route(peeled=1, peel=1)
     # k = 1 on a 600-node graph with 300 chords grounds node 0 and factors
     # only the core that the peel leaves, about half of the 599 nodes
     g = random_connected_graph(rng, 600, extra_edges=300)
     found = routes(lambda: cl.brute_force_select(g, 1))
     core = found.pop("factored")
-    assert found == {"forest": 0, "peeled": 1, "rooted_forest": 0, "peel": 1}
+    assert found == {"forest": 0, "peeled": 1, "rooted_forest": 0, "peel": 1, "tables": []}
     assert len(core) == 1 and 0 < core[0] < 0.6 * 599, core
     # with 1200 chords too few nodes have two neighbours or fewer for the
     # peel to pay, and the system is factored whole with no peel
     dense = random_connected_graph(rng, 600, extra_edges=1200)
-    assert routes(lambda: cl.brute_force_select(dense, 1)) == _route(factored=[599])
+    assert routes(lambda: cl.brute_force_select(dense, 1)) == route(factored=[599])
     # the complete graph has no node with two neighbours or fewer, so it
     # is factored whole with no peel
     complete = cl.build_graph([(u, v, 1.0) for v in range(200) for u in range(v)])
-    assert routes(lambda: cl.coherence_nf(complete, (0,))) == _route(factored=[199])
+    assert routes(lambda: cl.coherence_nf(complete, (0,))) == route(factored=[199])
 
 
 def test_resistance_solves_its_column_without_inverting_the_factor(rng, monkeypatch):
@@ -963,7 +956,7 @@ def test_resistance_solves_its_column_without_inverting_the_factor(rng, monkeypa
               random_connected_graph(rng, 600, extra_edges=300)]
     expected = [(naive_resistance(g, 0, 7), naive_resistance_to_set(g, 5, (0, 7, 12)))
                 for g in graphs]
-    routes = _route_counter(monkeypatch)
+    routes = route_counter(monkeypatch)
 
     def no_inverse(*args, **kwargs):
         raise AssertionError("the factor was inverted")

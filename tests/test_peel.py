@@ -1,9 +1,10 @@
-"""The peeled route of ``electrical.grounded_solve``: every node with at
-most two neighbours left is eliminated, and only the core that is left is
-factored.
+"""The peeled routes of ``electrical.grounded_solve`` and of the factored
+table: every node with at most two neighbours left is eliminated, and only
+the core that is left is factored.
 
 Below ``electrical._PEEL_BREAK_EVEN`` nodes a system takes the dense
-route, so these tests force the peel on small systems by setting the
+route, and below ``electrical._TABLE_BREAK_EVEN`` a table takes the whole
+factor, so these tests force the peel on small systems by setting the
 break-even to 0, and force the dense route, as a referee, by setting it
 past n. The seeds were fixed before the first run.
 """
@@ -19,7 +20,14 @@ from coherence_lab import electrical
 from coherence_lab.errors import BudgetExceededError
 from coherence_lab.graphs import _dense, _grounded_entries
 
-from conftest import exact_table, exact_total, random_connected_graph, stiff_graph
+from conftest import (
+    exact_table,
+    exact_total,
+    random_connected_graph,
+    route,
+    route_counter,
+    stiff_graph,
+)
 
 PEELED, DENSE = 0, 10**9
 
@@ -258,3 +266,126 @@ def test_budget_refuses_a_core_past_it_before_assembly(monkeypatch):
     monkeypatch.setattr(electrical, "_dense", _dense)
     result = cl.brute_force_select(g, 1)
     assert (result.value, result.optimal_sets) == (expected.value, expected.optimal_sets)
+
+
+# ---------------------------------------------------------------------------
+# the peeled table: the factored table's route rule forced with
+# _TABLE_BREAK_EVEN = 0 on graphs below it, and the whole factor as referee
+
+def _series_parallel_dense(rng, n):
+    """A series-parallel graph on n >= 7 nodes with more edges than nodes,
+    so that ``resistance_oracle`` takes the factored table."""
+    while True:
+        g = _series_parallel(rng, n)
+        if g.edge_count > n:
+            return g
+
+
+TABLE_FAMILIES = {
+    "random, n/2 chords": FAMILIES["random, n/2 chords"],
+    "weights 1e-3 to 1e3": FAMILIES["weights 1e-3 to 1e3"],
+    "complete": _complete,
+    "series-parallel": _series_parallel_dense,
+}
+
+
+def _tables(monkeypatch, g):
+    """The table of ``g`` through the peel and through the whole factor,
+    and eps ||L0||_1 ||G0||_1 of its system grounded at node 0."""
+    tables = []
+    for break_even in (PEELED, DENSE):
+        monkeypatch.setattr(electrical, "_TABLE_BREAK_EVEN", break_even)
+        tables.append(cl.resistance_oracle(g).table)
+    _, diag, off = _grounded_entries(g, (0,))
+    return (*tables, _scale(diag, off, electrical.grounded_solve(diag, off)[2]))
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+def test_peeled_tables_match_their_referees(family, monkeypatch):
+    # up to 10 nodes against the exact table, above that against the whole
+    # factor; each within 1e-12 of the largest entry, or within the
+    # system's own forward-error scale where the weights spread over six
+    # decades. Every table is exactly symmetric with a zero diagonal
+    rng = np.random.default_rng([29, sorted(TABLE_FAMILIES).index(family)])
+    for n in (7, 10, 40, 150):
+        g = TABLE_FAMILIES[family](rng, n)
+        assert g.edge_count > n
+        _, diag, off = _grounded_entries(g, (0,))
+        plan = electrical._peel(n - 1, off[0], off[1])
+        if family == "complete":
+            assert not plan.order
+        if family == "series-parallel":
+            assert plan.core.size == 0
+        peeled, whole, scale = _tables(monkeypatch, g)
+        assert np.array_equal(peeled, peeled.T)
+        assert not np.diagonal(peeled).any()
+        if n <= 10:
+            exact = exact_table(g)
+            referee = np.array([[float(x) for x in row] for row in exact])
+            tol = max(1e-12, scale)
+        else:
+            referee, tol = whole, max(1e-12, 2.0 * scale)
+        assert np.abs(peeled - referee).max() <= tol * referee.max(), (n, tol)
+
+
+def test_series_parallel_tables_call_no_lapack(monkeypatch):
+    # grounded at node 0 a series-parallel graph peels to nothing, so its
+    # table factors no core
+    rng = np.random.default_rng(2029)
+    g = _series_parallel_dense(rng, 300)
+    monkeypatch.setattr(electrical, "_TABLE_BREAK_EVEN", DENSE)
+    expected = cl.resistance_oracle(g).table
+    monkeypatch.setattr(electrical, "_TABLE_BREAK_EVEN", PEELED)
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a core was factored")
+
+    monkeypatch.setattr(electrical, "_factor", no_factor)
+    table = cl.resistance_oracle(g).table
+    assert np.abs(table - expected).max() <= 1e-12 * expected.max()
+
+
+def test_pair_and_triple_searches_match_the_whole_factor(monkeypatch):
+    # k = 2 and 3, both dynamics: the same optimal sets and co-optimal
+    # counts from the peeled table as from the whole factor, on weighted
+    # graphs, on unit weights (whose automorphisms make ties) and on a
+    # series-parallel graph with no core
+    rng = np.random.default_rng(2030)
+    graphs = [random_connected_graph(rng, 60, extra_edges=30),
+              stiff_graph(rng, 40, chords=20),
+              random_connected_graph(rng, 50, extra_edges=25, weighted=False),
+              _series_parallel_dense(rng, 45)]
+    for g in graphs:
+        for k in (2, 3):
+            for dynamics, kappa in ((cl.NOISE_FREE, None), (cl.NOISE_CORRUPTED, 1.5)):
+                results = []
+                for break_even in (PEELED, DENSE):
+                    monkeypatch.setattr(electrical, "_TABLE_BREAK_EVEN", break_even)
+                    results.append(cl.brute_force_select(g, k, dynamics, kappa=kappa))
+                peeled, whole = results
+                assert peeled.optimal_sets == whole.optimal_sets
+                assert peeled.co_optimal_count == whole.co_optimal_count
+                assert peeled.value == pytest.approx(whole.value, rel=1e-12)
+
+
+def test_table_reads_its_route_from_the_entries(monkeypatch):
+    routes = route_counter(monkeypatch)
+    assert electrical._TABLE_BREAK_EVEN <= 599
+    # a 600-node graph with 300 chords: about half of its grounded nodes
+    # peel, and only the core left is factored, with no solve eliminated
+    g = random_connected_graph(np.random.default_rng(2031), 600, extra_edges=300)
+    for compute in (lambda: cl.resistance_oracle(g), lambda: cl.brute_force_select(g, 2)):
+        found = routes(compute)
+        core = found.pop("factored")
+        assert found == {"forest": 0, "peeled": 0, "rooted_forest": 0, "peel": 1,
+                         "tables": ["peeled"]}
+        assert len(core) == 1 and 0 < core[0] < 0.6 * 599, core
+    # with 600 chords, or at 400 nodes with 200, too few nodes peel for the
+    # table to pay, and the grounded system is factored whole with no peel
+    for n, chords in ((600, 600), (400, 200)):
+        dense = random_connected_graph(np.random.default_rng(2032), n, extra_edges=chords)
+        assert routes(lambda: cl.resistance_oracle(dense)) == route(factored=[n - 1],
+                                                                      tables=["lapack"])
+    # at most one cycle: path sums over one spanning tree, with no factor
+    assert routes(lambda: cl.resistance_oracle(cl.build_cycle(700))) == route(
+        rooted_forest=1, tables=["path-sums"])
