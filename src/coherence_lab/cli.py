@@ -20,7 +20,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import asdict
 
 from . import closed_forms, coherence, selection, simulate, treegrow
 from .electrical import leaders_with_kappa
@@ -308,22 +307,42 @@ def _cmd_closed_form(args, out) -> int:
     return 0
 
 
+def _family_text(result: treegrow.TrajectoryResult, fmt: str) -> str:
+    """The family rows as ``_emit`` writes them, from the value array and the
+    pair labels: JSON objects joined by ", ", or CSV lines with no header."""
+    values = result.values.tolist()
+    if fmt == "json":
+        cells = [f'"pair_id": "{pair_id}", "d_xr": {d_xr}, "d_yr": {d_yr}, '
+                 f'"d_xy": {d_xy}, "value": '
+                 for pair_id, d_xr, d_yr, d_xy in result.labels]
+        return ", ".join(f'{{"step": {step}, {cell}{value!r}}}'
+                         for step, row in enumerate(values)
+                         for cell, value in zip(cells, row))
+    cells = [f",{pair_id},{d_xr},{d_yr},{d_xy},"
+             for pair_id, d_xr, d_yr, d_xy in result.labels]
+    return "".join(f"{step}{cell}{value!r}\n"
+                   for step, row in enumerate(values)
+                   for cell, value in zip(cells, row))
+
+
 def _cmd_grow_tree(args, out) -> int:
     result = treegrow.grow_trajectory(args.h0, steps=args.steps,
                                       include_global=args.global_optima)
-    rows = [asdict(r) for r in result.rows]
+    global_rows = [r._asdict() for r in result.global_rows]
     if args.format == "json":
-        doc = {"designated": list(result.designated), "rows": rows}
+        out.write(f'{{"designated": {json.dumps(list(result.designated))}, '
+                  f'"rows": [{_family_text(result, "json")}]')
         if args.global_optima:
-            doc["global_rows"] = [asdict(r) for r in result.global_rows]
-        _emit(doc, "json", out)
+            out.write(f', "global_rows": {json.dumps(global_rows)}')
+        out.write("}\n")
     else:
         print(f"# designated={result.designated[0]}-{result.designated[1]}",
               file=out)
-        _emit(rows, "csv", out)
+        out.write(",".join(treegrow.TrajectoryRow._fields) + "\n")
+        out.write(_family_text(result, "csv"))
         if args.global_optima:
             print("# global two-leader optimum per step", file=out)
-            _emit([asdict(r) for r in result.global_rows], "csv", out)
+            _emit(global_rows, "csv", out)
     return 0
 
 

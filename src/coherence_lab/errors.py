@@ -88,6 +88,11 @@ class GraphSpecError(ValidationError):
 
 # computational failures
 
+#: the default evaluation budget: candidate sets of an exhaustive search,
+#: rows and nodes of a growth trajectory
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetExceededError(ComputationError):
     """An enumeration would exceed the configured evaluation budget."""
 

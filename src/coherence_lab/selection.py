@@ -70,10 +70,14 @@ from .electrical import (
     resistance_oracle,
     schur_columns,
 )
-from .errors import BadParameterError, BudgetExceededError, DisconnectedGraphError
+from .errors import (
+    DEFAULT_BUDGET,
+    BadParameterError,
+    BudgetExceededError,
+    DisconnectedGraphError,
+)
 from .graphs import Graph, _grounded_entries, _is_int, is_connected
 
-DEFAULT_BUDGET = 10_000_000
 CO_OPTIMAL_CAP = 1000
 #: sets scored together by the prefix sweep; each holds some 16 floats of
 #: temporaries

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import time
 import warnings
 
 import jsonschema
@@ -256,6 +258,35 @@ def test_grow_tree_json_schema():
                     "json", "--global-optima"])
     assert doc["designated"] == [3, 5]
     assert len(doc["global_rows"]) == 2
+
+
+# sha256 of grow-tree's stdout as the rows were written before they came
+# from the value array: the bytes must not change
+GROW_TREE_DIGESTS = {
+    ("4", "20", "json"): "687b105fb8fbab4cc113c255803ef685094f1684798eb9c712868e526af594b7",
+    ("4", "20", "csv"): "72605095a79b3bdb5bbac18f1ab395d518539779787d32c7fbfb4e48efdc78df",
+    ("5", "12", "json"): "caee1e27dd98a048395002233dd780108a23d714fc3f7c6a4b7c722e761c9a63",
+    ("5", "12", "csv"): "62a763a71621ffef9896f7c7c839b343af392a717264352b36c3c60567f5b472",
+}
+
+
+@pytest.mark.parametrize("h0, steps, fmt", sorted(GROW_TREE_DIGESTS))
+def test_grow_tree_output_bytes_are_pinned(h0, steps, fmt):
+    code, out, err = run(["grow-tree", "--h0", h0, "--steps", steps, "--format", fmt])
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GROW_TREE_DIGESTS[h0, steps, fmt]
+
+
+def test_grow_tree_refuses_oversized_growth_at_once():
+    # one full level from height 40 is 2^41 steps of 105 rows on a tree of
+    # 2^42 nodes: refused before the tree is built
+    start = time.perf_counter()
+    code, out, err = run(["grow-tree", "--h0", "40"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "exceed the budget" in err
 
 
 def test_csv_single_report_layout():

@@ -1,8 +1,12 @@
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab.errors import BadParameterError, HeightTooSmallError
+from coherence_lab import treegrow
+from coherence_lab.errors import BadParameterError, BudgetExceededError, HeightTooSmallError
 
 from conftest import exact_table, exact_total, naive_nf_value, sweep_pair_totals
 
@@ -269,22 +273,85 @@ def test_trajectory_global_rows():
 
 
 def test_global_rows_are_the_first_exact_minimisers():
-    # against exact rational totals: the first minimising pair in
-    # lexicographic order, and its value
-    steps = (0, 1, 5, 12)
-    result = cl.grow_trajectory(4, steps=max(steps), include_global=True)
-    tree, graphs = _snapshots(4, max(steps))
-    for step in steps:
-        table = exact_table(graphs[step])
+    # against exact rational resistances at every step: the first minimising
+    # pair in lexicographic order, and its correctly rounded value. A new
+    # leaf hangs from one edge, so no resistance between older nodes moves:
+    # each step's table is the leading block of the last step's
+    steps = 20
+    result = cl.grow_trajectory(4, steps=steps, include_global=True)
+    tree, graphs = _snapshots(4, steps)
+    table = exact_table(graphs[-1])
+    assert all(r.denominator == 1 for row in table for r in row)
+    R = np.array([[int(r) for r in row] for row in table], dtype=np.int64)
+    assert [r.step for r in result.global_rows] == list(range(steps + 1))
+    for step, row in enumerate(result.global_rows):
         n = graphs[step].node_count
-        totals = {(x, y): exact_total(table, (x, y))
-                  for x in range(n) for y in range(x + 1, n)}
-        least = min(totals.values())
-        x, y = min(pair for pair, total in totals.items() if total == least)
-        row = result.global_rows[step]
-        assert (row.step, row.pair_id) == (step, f"{x}-{y}")
-        assert row.value == pytest.approx(float(least / 2), rel=1e-12, abs=0)
-        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, x, y)[:3]
+        x, y = np.triu_indices(n, 1)
+        r = R[x, y]
+        # 4 r_xy sum_u r(u, {x, y}), summed node by node in integers, with
+        # r(u, {x, y}) = r_ux - (r_ux + r_xy - r_uy)^2 / (4 r_xy)
+        num = (4 * r * R[:n, x] - (R[:n, x] + r - R[:n, y]) ** 2).sum(axis=0)
+        totals = [Fraction(int(a), 4 * int(b)) for a, b in zip(num, r)]
+        least = min(totals)
+        first = totals.index(least)
+        assert row.pair_id == f"{x[first]}-{y[first]}"
+        pair = (int(x[first]), int(y[first]))
+        assert exact_total([t[:n] for t in table[:n]], pair) == least
+        assert row.value == float(least / 2)
+        assert (row.d_xr, row.d_yr, row.d_xy) == cl.tree_pair_geometry(tree, *pair)[:3]
+
+
+@pytest.mark.parametrize("block", [40, 100])
+def test_global_rows_do_not_depend_on_the_row_blocks(monkeypatch, block):
+    # blocks of one to three rows, so tied pairs (steps 0-8) fall in
+    # different blocks and the first block's must win
+    expected = cl.grow_trajectory(4, steps=20, include_global=True).global_rows
+    monkeypatch.setattr(treegrow, "_PAIR_BLOCK", block)
+    assert cl.grow_trajectory(4, steps=20, include_global=True).global_rows == expected
+
+
+@pytest.mark.parametrize("h0", [4, 5, 6])
+def test_designated_values_are_the_designated_rows(h0):
+    # the designated pair's column, against a scan of every row by pair id
+    result = cl.grow_trajectory(h0)
+    pid = f"{result.designated[0]}-{result.designated[1]}"
+    scanned = {r.step: r.value for r in result.rows if r.pair_id == pid}
+    assert result.designated_values() == scanned
+    assert len(scanned) == 2 ** (h0 + 1) + 1
+
+
+def test_rows_are_the_value_array():
+    result = cl.grow_trajectory(4, steps=3)
+    assert result.values.shape == (4, 105) and not result.values.flags.writeable
+    assert len(result.labels) == 105
+    expected = [(step, *label, value)
+                for step, values in enumerate(result.values.tolist())
+                for label, value in zip(result.labels, values)]
+    assert result.rows == tuple(expected)
+    assert all(type(row) is cl.treegrow.TrajectoryRow for row in result.rows)
+
+
+@pytest.mark.parametrize("h0, steps, include_global", [
+    (40, None, False),    # 2^42 nodes and 2^41 steps of 105 rows
+    (40, 0, False),       # the perfect tree alone has 2^41 - 1 nodes
+    (16, None, False),    # 131,073 steps of 105 rows: 13.8 M rows
+    (12, 0, True),        # C(8191, 2) candidate pairs
+])
+def test_oversized_growth_is_refused_before_building(h0, steps, include_global):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="exceed the budget"):
+        cl.grow_trajectory(h0, steps=steps, include_global=include_global)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_growth_is_refused_one_past_the_budget():
+    # 95,237 steps of 105 rows are 9,999,990 rows, within the budget, and
+    # one step more passes it; the global search's last tree within it has
+    # 4472 nodes, C(4472, 2) = 9,997,156 pairs
+    with pytest.raises(BudgetExceededError, match="10000095 trajectory rows"):
+        cl.grow_trajectory(4, steps=95_238)
+    with pytest.raises(BudgetExceededError, match="C\\(4473,2\\)"):
+        cl.grow_trajectory(11, steps=4473 - 4095, include_global=True)
 
 
 @pytest.mark.parametrize("h0, steps", [(4.5, 2), (4, 2.5), (4, True), (4.0, 1)])
