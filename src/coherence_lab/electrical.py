@@ -89,6 +89,7 @@ from .graphs import (
     _dense,
     _grounded_entries,
     _is_int,
+    _is_real,
     is_connected,
     rooted_forest,
 )
@@ -1184,8 +1185,9 @@ def edge_addition_update(oracle: ResistanceOracle, i: int, j: int, w: float,
     _check_nodes(oracle.graph, i, j, p, q)
     if i == j:
         raise SameNodeError("cannot add a self-loop")
-    if not (math.isfinite(w) and w > 0.0):
-        raise BadWeightError(f"added edge weight must be finite and > 0, got {w}")
+    if not (_is_real(w) and math.isfinite(w) and w > 0.0):
+        raise BadWeightError(f"added edge weight must be a real number, finite and > 0, "
+                             f"got {w!r}")
     r = oracle.table
     delta = r[p, i] + r[q, j] - r[p, j] - r[q, i]
     return float(r[p, q] - w * delta * delta / (4.0 * (1.0 + w * r[i, j])))

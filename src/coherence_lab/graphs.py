@@ -42,6 +42,12 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for Python and numpy real numbers, integers among them, False
+    for bools and the rest."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _require_int(name: str, value) -> None:
     """Raise BadParameterError unless ``value`` is an integer (:func:`_is_int`)."""
     if not _is_int(value):
@@ -66,11 +72,13 @@ class Graph:
     """Immutable weighted undirected graph.
 
     Invariants enforced at construction: no self-loops, at most one edge
-    per unordered pair, strictly positive finite weights, all endpoints
-    integers (numpy's too, never bools or floats) in ``[0, node_count)``. The edges are held, in input order, as two
-    read-only arrays: ``_uv`` (m, 2) with u < v in each row and ``_w`` (m,)
-    their weights. Every matrix is assembled from these arrays;
-    connectivity is computed once, on the first query.
+    per unordered pair, weights that are strictly positive finite real
+    numbers (numpy's too, never bools or strings), all endpoints integers
+    (numpy's too, never bools or floats) in ``[0, node_count)``. The edges
+    are held, in input order, as two read-only arrays: ``_uv`` (m, 2) with
+    u < v in each row and ``_w`` (m,) their weights. Every matrix is
+    assembled from these arrays; connectivity is computed once, on the
+    first query.
     """
 
     __slots__ = ("node_count", "_uv", "_w", "_edges", "_connected")
@@ -92,9 +100,18 @@ class Graph:
     def _set_edges(self, node_count: int, ids: np.ndarray, w) -> None:
         """Check and hold the edges: ``ids`` is the (2, m) array of their
         integer ids, read as floats, and ``w`` their weights."""
+        # a weight must be a real number (:func:`_is_real`), where float()
+        # would read True as 1.0 and '1_0' as 10.0; the set of weight types
+        # is checked first, so all-real input makes no call per weight
+        given = w
+        if all(issubclass(t, numbers.Real) and t is not bool for t in set(map(type, w))):
+            real = np.ones(len(w), dtype=bool)
+        else:
+            real = np.array([_is_real(x) for x in w], dtype=bool)
+            w = [x if ok else math.nan for x, ok in zip(w, real)]
+        w = np.array(w, dtype=np.float64)
         # floats are exact below 2**53, so that an id of any size compares
         # with the node range without overflow
-        w = np.array(w, dtype=np.float64)
         lo, hi = ids.min(axis=0), ids.max(axis=0)
         inside = (0.0 <= lo) & (hi < node_count)
         # -1 stands for the ids of an edge outside the range, which is
@@ -102,7 +119,7 @@ class Graph:
         ends = np.where(inside, (lo, hi), -1).astype(np.intp)
         dup = np.ones(w.size, dtype=bool)
         dup[np.unique(ends[0] * node_count + ends[1], return_index=True)[1]] = False
-        flags = (lo == hi, ~inside, ~(np.isfinite(w) & (w > 0.0)), dup)
+        flags = (lo == hi, ~inside, ~real, ~(np.isfinite(w) & (w > 0.0)), dup)
         bad = np.logical_or.reduce(flags)
         if bad.any():
             # every edge before the first flagged one is valid, so its flags
@@ -113,6 +130,7 @@ class Graph:
             errors = (
                 SelfLoopError(f"self-loop at node {u}"),
                 BadParameterError(f"{edge} outside node range [0,{node_count})"),
+                BadWeightError(f"{edge} has weight {given[i]!r}, which is not a real number"),
                 BadWeightError(f"{edge} has non-positive weight {float(w[i])}"),
                 DuplicateEdgeError(f"duplicate edge between {min(u, v)} and {max(u, v)}"),
             )
@@ -476,7 +494,7 @@ def parse_graph_json(text: str) -> Graph:
 def _json_edge(u, v, w) -> Edge:
     if not (_is_int(u) and _is_int(v)):
         raise ValueError(f"node ids must be integers, got {u!r} and {v!r}")
-    return u, v, float(w)
+    return u, v, w
 
 
 def read_graph_file(path: str) -> Graph:

@@ -32,14 +32,18 @@ once and overwrites its upper triangle with the pair totals, row block
 by row block; with both leaders pinned the two steps collapse to the
 symmetric (cs_x + cs_y) / 2 - ((q_x + q_y - 2 Q_xy) / r_xy + n r_xy) / 4,
 cs being the table's column sums and q the diagonal of Q
-(:func:`_pair_rows`). Prefixes are taken in groups whose grounded rows
-fit one block of ``electrical._BLOCK_FLOATS`` floats, so small graphs
-pay Python once per group, not per prefix. The Gram expansion cancels
-where a set's value is small beside its terms (stiff weights), so every
-total carries the sum of its terms' absolute values (for a pinned pair,
-the total plus twice the two terms it subtracts, which the sweep forms
-on the way), and a set whose rounding bound, 4 eps times that sum,
-exceeds ``_RECHECK`` of its value is recomputed directly by
+(:func:`_pair_rows`). A noise-corrupted leader is a pinned leader at the
+far end of its 1/kappa resistor, so the same formula scores it from the
+augmented sums: with a = 1/kappa_x and b = 1/kappa_y it reads
+cs_x + n a, q_x + a (2 cs_x + n a), Q_xy + a (cs_y + n b) + cs_x b and
+r_xy + a + b, and likewise for y. Prefixes are taken in groups whose
+grounded rows fit one block of ``electrical._BLOCK_FLOATS`` floats, so
+small graphs pay Python once per group, not per prefix. The Gram
+expansion cancels where a set's value is small beside its terms (stiff
+weights), so every total carries the sum of its terms' absolute values
+(for a pair, the total plus twice the two terms it subtracts, which the
+sweep forms on the way), and a set whose rounding bound, 4 eps times
+that sum, exceeds ``_RECHECK`` of its value is recomputed directly by
 ``ResistanceOracle.set_totals``. The reduction keeps a running minimum
 and the sets within ``_tie_window`` of it, block by block; no array of
 all C(n, k) values is ever formed. The kept sets are sorted at the end,
@@ -207,109 +211,86 @@ def _pair_blocks(oracle: ResistanceOracle, recip):
     The Gram matrix Q = R R of the symmetric table R is one BLAS ``dsyrk``
     (n^3 flops): handed the Fortran-order view ``R.T``, it copies nothing,
     and its lower triangle, transposed, is the upper triangle that
-    :func:`_pair_rows` overwrites with each block's totals. Each block is
-    overwritten by the next; beside the table, the sweep holds Q and three
-    row blocks, and the byte budget that ``resistance_oracle`` checked for
-    the table build (two n x n arrays) covers the table and Q.
+    :func:`_pair_rows` overwrites with each block's totals. Noise-corrupted
+    leaders are pinned leaders moved out along their resistors, a = 1/kappa
+    as first leader and b as second: their sums c_x = cs + n a and
+    q_x = q + a (2 cs + n a), and c_y, q_y with b, are formed once, and each
+    block takes Q_xy + a_x c_y + cs_x b_y and r_xy + a_x + b_y. Each block
+    is overwritten by the next; beside the table, the sweep holds Q and two
+    row blocks (a third for r_xy + a_x + b_y), and the byte budget that
+    ``resistance_oracle`` checked for the table build (two n x n arrays)
+    covers the table and Q.
     """
     R = oracle.table
     n = R.shape[0]
-    col = oracle.column_sums()
+    cs = oracle.column_sums()
     T = dsyrk(1.0, R.T, trans=1, lower=1).T
     q = np.diagonal(T).copy()
     rows = _block_rows(n)
     scratch = np.empty((rows, n))
     bound = np.empty((rows, n))
+    if recip is None:
+        q_x = q_y = q
+        c_x = c_y = cs
+    else:
+        a, b = recip
+        c_x, c_y = cs + n * a, cs + n * b
+        q_x, q_y = q + a * (2.0 * cs + n * a), q + b * (2.0 * cs + n * b)
+        moved = np.empty((rows, n))
     lower = np.tri(rows, dtype=bool)
-    for a in range(0, n - 1, rows):
-        b = min(a + rows, n)
+    for lo in range(0, n - 1, rows):
+        hi = min(lo + rows, n)
+        t, r = T[lo:hi, lo:], R[lo:hi, lo:]
+        s, e = scratch[:hi - lo, :n - lo], bound[:hi - lo, :n - lo]
+        if recip is not None:
+            t += np.multiply(a[lo:hi, None], c_y[lo:], out=s)
+            t += np.multiply(cs[lo:hi, None], b[lo:], out=s)
+            r = np.add(r, a[lo:hi, None], out=moved[:hi - lo, :n - lo])
+            r += b[lo:]
         with np.errstate(divide="ignore", invalid="ignore"):
-            _pair_rows(T, R, q, col, a, b, scratch, recip, bound)
-        t = T[a:b, a:]
-        t[:, :b - a][lower[:b - a, :b - a]] = np.inf
-        wide = _too_wide(bound[:b - a, :n - a], t, scratch[:b - a, :n - a])
+            _pair_rows(t, r, q_x[lo:hi], q_y[lo:], c_x[lo:hi], c_y[lo:], n, s, e)
+        t[:, :hi - lo][lower[:hi - lo, :hi - lo]] = np.inf
+        wide = _too_wide(e, t, s)
 
-        def sets_at(hits, a=a):
-            return np.column_stack((a + hits[0], a + hits[1]))
+        def sets_at(hits, lo=lo):
+            return np.column_stack((lo + hits[0], lo + hits[1]))
 
         yield t, wide, sets_at
 
 
-def _pair_rows(T: np.ndarray, R: np.ndarray, q: np.ndarray, col: np.ndarray,
-               a: int, b: int, scratch: np.ndarray, inv_kappa,
+def _pair_rows(t: np.ndarray, r: np.ndarray, q_x: np.ndarray, q_y: np.ndarray,
+               c_x: np.ndarray, c_y: np.ndarray, n: int, scratch: np.ndarray,
                bound: np.ndarray) -> None:
-    """Overwrite rows a:b of ``T``'s upper triangle, from column a on, with
-    the pair totals sum_u r(u, {x, y}), x < y, and the same cells of
-    ``bound`` with their rounding bounds.
+    """Overwrite the block ``t`` of the Gram matrix, Q_xy for rows x and
+    columns y, with the totals sum_u r(u, {x, y}) of two pinned leaders,
 
-    ``T`` holds the Gram matrix Q = R R there, ``q`` its diagonal and
-    ``col`` the table's column sums. Grounding x first (the anchor) and
-    then y by one Schur step gives
+        (c_x + c_y) / 2 - ((q_x + q_y - 2 Q_xy) / r_xy + n r_xy) / 4,
 
-        cs_x + n/kappa_x - [(q_x + q_y - 2 Q_xy) + 2 h (cs_x - cs_y) + n h^2]
-                           / (4 (r_xy + 1/kappa_x + 1/kappa_y)),
-
-    with h = r_xy + 2/kappa_x; ``inv_kappa`` is the pair (1/kappa of every
-    node as the first leader, as the second). Without it both leaders are
-    pinned (h = r_xy is the pivot), and the total is the symmetric
-
-        (cs_x + cs_y) / 2 - ((q_x + q_y - 2 Q_xy) / r_xy + n r_xy) / 4.
-
+    from ``r``, the block of r_xy, the column sums c and Gram diagonal q of
+    the rows (x) and of the columns (y), and n, the nodes summed over.
     Scaling by 2 or 4 is exact, so each entry rounds as the expression
-    written out would. ``scratch`` and ``bound`` have at least b - a rows
-    of n columns; ``bound`` receives the sum of the absolute values of the
-    terms, or a little more: the rounding error of a total is at most a few
-    eps times it. Without kappa every term is positive but the two that
-    the total subtracts, (q_x + q_y) / (4 r_xy) + n r_xy / 4, so that sum
-    is the total plus twice those two, which the sweep forms on the way.
+    written out would. ``bound`` (as large as ``t``, as is ``scratch``)
+    receives the sum of the absolute values of the terms: every term is
+    positive but the two that the total subtracts, (q_x + q_y) / (4 r_xy)
+    + n r_xy / 4, so that sum is the total plus twice those two, which the
+    sweep forms on the way. The rounding error of a total is at most a few
+    eps times it.
     """
-    n = R.shape[0]
-    t, r, s = T[a:b, a:], R[a:b, a:], scratch[:b - a, :n - a]
-    e = bound[:b - a, :n - a]
-    if inv_kappa is None:
-        # t takes twice the total, (cs_x + cs_y) - ((q_x + q_y) / 2 - Q_xy)
-        # / r_xy - n r_xy / 2, and e twice the terms it subtracts,
-        # (q_x + q_y) / (2 r_xy) + n r_xy / 2; the halves are taken of the
-        # vectors and of n. Scaled by 2 throughout, each rounds as the
-        # total written out would. The sum of the absolute values of the
-        # terms is then the total plus e
-        np.add(0.5 * q[a:b, None], 0.5 * q[a:], out=s)
-        np.divide(s, r, out=e)
-        np.subtract(s, t, out=t)
-        t /= r
-        np.multiply(r, 0.5 * n, out=s)
-        t += s
-        e += s
-        np.add(col[a:b, None], col[a:], out=s)
-        np.subtract(s, t, out=t)
-        t *= 0.5
-        e += t
-        return
-    cx, cy = col[a:b, None], col[a:]
-    first, second = inv_kappa[0][a:b, None], inv_kappa[1][a:]
-    h = r + 2.0 * first
-    pivot = (r + first) + second
-    lead = cx + n * first
-    # every term is positive but -2 Q_xy and -2 h cs_y, so the absolute
-    # values sum to the bracket plus 4 (Q_xy + h cs_y)
-    np.multiply(h, cy, out=e)
+    s, e = scratch, bound
+    # t takes twice the total, (c_x + c_y) - ((q_x + q_y) / 2 - Q_xy) / r_xy
+    # - n r_xy / 2, and e twice the terms it subtracts, (q_x + q_y) /
+    # (2 r_xy) + n r_xy / 2; the halves are taken of the vectors and of n
+    np.add(0.5 * q_x[:, None], 0.5 * q_y, out=s)
+    np.divide(s, r, out=e)
+    np.subtract(s, t, out=t)
+    t /= r
+    np.multiply(r, 0.5 * n, out=s)
+    t += s
+    e += s
+    np.add(c_x[:, None], c_y, out=s)
+    np.subtract(s, t, out=t)
+    t *= 0.5
     e += t
-    t *= 2.0
-    np.subtract(np.add(q[a:b, None], q[a:], out=s), t, out=t)
-    np.subtract(cx, cy, out=s)
-    s *= h
-    s *= 2.0
-    t += s
-    np.multiply(h, float(n), out=s)
-    s *= h
-    t += s
-    t /= pivot
-    t *= 0.25
-    np.subtract(lead, t, out=t)
-    # lead + bracket / (4 pivot) + (Q_xy + h cs_y) / pivot, with the
-    # bracket's share, lead minus the total, taken as lead
-    e /= pivot
-    e += 2.0 * lead
 
 
 def _prefix_blocks(oracle: ResistanceOracle, k: int, recip):
@@ -350,22 +331,24 @@ def _group_blocks(oracle: ResistanceOracle, group: np.ndarray, recip):
         tau = tau + n * inv_kappa[:, 0]
     tau = tau - np.einsum("mju,mju->m", cols, cols)
 
+    # the anchor's row, moved out along its 1/kappa resistor when it is
+    # tied: grounding it gives A[u, v] = (rho_u + rho_v - r_uv) / 2
+    rho = R[anchor]
+    if recip is not None:
+        rho += inv_kappa[:, :1]
+
     def grounded_rows(lo, hi):
         """A_P[u, v] for lo <= u < hi and v >= j0, every prefix."""
-        A = R[anchor, lo:hi][:, :, None] + R[anchor, j0:][:, None, :]
+        A = rho[:, lo:hi, None] + rho[:, None, j0:]
         A -= R[lo:hi, j0:]
         A *= 0.5
-        if recip is not None:
-            A += inv_kappa[:, 0, None, None]
         for j in range(depth - 1):
             A -= cols[:, j, lo:hi, None] * cols[:, j, None, j0:]
         return A
 
-    # the diagonal of A_P after j0: r(v, anchor) (+ 1/kappa), less the
-    # Schur steps, as grounded_rows forms it
-    diag = R[anchor, j0:]
-    if recip is not None:
-        diag += inv_kappa[:, :1]
+    # the diagonal of A_P after j0: rho less the Schur steps, as
+    # grounded_rows forms it
+    diag = rho[:, j0:].copy()
     for j in range(depth - 1):
         diag -= cols[:, j, j0:] * cols[:, j, j0:]
     # G_P over the columns after j0, summed over row blocks of A_P. dsyrk

@@ -44,7 +44,7 @@ from .errors import (
     SolverError,
     UnstableStepError,
 )
-from .graphs import Graph, _dense, _grounded_entries, _is_int, is_connected
+from .graphs import Graph, _dense, _grounded_entries, _is_int, _is_real, is_connected
 
 # cap on the noise buffer: chunk_steps * n * trials doubles
 _NOISE_BUDGET = 2_000_000
@@ -61,6 +61,12 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # real numbers, as weights must be (graphs._is_real): float() would
+        # read True as 1.0, and comparing a string or None raises TypeError
+        for name in ("dt", "horizon", "burn_in"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise BadParameterError(f"{name} must be a real number, got {value!r}")
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise BadParameterError(f"dt must be positive, got {self.dt}")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):

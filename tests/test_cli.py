@@ -321,6 +321,19 @@ def test_json_graph_file_with_non_integer_ids_exits_two(tmp_path, doc):
     assert "integer" in err
 
 
+@pytest.mark.parametrize("weight", ["true", '"1_0"', '"2"', "null"],
+                         ids=["bool", "underscore", "string", "null"])
+def test_json_graph_file_with_non_number_weights_exits_two(tmp_path, weight):
+    # the edge-list format rejects "0 1 1_0", so the same graph in JSON must
+    # too; float() would read true as 1.0 and "1_0" as 10.0
+    path = tmp_path / "graph.json"
+    path.write_text(f'{{"n": 3, "edges": [[0, 1, 1.0], [1, 2, {weight}]]}}')
+    code, out, err = run(["coherence", "--graph", f"file:{path}", "--leaders", "0"])
+    assert code == 2
+    assert out == ""
+    assert "not a real number" in err
+
+
 @pytest.mark.parametrize("text", ["0 1_0 1.0\n", "0 \u0661 1.0\n", "0 1 1_0\n"],
                          ids=["id-underscore", "id-arabic-indic", "weight-underscore"])
 def test_edge_list_file_with_non_json_numbers_exits_two(tmp_path, text):

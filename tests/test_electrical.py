@@ -812,6 +812,14 @@ def test_edge_addition_update_errors():
     for w in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(BadWeightError):
             cl.edge_addition_update(oracle, 0, 2, w, 0, 2)
+    # a weight is a real number: float() would read True as 1.0, and
+    # math.isfinite raises a bare TypeError on a string
+    for w in (True, np.bool_(True), "2", None):
+        with pytest.raises(BadWeightError, match="must be a real number"):
+            cl.edge_addition_update(oracle, 0, 2, w, 0, 2)
+    assert (cl.edge_addition_update(oracle, 0, 2, np.float64(2.0), 0, 2)
+            == cl.edge_addition_update(oracle, 0, 2, 2, 0, 2)
+            == cl.edge_addition_update(oracle, 0, 2, 2.0, 0, 2))
 
 
 def test_edge_addition_update_matches_recompute(rng):

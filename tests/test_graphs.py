@@ -70,6 +70,32 @@ def test_build_graph_rejects_bad_weights(w):
         cl.build_graph([(0, 1, w)])
 
 
+@pytest.mark.parametrize("w", [True, np.bool_(True), "2", "1_0", None, [1.0]],
+                         ids=["bool", "numpy-bool", "string", "underscore", "none", "list"])
+def test_weights_must_be_real_numbers(w):
+    # float() reads True as 1.0 and "1_0" as 10.0; every entry point refuses
+    # what the edge-list parser refuses
+    calls = (lambda: cl.build_graph([(0, 1, 1.0), (1, 2, w)]),
+             lambda: cl.Graph(3, [(0, 1, 1.0), (1, 2, w)]))
+    for call in calls:
+        with pytest.raises(BadWeightError) as info:
+            call()
+        assert str(info.value) == f"edge (1,2) has weight {w!r}, which is not a real number"
+
+
+def test_weights_of_any_real_type_are_read_as_floats():
+    g = cl.build_graph([(0, 1, 2), (1, 2, np.float32(0.5)), (2, 3, np.int64(3)),
+                        (3, 4, np.float64(1.5))])
+    assert [w for _, _, w in g.edges] == [2.0, 0.5, 3.0, 1.5]
+    assert all(type(w) is float for _, _, w in g.edges)
+
+
+@pytest.mark.parametrize("w", ["true", '"1_0"', '"2"', "null"])
+def test_json_weights_must_be_real_numbers(w):
+    with pytest.raises(BadWeightError, match="not a real number"):
+        cl.parse_graph_json(f'{{"n": 3, "edges": [[0, 1, 1.0], [1, 2, {w}]]}}')
+
+
 _VALID = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
 
 
@@ -83,6 +109,8 @@ _VALID = [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0)]
     ((2, 1, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
     ((1, 2, 4.0), DuplicateEdgeError, "duplicate edge between 1 and 2"),
     ((0, 2.5, 1.0), BadParameterError, "edge (0,2.5) has a node id that is not an integer"),
+    ((3, 0, "1"), BadWeightError, "edge (3,0) has weight '1', which is not a real number"),
+    ((3, 0, True), BadWeightError, "edge (3,0) has weight True, which is not a real number"),
 ])
 def test_first_bad_edge_after_valid_ones_keeps_class_and_message(bad, error, message):
     # a later edge that is bad in another way must not be the one reported

@@ -63,6 +63,25 @@ def test_nc_routes_agree_with_plain_inverse(case, data):
         assert value == pytest.approx(expected_map, rel=1e-9)
 
 
+@PROFILE
+@given(graphs_with_leaders(), st.data())
+def test_nc_pair_is_nf_with_each_leader_behind_a_pendant(case, data):
+    # a leader tied to the reference by the conductance kappa is a pinned
+    # leader at the far end of a 1/kappa resistor: the identity by which the
+    # k = 2 search scores noise-corrupted pairs
+    g = case[0]
+    n = g.node_count
+    assume(n >= 2)
+    x, y = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kx, ky = (10.0 ** data.draw(_exponents) for _ in range(2))
+    pendants = cl.build_graph([*g.edges, (x, n, kx), (y, n + 1, ky)])
+    expected = cl.coherence_nf(pendants, (n, n + 1)).value
+    # a list follows the leaders in the order given
+    for kappa in ({x: kx, y: ky}, [kx, ky]):
+        for value in _both_routes(g, (x, y), kappa):
+            assert value == pytest.approx(expected, rel=1e-9)
+
+
 def _relabel(g, perm):
     return cl.build_graph([(perm[u], perm[v], w) for u, v, w in g.edges],
                           node_count=g.node_count)

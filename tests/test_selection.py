@@ -290,13 +290,77 @@ def test_pinned_pair_rounding_bound_is_the_sum_of_its_terms(rng):
     q, cs = np.diag(Q).copy(), R.sum(axis=0)
     T, scratch, bound = Q.copy(), np.empty((n, n)), np.empty((n, n))
     with np.errstate(divide="ignore", invalid="ignore"):
-        selection._pair_rows(T, R, q, cs, 0, n, scratch, None, bound)
+        selection._pair_rows(T, R, q, q, cs, cs, n, scratch, bound)
     x, y = np.triu_indices(n, 1)
     r = R[x, y]
     expected = (cs[x] + cs[y]) / 2 + ((q[x] + q[y] + 2 * Q[x, y]) / r + n * r) / 4
     np.testing.assert_allclose(bound[x, y], expected, rtol=1e-13)
     total = (cs[x] + cs[y]) / 2 - ((q[x] + q[y] - 2 * Q[x, y]) / r + n * r) / 4
     np.testing.assert_allclose(T[x, y], total, rtol=1e-9)
+
+
+def _kappa_case(rng, kind, n):
+    """A kappa of each kind the search reads: one scalar, one weight per
+    node (a mapping, 1 where unset) or one per position of the pair."""
+    if kind == "scalar":
+        return 0.3
+    if kind == "mapping":
+        return {v: float(10.0 ** rng.uniform(-2.0, 2.0)) for v in range(0, n, 2)}
+    return [0.05, 20.0]
+
+
+@pytest.mark.parametrize("kind", ["scalar", "mapping", "list"])
+def test_nc_pair_sweep_matches_set_totals(rng, kind):
+    # the sweep scores a noise-corrupted pair as the pinned pair of its
+    # leaders moved out along their 1/kappa resistors; set_totals takes
+    # Schur steps on the table with the 1/kappa on the pivots
+    for g in (random_connected_graph(rng, 17, extra_edges=9), stiff_graph(rng, 17, 9)):
+        n = g.node_count
+        oracle = cl.resistance_oracle(g)
+        recip = _kappa_reciprocals(_kappa_case(rng, kind, n), n, 2)
+        T = sweep_pair_totals(oracle, recip)
+        pairs = np.column_stack(np.triu_indices(n, 1))
+        expected = oracle.set_totals(pairs, recip[[0, 1], pairs])
+        np.testing.assert_allclose(T[pairs[:, 0], pairs[:, 1]], expected, rtol=1e-9)
+
+
+@pytest.mark.parametrize("kind", ["mapping", "list"])
+def test_nc_pair_rounding_bound_is_the_total_plus_twice_its_subtracted_terms(
+        rng, monkeypatch, kind):
+    # with a = 1/kappa_x and b = 1/kappa_y the moved leaders have the sums
+    # c = cs + n a, q' = q + a (2 cs + n a), Q'_xy = Q_xy + a c_y + cs_x b and
+    # r' = r_xy + a + b, all positive; the total subtracts only
+    # (q'_x + q'_y) / (4 r') + n r' / 4, so the absolute values of its terms
+    # sum to the total plus twice those two
+    oracle = cl.resistance_oracle(stiff_graph(rng, 23, 12))
+    R = oracle.table
+    n = R.shape[0]
+    recip = _kappa_reciprocals(_kappa_case(rng, kind, n), n, 2)
+    seen = []
+    too_wide = selection._too_wide
+
+    def spy(bound, total, scratch):
+        seen.append((bound.copy(), total.copy()))
+        return too_wide(bound, total, scratch)
+
+    monkeypatch.setattr(selection, "_too_wide", spy)
+    for _ in selection._pair_blocks(oracle, recip):
+        pass
+    assert len(seen) == 1
+    bound, total = seen[0]
+    a, b = recip
+    cs = R.sum(axis=0)
+    Q = R @ R
+    q = np.diag(Q)
+    c_x, c_y = cs + n * a, cs + n * b
+    q_x, q_y = q + a * (2 * cs + n * a), q + b * (2 * cs + n * b)
+    x, y = np.triu_indices(n, 1)
+    Q_xy = Q[x, y] + a[x] * c_y[y] + cs[x] * b[y]
+    r = R[x, y] + a[x] + b[y]
+    subtracted = (q_x[x] + q_y[y]) / (4 * r) + n * r / 4
+    np.testing.assert_allclose(bound[x, y], total[x, y] + 2 * subtracted, rtol=1e-13)
+    terms = (c_x[x] + c_y[y]) / 2 + (q_x[x] + q_y[y] + 2 * Q_xy) / (4 * r) + n * r / 4
+    np.testing.assert_allclose(bound[x, y], terms, rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [3, 14, 200])

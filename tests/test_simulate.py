@@ -132,6 +132,27 @@ def test_config_requires_integer_trials_and_seed(bad):
         cl.SimConfig(dt=1e-3, horizon=1.0, **bad)
 
 
+@pytest.mark.parametrize("bad", [dict(dt=True), dict(dt="1e-3"), dict(dt=None),
+                                 dict(horizon=True), dict(horizon="1"), dict(horizon=None),
+                                 dict(burn_in=False), dict(burn_in="0.25"),
+                                 dict(burn_in=None), dict(dt=np.bool_(True))])
+def test_config_requires_real_dt_horizon_and_burn_in(bad):
+    # float() reads True as 1.0, and comparing a string or None raises a
+    # bare TypeError
+    params = dict(dt=1e-3, horizon=1.0) | bad
+    with pytest.raises(BadParameterError, match="must be a real number"):
+        cl.SimConfig(**params)
+
+
+def test_config_accepts_numpy_reals():
+    cfg = cl.SimConfig(dt=np.float64(0.1), horizon=np.float32(1.0),
+                       burn_in=np.float64(0.25), trials=2, seed=4)
+    res = cl.simulate_nf(cl.build_path(3), (0,), cfg)
+    ref = cl.simulate_nf(cl.build_path(3), (0,),
+                         cl.SimConfig(dt=0.1, horizon=1.0, trials=2, seed=4))
+    assert res.value == ref.value
+
+
 def test_config_accepts_numpy_integers():
     cfg = cl.SimConfig(dt=0.1, horizon=1.0, trials=np.int64(2), seed=np.int64(4))
     res = cl.simulate_nf(cl.build_path(3), (0,), cfg)
