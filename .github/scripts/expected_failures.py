@@ -6,7 +6,7 @@
 Reads the junit XML that ``pytest --junitxml`` writes. In Tier-1,
 acceptance criteria 4 and 11 stay strict and fail by design. In
 ``layerbench/tests``, two tests fail because the benchmark's tracer still
-lists names the library no longer has (ROADMAP item 1). Any other failed
+lists names the library no longer has (ROADMAP item 2). Any other failed
 or errored test is a regression. A known failure that passes fails the
 check too, because then the expected set (and the ROADMAP) needs
 updating.

@@ -10,14 +10,15 @@
   reciprocal nonzero Laplacian eigenvalues (the variance of deviations
   from the network average), which is the Kirchhoff index over 2n.
 
-Every value is one grounded solve, ``electrical.grounded_solve``: an
-exact O(n) elimination whenever the grounded entries form a forest; on a
-larger system, the same elimination of every node with at most two
-neighbours left, then a dense Cholesky and a triangular inverse of only
-the core that is left, none at all on a cycle or another series-parallel
-system (the noise-corrupted trace route on a ring); otherwise a dense
-Cholesky and a triangular inverse of the whole system. No resistance
-table and no eigensolve is formed. Leader-free coherence grounds node 0
+Every value is one grounded solve, ``electrical.grounded_solve``, by one
+elimination engine: the nodes of a plan, each with at most two neighbours
+left, are eliminated (all of a forest's, exactly in O(n); enough of a
+larger system's to pay; otherwise none), and the core left, the whole
+system when none is eliminated, takes a dense Cholesky and a triangular
+inverse. A cycle or another series-parallel system leaves no core (the
+noise-corrupted trace route on a ring). No resistance table and no
+eigensolve is formed, and a value that passes the largest float on the
+way raises ``SolverError``. Leader-free coherence grounds node 0
 like the resistance route, so it takes forest elimination on trees and
 cycles.
 Noise-free and noise-corrupted are exposed through two independent
@@ -44,7 +45,7 @@ from .electrical import (
     normalize_leaders,
     schur_totals,
 )
-from .errors import BadParameterError, DisconnectedGraphError
+from .errors import BadParameterError, DisconnectedGraphError, SolverError
 from .graphs import Graph, _grounded_entries, is_connected
 
 NOISE_FREE = "noise_free"
@@ -90,6 +91,15 @@ def _default_label(g: Graph) -> str:
     return f"n{g.node_count}:m{g.edge_count}"
 
 
+def _in_range(value: float) -> float:
+    """``value``; raises SolverError when it is not finite, because a sum
+    that formed it passed the largest float."""
+    if not np.isfinite(value):
+        raise SolverError(f"coherence reads {value!r}: its sums pass the "
+                          f"floating-point range")
+    return value
+
+
 def _grounded_trace(g: Graph, leaders, kvec=None) -> float:
     """Trace of the inverse of the Laplacian grounded at a reference node,
     with the leaders pinned to it (noise-free) or, given ``kvec``, tied to
@@ -126,15 +136,18 @@ def _coherence(g: Graph, S, kvec, method: str,
     if not is_connected(g):
         raise DisconnectedGraphError("coherence requires a connected graph")
     tied = kvec is not None
-    if method == "trace":
-        value = 0.5 * _grounded_trace(g, S, kvec)
-    elif method == "resistance":
-        inv_kappa = 1.0 / kvec[None, :] if tied else None
-        value = 0.5 * _resistance_total(g, S, inv_kappa)
-    else:
-        raise BadParameterError(f"unknown method {method!r}")
+    # a sum past the largest float reads inf or NaN, which _in_range
+    # refuses without a warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "trace":
+            value = 0.5 * _grounded_trace(g, S, kvec)
+        elif method == "resistance":
+            inv_kappa = 1.0 / kvec[None, :] if tied else None
+            value = 0.5 * _resistance_total(g, S, inv_kappa)
+        else:
+            raise BadParameterError(f"unknown method {method!r}")
     return CoherenceReport(
-        value=value,
+        value=_in_range(value),
         dynamics=NOISE_CORRUPTED if tied else NOISE_FREE,
         method=method,
         graph=graph_label or _default_label(g),
@@ -189,9 +202,11 @@ def leader_free_coherence(g: Graph, graph_label: str | None = None) -> Coherence
     if not is_connected(g):
         raise DisconnectedGraphError("leader-free coherence requires connectivity")
     _, diag, off = _grounded_entries(g, (0,))
-    d, _, y = grounded_solve(diag, off)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d, _, y = grounded_solve(diag, off)
+        value = 0.5 * (float(d.sum()) - float(y.sum()) / g.node_count)
     return CoherenceReport(
-        value=0.5 * (float(d.sum()) - float(y.sum()) / g.node_count),
+        value=_in_range(value),
         dynamics=LEADER_FREE,
         method="trace",
         graph=graph_label or _default_label(g),

@@ -7,56 +7,41 @@ removed. Node-to-set resistance r(i, S) generalizes this by grounding all
 of S at once. Every grounded matrix here is assembled from the graph's
 edge arrays by ``graphs._grounded_entries``.
 
-:func:`resistance_to_set` is one column of :func:`grounded_solve`
-(:func:`resistance` is its one-node case). :func:`resistance_oracle`
-precomputes the full pairwise table from the inverse of the Laplacian
-grounded at node 0, by one of two routes chosen from the edge count. A
-connected graph with at most one cycle (m <= n: trees, paths, cycles,
-unicyclic graphs) takes O(n^2) path sums over a spanning tree, where the
-inverse is the resistance from node 0 to the nearest common ancestor, plus
-one rank-one update for the edge the tree leaves out. Every other graph
-takes one routine: when enough of its grounded nodes have at most two
-neighbours (a rule read from the entries, as for a solve), it is peeled
-as a solve is, only the core left is factored and inverted by LAPACK, and
-the peeled rows of the inverse are filled from their neighbours' rows,
-O(n) each; otherwise the core is the whole system (about n^3 flops).
-Either route holds at most two n x n arrays, refuses with
-``BudgetExceededError`` any n whose two arrays would pass a fixed byte
-budget (4 GiB, about n = 16k), and every finished table passes the same
-check of its grounded inverse and Foster's theorem. A query for given
-leader sets is :meth:`ResistanceOracle.set_totals`, which grounds a batch
-of them one leader at a time with the rank-one Schur steps of
-:func:`schur_totals`; those steps read only the leaders' rows of the
-table. A leader tied to a
-reference node by a 1/kappa resistor (noise-corrupted) becomes a pinned
-leader (noise-free) as kappa grows without bound, so both dynamics take
-the same steps, the pinned ones without the 1/kappa terms.
+One elimination engine inverts it. A plan, read from the entries, lists
+nodes that each have at most two neighbours left when they go, a pendant
+or a series resistor, and :func:`_forward` eliminates them as Kron
+reduction removes them; the core left is factored by LAPACK
+(:func:`_factor`: ``dpotrf``, and ``dpotrs`` for the right-hand sides). A
+forest (a tree, or a cycle with a pinned leader or a grounded node) is
+eliminated exactly in O(n) and leaves no core; a larger system is peeled
+when enough of its nodes have two neighbours or fewer, so a cycle or any
+series-parallel system calls no LAPACK; any other system eliminates
+nothing, and its core is the whole system (:func:`_plan`).
 
 :func:`grounded_solve` returns the diagonal of a grounded inverse, a few
-of its columns and y = A^-1 1. It reads its route from the grounded
-entries and their size. A forest (a tree, or a cycle with a pinned leader
-or a grounded node) is eliminated exactly in O(n). A larger system is
-first peeled: every node with at most two neighbours left, a pendant or a
-series resistor, is eliminated as Kron reduction removes it, and only the
-core that is left goes to :func:`_factor`, so a cycle or any
-series-parallel system is solved in O(n) with no LAPACK call. A small
-system, or one that peels too little, goes to :func:`_factor` whole. The
-factored table shares the peel, its forward pass (:func:`_forward`) and
-that one dense kernel, which refuses under the same byte budget a matrix
-past it: for a peeled system, its core. It factors the matrix
-(``dpotrf``) and solves for y from the factor (``dpotrs``). A solve that asks for the diagonal then inverts the factor
-(``dtrtri``, :func:`_factor_inverse`); :func:`resistance_to_set`, which
-reads one column, solves it from the factor instead. A grounded matrix is
-an M-matrix, so its inverse is entrywise nonnegative and ||A^-1||_1 =
-max(y). Every computed inverse, a solve's or a table's, passes one check,
-:func:`_check_inverse`: it raises ``SolverError`` once the exact
-forward-error scale eps ||A||_1 ||A^-1||_1 passes ``_CONDITION_LIMIT``,
-or once the residual of the solved columns or of y passes
-``SOLVE_TOLERANCE``. The trace route sums the diagonal; the resistance
-route grounds node 0, forms the leaders' rows
-r(u, s) = (d_u + d_s) - 2 G0[u, s] from the diagonal d and the leaders'
-columns, and hands them to :func:`schur_totals`; leader-free coherence
-grounds node 0 and reads the Kirchhoff index from d and y.
+of its columns and y = A^-1 1; :func:`resistance_to_set` is one column
+(:func:`resistance` its one-node case), solved from the factor with no
+inverse. :func:`resistance_oracle` precomputes the full pairwise table
+from the inverse G0 of the Laplacian grounded at node 0. A graph with at
+most one cycle (m <= n) takes O(n^2) path sums over a spanning tree, plus
+one rank-one update for the edge the tree leaves out; every other graph
+takes the engine's plan, and each peeled row of G0 is filled from its
+neighbours' rows, O(n) each. Either route holds at most two n x n arrays
+and refuses with ``BudgetExceededError`` any n whose two arrays would pass
+a fixed byte budget (4 GiB, about n = 16k). A query for given leader sets
+is :meth:`ResistanceOracle.set_totals`, which grounds a batch of them one
+leader at a time with the rank-one Schur steps of :func:`schur_totals`,
+from the leaders' rows of the table only. A leader tied to a reference
+node by a 1/kappa resistor (noise-corrupted) becomes a pinned leader
+(noise-free) as kappa grows without bound, so both dynamics take the same
+steps, the pinned ones without the 1/kappa terms.
+
+A grounded matrix is an M-matrix, so its inverse is entrywise nonnegative
+and ||A^-1||_1 = max(y). Every computed inverse, a solve's or a table's,
+passes one check, :func:`_check_inverse`: it raises ``SolverError`` once
+the exact forward-error scale eps ||A||_1 ||A^-1||_1 passes
+``_CONDITION_LIMIT``, or once the residual of the solved columns or of y
+passes ``SOLVE_TOLERANCE``; a table also passes Foster's theorem.
 
 Every dense BLAS/LAPACK call goes through scipy (``scipy.linalg``). numpy
 links its own OpenBLAS with its own thread pool, and a call there between
@@ -70,7 +55,6 @@ import numbers
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
 from scipy.linalg.lapack import dlauum, dpotrf, dpotrs, dtrtri
 
 from .errors import (
@@ -219,79 +203,54 @@ def grounded_solve(diag: np.ndarray, off, columns=(), diagonal: bool = True):
 
     Returns ``(d, X, y)``: d the diagonal (None when ``diagonal`` is
     false), X, of shape (len(columns), n), the columns as rows, and
-    y = A^-1 1, whose largest entry is ||A^-1||_1. The route is read from
-    the entries alone:
+    y = A^-1 1, whose largest entry is ||A^-1||_1. Every system goes
+    through :func:`_eliminate`, with a plan read from the entries alone:
 
     * fewer than n entries take one :func:`graphs.rooted_forest` pass, and
       form a forest exactly when the entries and the roots together number
-      n; :func:`_eliminate` then eliminates it leaf to root in O(n);
+      n; it is eliminated leaf to root in O(n), with no core;
     * any other system of n nodes, q of them with at most two
       neighbours, with n^2 - (n - q)^2 >= ``_PEEL_BREAK_EVEN`` n is
       peeled (:func:`_peel`) down to its core, at most n - q nodes, and
-      :func:`_eliminate` eliminates the peeled nodes and factors only the
-      core; a cycle, or any series-parallel system, leaves no core and
-      calls no LAPACK;
-    * every other system is factored whole by :func:`_dense_solve`.
+      only the core is factored; a cycle, or any series-parallel system,
+      leaves no core and calls no LAPACK;
+    * every other system keeps every node in its core, and is factored
+      whole (:func:`_plan`).
 
-    Either way X and y then pass :func:`_check_inverse`.
+    X and y then pass :func:`_check_inverse`.
     """
     n = diag.size
     columns = np.asarray(columns, dtype=np.intp)
     if n == 0:
         return np.zeros(0), np.zeros((columns.size, 0)), np.zeros(0)
     rows, cols, _ = off
-    plan = None
-    if rows.size < n:
-        plan = _forest_plan(n, rows, cols)
-    if plan is None and _peel_pays(n, rows, cols, _PEEL_BREAK_EVEN):
-        plan = _peel(n, rows, cols)
-    if plan is not None:
-        # a pivot below 1 / (the largest float) inverts to inf, and y with
-        # it, which the check refuses; as in resistance_oracle, without a
-        # warning on the way
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            d, X, y = _eliminate(diag, off, columns, diagonal, plan)
-    else:
-        d, X, y = _dense_solve(diag, off, columns, diagonal)
+    plan = _forest_plan(n, rows, cols) if rows.size < n else None
+    if plan is None:
+        plan = _plan(n, rows, cols, _PEEL_BREAK_EVEN)
+    # a pivot below 1 / (the largest float) inverts to inf, and y with it,
+    # which the check refuses; as in resistance_oracle, without a warning
+    # on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d, X, y = _eliminate(diag, off, columns, diagonal, plan)
     _check_inverse(X, columns, y, diag, _edge_ends(off))
-    return (d if diagonal else None), X, y
-
-
-def _dense_solve(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool):
-    """:func:`grounded_solve` by a Cholesky factor. Without the diagonal,
-    the columns are solved from the factor (``dpotrs``, O(n^2) each) and d
-    is None. With it, :func:`_factor_inverse` gives A^-1 = V^T V: the
-    diagonal is the sum of the squares of each column of V, taken in place,
-    and column s is V^T times column s of V (BLAS ``dtrmm``).
-    """
-    n = diag.size
-    if not diagonal:
-        c, y = _factor(diag, off)
-        E = np.zeros((n, columns.size), order="F")
-        E[columns, np.arange(columns.size)] = 1.0
-        return None, dpotrs(c, E, lower=1, overwrite_b=1)[0].T, y
-    V, y = _factor_inverse(diag, off)
-    Y = np.zeros((n, columns.size), order="F")
-    for j, s in enumerate(columns.tolist()):
-        Y[s:, j] = V[s:, s]
-    X = dtrmm(1.0, V, Y, lower=1, trans_a=1, overwrite_b=1).T if columns.size else Y.T
-    return np.square(V, out=V).sum(axis=0), X, y
+    return d, X, y
 
 
 class _Plan(NamedTuple):
     """An elimination order for :func:`_eliminate`, from :func:`_forest_plan`
-    or :func:`_peel`.
+    or :func:`_plan`.
 
-    ``order`` lists the nodes to eliminate. The lists ``a`` to ``ab_slot``
-    are indexed by node: ``a`` and ``b`` are a node's neighbours left when
-    it goes (-1 for none), ``a_slot`` and ``b_slot`` the numbers of its
-    entries with them, and ``ab_slot`` the number of the entry between
-    them; ``b_slot`` and ``ab_slot`` are None when no node has two. The
-    entries are numbered as in ``off``, new ones from m on, ``slots`` in
-    all. ``core`` is the array of the nodes left, in increasing order;
-    ``entries`` holds the entries among them as three arrays, their numbers
-    and the indices into ``core`` of their two ends, and ``pairs`` the same
-    for the core pairs whose inverse entries the back pass reads.
+    ``order`` lists the nodes to eliminate; it is empty when the core is
+    the whole system. The lists ``a`` to ``ab_slot`` are indexed by node:
+    ``a`` and ``b`` are a node's neighbours left when it goes (-1 for
+    none), ``a_slot`` and ``b_slot`` the numbers of its entries with them,
+    and ``ab_slot`` the number of the entry between them; ``b_slot`` and
+    ``ab_slot`` are None when no node has two. The entries are numbered as
+    in ``off``, new ones from m on, ``slots`` in all. ``core`` is the array
+    of the nodes left, in increasing order; ``entries`` holds the entries
+    among them as three arrays, their numbers and the indices into
+    ``core`` of their two ends, and ``pairs`` the same for the core pairs
+    whose inverse entries the back pass reads.
     """
 
     order: list
@@ -317,6 +276,18 @@ def _peel_pays(n: int, rows: np.ndarray, cols: np.ndarray, break_even: int) -> b
         return False
     q = int(np.count_nonzero(np.bincount(np.concatenate((rows, cols)), minlength=n) <= 2))
     return q * (2 * n - q) >= break_even * n
+
+
+def _plan(n: int, rows: np.ndarray, cols: np.ndarray, break_even: int) -> _Plan:
+    """The plan of a system of n nodes with the off-diagonal entries
+    ``rows``, ``cols`` that is not a forest: the peel's (:func:`_peel`)
+    when the route rule :func:`_peel_pays` holds with ``break_even``, and
+    otherwise the plan that eliminates no node and keeps the whole system
+    as its core."""
+    if _peel_pays(n, rows, cols, break_even):
+        return _peel(n, rows, cols)
+    return _Plan([], [], [], [], None, None, np.arange(n), (np.arange(rows.size), rows, cols),
+                 None, rows.size)
 
 
 def _forest_plan(n: int, rows: np.ndarray, cols: np.ndarray):
@@ -412,10 +383,19 @@ def _forward(diag: np.ndarray, off, columns: np.ndarray, plan: _Plan):
     such neighbour), the carried right-hand sides as the rows of an array,
     the ones vector first, and the Schur complement on the nodes left, the
     core, as the arguments ``(diag, off, rhs)`` of :func:`_factor`, or None
-    when no node is left.
+    when no node is left. With an empty order only the last is formed, from
+    A itself, with no list pass.
     """
     n = diag.size
     order, A, a_slot, B, b_slot, ab_slot, core, entries, _, slots = plan
+    if not order:
+        # nothing to eliminate: the Schur complement is the whole system,
+        # with the ones vector and the unit columns as they are
+        rhs = np.zeros((n, columns.size + 1), order="F")
+        rhs[:, 0] = 1.0
+        if columns.size:
+            rhs[columns, np.arange(1, columns.size + 1)] = 1.0
+        return None, None, None, None, (diag, off, rhs)
     value = off[2].tolist()
     value += [0.0] * (slots - len(value))
     pivot = diag.tolist()
@@ -466,8 +446,10 @@ def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan:
 
     :func:`_forward` runs the forward pass. The core is the Schur
     complement on the nodes left: :func:`_factor` solves it for the carried
-    right-hand sides, and when the diagonal is asked for
-    :func:`_factor_inverse` also gives its inverse V^T V. The back pass, in
+    right-hand sides (``dpotrs``), and when the diagonal is asked for
+    :func:`_factor_inverse` also gives its inverse V^T V, whose diagonal is
+    the sum of the squares of each column of V. With an empty order the
+    core is the whole system, and that is the answer. The back pass, in
     reverse order, substitutes x_u = b_u / p - sum_a l_a x_a, and recovers
     the diagonal by the recurrence of Takahashi, Fagan and Chin (1973):
     Z_ua = -sum_b l_b Z_ba over u's neighbours, then d_u = 1/p -
@@ -479,19 +461,25 @@ def _eliminate(diag: np.ndarray, off, columns: np.ndarray, diagonal: bool, plan:
     n = diag.size
     order, A, a_slot, B, b_slot, ab_slot, core, _, pairs, slots = plan
     pivots, ratio, ratio_b, rhs, schur = _forward(diag, off, columns, plan)
-    inverse = 1.0 / pivots
-    X = rhs * inverse
     # the inverse entries that a node with two neighbours reads
     Z = [0.0] * slots if diagonal and ab_slot is not None else None
     if schur is not None:
         if diagonal:
             V, XC = _factor_inverse(*schur)
-            s, i, j = pairs
-            for at, z in zip(s.tolist(), _column_dots(V, i, j).tolist()):
-                Z[at] = z
-            inverse[core] = np.square(V, out=V).sum(axis=0)
+            if Z is not None:
+                s, i, j = pairs
+                for at, z in zip(s.tolist(), _column_dots(V, i, j).tolist()):
+                    Z[at] = z
+            d = np.square(V, out=V).sum(axis=0)
         else:
-            XC = _factor(*schur)[1]
+            d, XC = None, _factor(*schur)[1]
+        if not order:
+            return d, XC[:, 1:].T, XC[:, 0]
+    inverse = 1.0 / pivots
+    X = rhs * inverse
+    if schur is not None:
+        if diagonal:
+            inverse[core] = d
         X[:, core] = XC.T
     rhs = X.tolist()
     out = inverse.tolist()
@@ -778,16 +766,12 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
 
     Both routes ground node 0; L0 is that grounded Laplacian and G0 its
     inverse. The route is chosen from the edge count: a graph with at most
-    one cycle (m <= n) takes the O(n^2) route of :func:`_one_cycle_table`,
-    path sums over a spanning tree plus one rank-one update for the
-    cycle's left-out edge; every other graph takes :func:`_factored_table`,
-    which factors and inverts by LAPACK the core left after peeling every
-    node with at most two neighbours left, when the route rule of the
-    entries (``_TABLE_BREAK_EVEN``) finds enough of them, and all of L0
-    otherwise: about c^3 flops for a core of c nodes, plus O(n) per peeled
-    node. Each route hands its finished table to :func:`_check_table`,
-    which refuses an ill-conditioned L0 with the scale that route
-    computed. Peak memory is at most the table plus G0.
+    one cycle (m <= n) takes the O(n^2) path sums of
+    :func:`_one_cycle_table`; every other graph takes :func:`_factored_table`,
+    the elimination engine's plan for L0: about c^3 flops for a core of c
+    nodes, plus O(n) per peeled node. Each route hands its finished table
+    to :func:`_check_table`, which refuses an ill-conditioned L0 with the
+    scale that route computed. Peak memory is at most the table plus G0.
     """
     if not is_connected(g):
         raise DisconnectedGraphError("resistance oracle requires a connected graph")
@@ -797,14 +781,16 @@ def resistance_oracle(g: Graph) -> ResistanceOracle:
         return ResistanceOracle(g, np.zeros((1, 1)))
     _, diag, off = _grounded_entries(g, (0,))
     edges = _edge_ends(off)
-    if g.edge_count <= n:
-        # an edge's resistance 1/w or a sum of them past the largest float
-        # is inf, and the table then holds inf or NaN; so does y, or the
-        # table's columns, and the check refuses either without a warning
-        # on the way
-        with np.errstate(over="ignore", invalid="ignore"):
-            return ResistanceOracle(g, _one_cycle_table(g, diag, edges))
-    return ResistanceOracle(g, _factored_table(g, diag, off, edges))
+    # an edge's resistance 1/w, a sum of them or a pivot's inverse past the
+    # largest float is inf, and the table then holds inf or NaN; so does y,
+    # or the table's columns, and the check refuses either without a
+    # warning on the way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if g.edge_count <= n:
+            table = _one_cycle_table(g, diag, edges)
+        else:
+            table = _factored_table(g, diag, off, edges)
+    return ResistanceOracle(g, table)
 
 
 def _check_table(g: Graph, table: np.ndarray, y: np.ndarray, diag: np.ndarray,
@@ -824,15 +810,15 @@ def _check_table(g: Graph, table: np.ndarray, y: np.ndarray, diag: np.ndarray,
 
 def _factored_table(g: Graph, diag: np.ndarray, off, edges) -> np.ndarray:
     """The checked table from L0 (diagonal ``diag``, off-diagonal entries
-    ``off`` and their :func:`_edge_ends` ``edges``), by one factor of its
-    core.
+    ``off`` and their :func:`_edge_ends` ``edges``), by one factor of the
+    core of its plan.
 
-    :func:`_grounded_inverse` gives G0, the inverse of L0, in its upper
-    triangle at least, or, after a peel, whole with its rows and columns
-    in its own order. Row block by row block, the upper triangle of the
-    table is then written as r(i, j) = (G[i, i] + G[j, j]) - 2 G[i, j],
-    with G0 padded by a zero row/column at node 0, and mirrored within the
-    table.
+    :func:`_grounded_inverse` gives G0, the inverse of L0: with no node
+    eliminated, in its upper triangle; otherwise whole, with its rows and
+    columns in elimination order. Row block by row block, the upper
+    triangle of the table is then written as r(i, j) = (G[i, i] + G[j, j])
+    - 2 G[i, j], with G0 padded by a zero row/column at node 0, and
+    mirrored within the table.
     """
     n = g.node_count
     m = n - 1
@@ -865,48 +851,31 @@ def _grounded_inverse(diag: np.ndarray, off, spare: np.ndarray):
     ``diag``, off-diagonal entries ``off``) and y = A^-1 1. ``spare`` is an
     array of at least n^2 floats that is free until the caller writes it.
 
-    The route rule of :func:`_peel_pays`, with ``_TABLE_BREAK_EVEN``, may
-    peel A (:func:`_peel`, :func:`_peeled_inverse`). What is left, the
-    core, is factored and inverted by LAPACK: :func:`_factor_inverse`,
-    whose V^T V ``dlauum`` completes in place (the two make ``dpotri``,
-    about c^3 flops for a core of c nodes) into the lower triangle of the
-    core's inverse. With no peel the core is all of A, and G is the C-order
-    view of that array, valid in its upper triangle, with ``at`` None.
-    Otherwise G is whole and symmetric, and the inverse entry of nodes u
-    and v is G[at[u], at[v]].
+    The plan is :func:`_plan`'s with ``_TABLE_BREAK_EVEN``, and its core is
+    inverted by :func:`_factor_inverse` and ``dlauum`` (together
+    ``dpotri``, about c^3 flops for c nodes) in its lower triangle. With
+    no node to eliminate the core is A, in an array of its own, and G is
+    its C-order view, valid in its upper triangle, with ``at`` None.
+    Otherwise the core is factored in a view of ``spare``, and G is whole
+    and symmetric, in elimination order: the i-th node to go is row i, the
+    core takes the last rows, and the entry of nodes u and v is
+    G[at[u], at[v]]. The peeled rows are filled from the last to go to the
+    first (Takahashi, Fagan and Chin 1973): row i, whose node went with
+    neighbours a and b left, is exact after i as G[i, i+1:] =
+    -l_a G[a, i+1:] - l_b G[b, i+1:], and G[i, i] = 1/p - l_a G[i, a] -
+    l_b G[i, b], O(n) each, in the upper triangle only. A row it reads must
+    hold the rows filled after it, mirrored: every ``_MIRROR_ROWS`` rows are
+    mirrored into their columns at once, and a row read in between first
+    takes the few it misses. y comes by back-substitution of the carried
+    ones.
     """
     n = diag.size
-    rows, cols, _ = off
-    if not _peel_pays(n, rows, cols, _TABLE_BREAK_EVEN):
+    plan = _plan(n, off[0], off[1], _TABLE_BREAK_EVEN)
+    order, A, _, B, _, _, core, _, _, _ = plan
+    if not order:
         c, y = _factor_inverse(diag, off)
         _lauum(c)
         return c.T, None, y
-    # a pivot below 1 / (the largest float) inverts to inf, and y with it,
-    # which the check refuses without a warning on the way, as in
-    # grounded_solve
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _peeled_inverse(diag, off, _peel(n, rows, cols), spare)
-
-
-def _peeled_inverse(diag: np.ndarray, off, plan: _Plan, spare: np.ndarray):
-    """:func:`_grounded_inverse` through the peel of ``plan``.
-
-    G is held in elimination order: the i-th node to go is row i, and the
-    core, in increasing order, takes the last rows. :func:`_forward` runs
-    the forward pass, the core is factored in a view of ``spare``, and its
-    inverse is copied into G's last block. The peeled rows are then filled
-    from the last to go to the first (Takahashi, Fagan and Chin 1973): row
-    i, whose node went with neighbours a and b left, is exact after i as
-    G[i, i+1:] = -l_a G[a, i+1:] - l_b G[b, i+1:], and G[i, i] = 1/p -
-    l_a G[i, a] - l_b G[i, b]. So each row costs O(n), and only the upper
-    triangle is ever computed. A row it reads must hold, before its own
-    position, the rows filled after it, mirrored: every ``_MIRROR_ROWS``
-    rows are mirrored into their columns at once, a contiguous block, and a
-    row read in between first takes the few it misses. y = A^-1 1 comes by
-    back-substitution of the carried ones.
-    """
-    n = diag.size
-    order, A, _, B, _, _, core, _, _, _ = plan
     p = len(order)
     at = np.empty(n, dtype=np.intp)
     at[order] = np.arange(p)
@@ -1155,11 +1124,11 @@ def _check_budget(n: int, arrays: int) -> None:
     """Raise BudgetExceededError if ``arrays`` n x n float arrays pass the
     budget.
 
-    A dense grounded solve holds one, its matrix, factored and inverted in
-    place; a peeled one holds its core's, and is checked on the core's
-    size. Building the table holds two, the table and the grounded
-    inverse: a peeled table factors its core in the table's own buffer
-    before the table is written, so it holds no third. The k = 2 search in
+    A grounded solve holds one, its core's matrix (the whole system's when
+    nothing is eliminated), factored and inverted in place. Building the
+    table holds two, the table and the grounded inverse: a peeled table
+    factors its core in the table's own buffer before the table is
+    written, so it holds no third. The k = 2 search in
     ``selection`` holds the table and its Gram matrix, as many bytes, so
     the check made when the table is built covers it too.
     """

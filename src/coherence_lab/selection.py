@@ -8,11 +8,11 @@ For k = 1 no table is formed. A leader v's total is sum_u r(u, v) (plus
 n/kappa_v), and with G0 the inverse of the Laplacian grounded at node 0,
 d its diagonal and y = G0 1, both padded by a 0 at node 0, that is
 sum(d) + n d_v - 2 y_v: one ``electrical.grounded_solve`` scores every
-node (:func:`_single_totals`): by forest elimination on trees, paths and
-cycles; on a larger graph by eliminating every node with at most two
-neighbours left and factoring only the core that is left (about half the
-nodes of a random graph with n/2 chords); and by one dense factor of the
-whole system otherwise.
+node (:func:`_single_totals`). Its one elimination engine eliminates
+every node of a tree, path or cycle in O(n); on a larger graph every node
+with at most two neighbours left when that pays, and then factors only the
+core that is left (about half the nodes of a random graph with n/2
+chords); otherwise it eliminates nothing and factors the whole system.
 
 Every k >= 2 is scored from one pairwise resistance table, in one sweep
 that shares rank-one grounding steps between sets (as in Lin, Fardad &
@@ -47,7 +47,8 @@ that sum, exceeds ``_RECHECK`` of its value is recomputed directly by
 ``ResistanceOracle.set_totals``. The reduction keeps a running minimum
 and the sets within ``_tie_window`` of it, block by block; no array of
 all C(n, k) values is ever formed. The kept sets are sorted at the end,
-so their order does not depend on the blocks.
+so their order does not depend on the blocks. A block whose least total
+is not finite (a sum passed the largest float) raises ``SolverError``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from .errors import (
     BadParameterError,
     BudgetExceededError,
     DisconnectedGraphError,
+    SolverError,
 )
 from .graphs import Graph, _grounded_entries, _is_int, is_connected
 
@@ -144,8 +146,14 @@ class _Minimum:
 
     def add(self, totals: np.ndarray, sets_at) -> None:
         """Take a block of totals; ``sets_at`` maps ``np.nonzero``
-        positions in it to their sets, one row each."""
+        positions in it to their sets, one row each. Raises SolverError
+        when the least of them is not finite."""
         low = float(totals.min())
+        if not math.isfinite(low):
+            # NaN anywhere in the block, or no finite total in it: a sum
+            # passed the largest float on the way
+            raise SolverError(f"a leader-set total reads {low!r}: its sums pass "
+                              f"the floating-point range")
         if low < self.total:
             self.total = low
             limit = self._limit()
@@ -484,11 +492,14 @@ def brute_force_select(g: Graph, k: int, dynamics: str = NOISE_FREE, kappa=None,
     recip = (_kappa_reciprocals(kappa, n, k)
              if dynamics == NOISE_CORRUPTED else None)
     best = _Minimum()
-    if k == 1:
-        best.add(_single_totals(g, recip), lambda hits: hits[0][:, None])
-    else:
-        for totals, sets_at in _total_blocks(resistance_oracle(g), k, recip):
-            best.add(totals, sets_at)
+    # a total past the largest float reads inf or NaN, which best.add
+    # refuses without a warning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 1:
+            best.add(_single_totals(g, recip), lambda hits: hits[0][:, None])
+        else:
+            for totals, sets_at in _total_blocks(resistance_oracle(g), k, recip):
+                best.add(totals, sets_at)
     elapsed = time.perf_counter() - start
     return SelectionResult(
         dynamics=dynamics,

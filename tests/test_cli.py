@@ -205,6 +205,24 @@ def test_subnormal_weight_exit_code(tmp_path, k):
     assert "ill-conditioned" in err
 
 
+@pytest.mark.parametrize("command", [["select", "--k", "1"],
+                                     ["coherence", "--dynamics", "free"]],
+                         ids=["select", "coherence-free"])
+def test_totals_past_the_largest_float_exit_code(tmp_path, command):
+    # K5 with weights 1e-308 solves, but its totals pass the largest float:
+    # a computation failure (exit 1) on one line, with no numpy warning,
+    # not a traceback or the bad-input exit 2
+    path = tmp_path / "k5.txt"
+    path.write_text("".join(f"{u} {v} 1e-308\n" for v in range(5) for u in range(v)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run([*command, "--graph", f"file:{path}"])
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "floating-point range" in err
+
+
 def test_resistance_command():
     doc = run_json(["resistance", "--graph", "cycle:3", "--pair", "0,1"])
     assert doc["resistance"] == pytest.approx(2.0 / 3.0)

@@ -676,6 +676,41 @@ def test_overflowing_resistances_are_refused_without_warnings(edges):
         cl.coherence_nf(g, (0,))
 
 
+def _k5(weight):
+    return cl.build_graph([(u, v, weight) for v in range(5) for u in range(v)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_dense_route_refuses_overflowing_resistances_without_warnings():
+    # K5 with subnormal weights keeps a triangle wherever it is grounded, so
+    # every solve and its table factor the whole system; its inverse
+    # overflows, and the check refuses it as the forest and path-sum routes
+    # do, with no warning first
+    g = _k5(1e-310)
+    for compute in (lambda: cl.coherence_nf(g, (0,)),
+                    lambda: cl.coherence_nf(g, (0,), method="resistance"),
+                    lambda: cl.brute_force_select(g, 1),
+                    lambda: cl.resistance_oracle(g)):
+        with pytest.raises(SolverError, match="ill-conditioned"):
+            compute()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_totals_past_the_largest_float_raise_solver_error():
+    # K5 with weights 1e-308 is well conditioned and its solves pass their
+    # check, but n d and the sums of the table pass the largest float: a
+    # total or a value that is not finite is a SolverError, not a bare
+    # ValueError or a BadParameterError
+    g = _k5(1e-308)
+    for k in (1, 2, 3):
+        with pytest.raises(SolverError, match="floating-point range"):
+            cl.brute_force_select(g, k)
+    with pytest.raises(SolverError, match="floating-point range"):
+        cl.brute_force_select(g, 2, cl.NOISE_CORRUPTED, kappa=1.0)
+    with pytest.raises(SolverError, match="floating-point range"):
+        cl.leader_free_coherence(g)
+
+
 def test_only_graphs_with_more_edges_than_nodes_are_factored(rng, monkeypatch):
     factored = []
     build = electrical._factored_table

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import coherence_lab as cl
-from coherence_lab.selection import _kappa_reciprocals, _single_totals
+from coherence_lab.selection import _kappa_reciprocals, _single_totals, _tie_window
 
 from conftest import (
     assert_exact,
@@ -43,8 +43,8 @@ def _petersen():
     return cl.build_graph(outer + spokes + inner)
 
 
-def _cube():
-    return cl.build_graph([(u, u | 1 << b, 1.0) for u in range(8) for b in range(3)
+def _cube(d=3):
+    return cl.build_graph([(u, u | 1 << b, 1.0) for u in range(1 << d) for b in range(d)
                            if not u >> b & 1])
 
 
@@ -65,7 +65,7 @@ GRAPHS = {
     "K6": lambda: _complete(6),
     "star8": lambda: _star(8),
     "petersen": _petersen,
-    "Q3": _cube,
+    "Q3": lambda: _cube(3),
     "grid3x3": lambda: _grid(3),
 }
 
@@ -92,6 +92,63 @@ def test_search_returns_the_exact_minimisers(name, k, dynamics, kappa):
     assert result.optimal_sets == best
     assert result.co_optimal_count == len(best)
     assert abs(result.value - float(low / 2)) <= 1e-12 * float(low / 2)
+
+
+# families of the tie property, each drawn with a size from a fixed range
+TIE_FAMILIES = {
+    "complete": lambda rng: _complete(int(rng.integers(4, 7))),
+    "star": lambda rng: _star(int(rng.integers(5, 9))),
+    "cycle": lambda rng: cl.build_cycle(int(rng.integers(5, 10))),
+    "grid": lambda rng: _grid(3),
+    "petersen": lambda rng: _petersen(),
+    "hypercube": lambda rng: _cube(int(rng.integers(3, 5))),
+}
+
+
+def _relabelled(rng, g):
+    """``g`` with its nodes permuted and every edge given a dyadic rational
+    weight: one weight for all edges in half the draws, which keeps the
+    graph's automorphisms and so its exact ties, and one per edge
+    otherwise."""
+    perm = rng.permutation(g.node_count).tolist()
+    choices = [0.5, 1.0, 1.5, 2.0, 3.0]
+    same = bool(rng.integers(2))
+    weight = float(rng.choice(choices))
+    return cl.build_graph([(perm[u], perm[v], weight if same else float(rng.choice(choices)))
+                           for u, v, _ in g.edges], g.node_count)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", list(TIE_FAMILIES))
+def test_search_keeps_exactly_the_sets_its_tie_window_promises(family, seed):
+    # drawn graphs against the exact referee: when the exact gap from the
+    # optimum to the best other set exceeds the tie window, the search
+    # returns exactly the exact minimisers; inside it, every exact
+    # minimiser and only sets within the window of the optimum. The seeds
+    # and sizes were fixed before the first run
+    rng = np.random.default_rng([7, list(TIE_FAMILIES).index(family), seed])
+    g = _relabelled(rng, TIE_FAMILIES[family](rng))
+    table = exact_table(g)
+    n = g.node_count
+    for k in (1, 2, 3):
+        sets = list(itertools.combinations(range(n), k))
+        for dynamics, kappa in ((cl.NOISE_FREE, None),
+                                (cl.NOISE_CORRUPTED, float(rng.choice([0.5, 1.0, 2.0])))):
+            inv_kappa = 0 if kappa is None else 1 / Fraction(kappa)
+            values = [exact_total(table, S, inv_kappa) / 2 for S in sets]
+            low = min(values)
+            best = tuple(S for S, v in zip(sets, values) if v == low)
+            window = Fraction(_tie_window(float(low)))
+            result = cl.brute_force_select(g, k, dynamics, kappa)
+            assert abs(result.value - float(low)) <= 1e-12 * float(low)
+            assert result.co_optimal_count == len(result.optimal_sets)
+            if min((v for v in values if v != low), default=low + 2 * window) - low > window:
+                assert result.optimal_sets == best, (k, dynamics)
+            else:
+                assert set(best) <= set(result.optimal_sets), (k, dynamics)
+                by_set = dict(zip(sets, values))
+                for S in result.optimal_sets:
+                    assert by_set[S] - low <= window + Fraction(1e-12) * low, (S, k)
 
 
 def test_the_exact_total_matches_the_dense_inverse(rng):
